@@ -44,12 +44,10 @@ from .lfunc import (
 )
 from .meanvalue import (
     CarlsonResult,
-    TrigPolynomial,
     b2_distance,
     b2_ladder,
     carlson_mean_value,
     coprime_tail_sum,
     max_modulus_bound,
-    trig_poly_eval,
     truncation_tail_check,
 )

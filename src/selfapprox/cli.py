@@ -17,6 +17,7 @@ any --threads setting.  SELFAPPROX_OUTPUT_DIR overrides the output directory.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .diophantine import (
     measure_kronecker_density,
 )
 from .errors import DomainError
-from .lfunc import DEFAULT_CONFIG, EvaluatorConfig, StripRegion, hurwitz_zeta
+from .lfunc import DEFAULT_CONFIG, StripRegion, hurwitz_zeta
 from .meanvalue import b2_ladder, carlson_mean_value
 
 COMMANDS = (
@@ -52,92 +53,108 @@ COMMANDS = (
     "selfcheck",
 )
 
+
+def _finite_float(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise DomainError(f"{raw!r} is not a finite number")
+    return value
+
+
+# Key groups shared by several commands, spliced into the schemas below in
+# the order the manifests record them.
+_FAMILY = {"d": (str, None), "chars": (str, None)}
+_REGION = {
+    "sigma_range": (str, "0.65,0.75"),
+    "t_range": (str, "-0.5,0.5"),
+    "margin": (_finite_float, 0.02),
+    "grid": (str, "3x3"),
+}
+_TARGET = {
+    "d": (str, "1"),
+    "a": (int, 1),
+    "delta": (_finite_float, None),
+    "primes_upto": (_finite_float, None),
+}
+
 # command -> ordered parameter schema: name -> (parser, default); default None
 # with no entry in the config means the parameter is required.
 _SCHEMAS = {
     "relations": {
         "shifts": (str, None),
         "mode": (str, "exact"),
-        "tolerance": (float, 1e-10),
+        "tolerance": (_finite_float, 1e-10),
         "coeff_cap": (int, 10**6),
     },
     "kronecker": {
-        "d": (str, "1"),
-        "a": (int, 1),
-        "delta": (float, None),
-        "primes_upto": (float, None),
-        "T": (float, None),
-        "samples": (float, None),
+        **_TARGET,
+        "T": (_finite_float, None),
+        "samples": (_finite_float, None),
         "stratified": (int, 0),
     },
     "find-tau": {
-        "d": (str, "1"),
-        "a": (int, 1),
-        "delta": (float, None),
-        "primes_upto": (float, None),
-        "bound": (float, None),
+        **_TARGET,
+        "bound": (_finite_float, None),
         "strategy": (str, "grid"),
         "max_results": (int, 10000),
     },
     "scan-density": {
-        "d": (str, None),
-        "chars": (str, None),
-        "eps": (float, None),
-        "T": (float, None),
-        "samples": (float, 256),
-        "sigma_range": (str, "0.65,0.75"),
-        "t_range": (str, "-0.5,0.5"),
-        "margin": (float, 0.02),
-        "grid": (str, "3x3"),
+        **_FAMILY,
+        "eps": (_finite_float, None),
+        "T": (_finite_float, None),
+        "samples": (_finite_float, 256),
+        **_REGION,
         "refine": (int, 1),
     },
     "dist-fn": {
-        "d": (str, None),
-        "chars": (str, None),
+        **_FAMILY,
         "T_ladder": (str, None),
-        "samples": (float, 256),
-        "sigma_range": (str, "0.65,0.75"),
-        "t_range": (str, "-0.5,0.5"),
-        "margin": (float, 0.02),
-        "grid": (str, "3x3"),
+        "samples": (_finite_float, 256),
+        **_REGION,
     },
     "mean-value": {
         "char": (str, None),
-        "sigma": (float, 0.75),
-        "t": (float, 0.0),
-        "y": (float, 20),
-        "x": (float, 1.0),
-        "T": (float, 5000),
-        "samples": (float, 50000),
+        "sigma": (_finite_float, 0.75),
+        "t": (_finite_float, 0.0),
+        "y": (_finite_float, 20),
+        "x": (_finite_float, 1.0),
+        "T": (_finite_float, 5000),
+        "samples": (_finite_float, 50000),
     },
     "b2": {
-        "d": (str, None),
-        "chars": (str, None),
+        **_FAMILY,
         "N_ladder": (str, "10,100,1000"),
-        "T": (float, 2000),
-        "samples": (float, 1000),
-        "sigma_range": (str, "0.65,0.75"),
-        "t_range": (str, "-0.5,0.5"),
-        "margin": (float, 0.02),
-        "grid": (str, "3x3"),
+        "T": (_finite_float, 2000),
+        "samples": (_finite_float, 1000),
+        **_REGION,
     },
     "selfcheck": {},
 }
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _parse_list(text, parse=_finite_float, count=None):
+    """Comma-separated values; DomainError on a bad item or a wrong count."""
+    try:
+        values = [parse(x) for x in text.split(",") if x.strip() != ""]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse {text!r}: {exc}") from None
+    if count is not None and len(values) != count:
+        raise DomainError(f"expected {count} comma-separated values, got {text!r}")
+    return values
 
 
 def _parse_region(params) -> StripRegion:
-    slo, shi = _parse_floats(params["sigma_range"])
-    tlo, thi = _parse_floats(params["t_range"])
-    gs, gt = (int(x) for x in params["grid"].split("x"))
+    slo, shi = _parse_list(params["sigma_range"], count=2)
+    tlo, thi = _parse_list(params["t_range"], count=2)
+    try:
+        gs, gt = (int(x) for x in params["grid"].split("x"))
+    except ValueError:
+        raise DomainError(f"grid must look like 3x3, got {params['grid']!r}") from None
     return StripRegion(slo, shi, tlo, thi, margin=params["margin"], grid_sigma=gs, grid_t=gt)
 
 
 def _parse_family(params) -> ShiftFamily:
-    shifts = tuple(_parse_floats(params["d"]))
+    shifts = tuple(_parse_list(params["d"]))
     chars = tuple(character_from_id(c.strip()) for c in params["chars"].split(","))
     return ShiftFamily(shifts, chars)
 
@@ -171,12 +188,15 @@ def _resolve_params(command: str, file_cfg: dict, overrides: dict) -> dict:
             raw = default
         else:
             raise DomainError(f"missing required parameter {name!r} for {command}")
-        params[name] = parse(raw) if isinstance(raw, str) else parse(raw)
+        try:
+            params[name] = parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"parameter {name!r}: {exc}") from None
     return params
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _write_artifacts(outdir, manifest, results, samples=None, plotdata=None):
@@ -199,11 +219,8 @@ def _write_artifacts(outdir, manifest, results, samples=None, plotdata=None):
 
 
 def _run_relations(params, seed, threads):
-    shift_strs = [s.strip() for s in params["shifts"].split(",")]
-    if params["mode"] == "exact":
-        shifts = [Fraction(s) for s in shift_strs]
-    else:
-        shifts = [float(s) for s in shift_strs]
+    parse = Fraction if params["mode"] == "exact" else _finite_float
+    shifts = _parse_list(params["shifts"], parse)
     rel = find_rational_relations(
         shifts, mode=params["mode"], tolerance=params["tolerance"], coeff_cap=params["coeff_cap"]
     )
@@ -220,7 +237,7 @@ def _run_relations(params, seed, threads):
 
 def _make_target(params) -> KroneckerTarget:
     return KroneckerTarget(
-        shifts=tuple(_parse_floats(params["d"])),
+        shifts=tuple(_parse_list(params["d"])),
         denominator=params["a"],
         delta=params["delta"],
         prime_bound=params["primes_upto"],
@@ -299,7 +316,7 @@ def _run_scan_density(params, seed, threads):
 def _run_dist_fn(params, seed, threads):
     family = _parse_family(params)
     region = _parse_region(params)
-    ladder = _parse_floats(params["T_ladder"])
+    ladder = _parse_list(params["T_ladder"])
     report = convergence_diagnostic(
         family, region, DEFAULT_CONFIG, ladder, int(params["samples"]), seed, threads=threads
     )
@@ -335,7 +352,7 @@ def _run_mean_value(params, seed, threads):
 def _run_b2(params, seed, threads):
     family = _parse_family(params)
     region = _parse_region(params)
-    ladder = [int(x) for x in params["N_ladder"].split(",")]
+    ladder = _parse_list(params["N_ladder"], int)
     out = b2_ladder(
         family, ladder, params["T"], region,
         n_samples=int(params["samples"]), seed=seed, threads=threads,
@@ -378,6 +395,10 @@ _RUNNERS = {
 
 def run(command: str, params: dict, seed: int, output_dir: str, threads: int = 1) -> int:
     """Execute one resolved command and write its artifacts."""
+    if not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not isinstance(threads, int):
+        raise DomainError(f"threads must be an integer, got {threads!r}")
     manifest = {
         "command": command,
         "seed": seed,
@@ -422,10 +443,16 @@ def main(argv=None) -> int:
                 manifest = json.load(fh)
             outdir = args.output_dir or os.path.dirname(os.path.abspath(args.manifest))
             outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", outdir)
+            if not (
+                isinstance(manifest, dict)
+                and manifest.get("command") in COMMANDS
+                and isinstance(manifest.get("params"), dict)
+            ):
+                raise DomainError(f"{args.manifest}: needs a known command and a params object")
+            command = manifest["command"]
+            params = _resolve_params(command, manifest["params"], {})
             threads = args.threads if args.threads is not None else manifest.get("threads", 1)
-            return run(
-                manifest["command"], manifest["params"], manifest["seed"], outdir, threads
-            )
+            return run(command, params, manifest.get("seed"), outdir, threads)
         file_cfg = _read_config_file(args.config) if args.config else {}
         overrides = {key: getattr(args, key) for key in _SCHEMAS[args.command]}
         params = _resolve_params(args.command, file_cfg, overrides)

@@ -21,15 +21,8 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import DomainError, RangeError
-from .lfunc import DEFAULT_CONFIG, EvaluatorConfig, StripRegion, l_truncated, l_value
-from .sampling import (
-    block_slices,
-    ks_two_sample_threshold,
-    map_blocks,
-    uniform_samples,
-    stratified_samples,
-    wilson_interval,
-)
+from .lfunc import DEFAULT_CONFIG, EvaluatorConfig, StripRegion, l_value
+from .sampling import ks_two_sample_threshold, map_blocks, uniform_samples, wilson_interval
 
 __all__ = [
     "ShiftFamily",
@@ -133,28 +126,24 @@ def g_values(
     region: StripRegion,
     cfg: EvaluatorConfig = DEFAULT_CONFIG,
     refine: bool = True,
-    evaluator: str = "full",
-    truncation: float = 100.0,
+    evaluator=None,
 ):
     """g(tau) for an array of tau values.
 
     Returns (g, refine_delta): g is the max over the base grid on K of all
-    pairwise |L(s+i d_j tau, chi_j) - L(s+i d_k tau, chi_k)|; refine_delta is
+    pairwise |F(s+i d_j tau, chi_j) - F(s+i d_k tau, chi_k)|; refine_delta is
     the relative increase observed on the nested double-resolution grid
-    (zeros when refine=False).  evaluator="truncated" swaps in the Euler
-    product over primes <= truncation, used by the Kronecker-enrichment checks.
+    (zeros when refine=False).  F is evaluator(s, chi), a callable taking an
+    array of s and returning F at each point; the default is l_value with cfg.
+    Partial sums (the B^2 distances) and truncated Euler products (the
+    Kronecker-enrichment checks) enter through this argument.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     grid, coarse_idx = region.grid_points(refine)
     vals = np.empty((family.m, len(taus), len(grid)), dtype=np.complex128)
     for k, (dk, chik) in enumerate(zip(family.shifts, family.characters)):
         s = grid[None, :] + 1j * dk * taus[:, None]
-        if evaluator == "full":
-            vals[k] = l_value(s, chik, cfg)
-        elif evaluator == "truncated":
-            vals[k] = l_truncated(s, chik, truncation)
-        else:
-            raise DomainError(f"unknown evaluator {evaluator!r}")
+        vals[k] = l_value(s, chik, cfg) if evaluator is None else evaluator(s, chik)
     g_fine = np.zeros(len(taus))
     g_base = np.zeros(len(taus))
     for j in range(family.m):
@@ -203,8 +192,6 @@ def sample_g(
     seed: int,
     refine: bool = True,
     threads: int = 1,
-    two_sided: bool = False,
-    stratified: bool = False,
     stream_path: Optional[str] = None,
 ):
     """Seeded tau samples and their g values; the workhorse for all densities.
@@ -216,11 +203,7 @@ def sample_g(
     if T <= 0 or n_samples < 1:
         raise DomainError("T must be positive and n_samples >= 1")
     _validate_cap(family, region, T, cfg)
-    lo = -T if two_sided else 0.0
-    if stratified:
-        taus = stratified_samples(seed, n_samples, lo, T)
-    else:
-        taus = uniform_samples(seed, n_samples, lo, T)
+    taus = uniform_samples(seed, n_samples, 0.0, T)
 
     def work(i0, i1):
         return g_values(taus[i0:i1], family, region, cfg, refine=refine)

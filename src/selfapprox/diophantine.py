@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DomainError
 from .primes import primes_upto
 from .sampling import (
-    block_rng,
     block_slices,
     stratified_samples,
     uniform_samples,
@@ -135,6 +134,8 @@ def find_rational_relations(
         )
     if mode != "float":
         raise DomainError(f"unknown mode {mode!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError("float mode needs a positive finite tolerance")
 
     vals = [float(x) for x in d]
     dps = max(15, int(-math.log10(tolerance)) + 5)

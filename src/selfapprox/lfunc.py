@@ -174,13 +174,20 @@ def _n_terms(imag_max: float, cfg: EvaluatorConfig) -> int:
     return max(cfg.shift_count, int(math.ceil(SHIFT_SCALE * (imag_max + 10.0))))
 
 
-def _power_sum(s: np.ndarray, logn: np.ndarray) -> np.ndarray:
-    """sum_n exp(-s * logn[n]) accumulated in memory-bounded chunks."""
+def _power_sum(s: np.ndarray, logn: np.ndarray, coeffs=None) -> np.ndarray:
+    """sum_n coeffs[n] * exp(-s * logn[n]) in memory-bounded chunks.
+
+    coeffs=None means every coefficient is 1.
+    """
     acc = np.zeros(s.shape, dtype=np.complex128)
     chunk = max(1, _CHUNK_BUDGET // max(1, s.size))
     neg_s = -s[..., None]
     for i in range(0, len(logn), chunk):
-        acc += np.exp(neg_s * logn[i : i + chunk]).sum(axis=-1)
+        terms = np.exp(neg_s * logn[i : i + chunk])
+        if coeffs is not None:
+            terms *= coeffs[i : i + chunk]
+        acc += terms.sum(axis=-1)
+        del terms  # free this chunk before the next one is allocated
     return acc
 
 
@@ -334,11 +341,5 @@ def l_partial_sum(s, chi: DirichletCharacter, n_max: int):
     coeffs = np.array([char_value(chi, n) for n in range(1, n_max + 1)])
     nz = np.flatnonzero(coeffs != 0)
     logn = np.log(np.arange(1, n_max + 1, dtype=float))[nz]
-    coeffs = coeffs[nz]
-    acc = np.zeros(flat.shape, dtype=np.complex128)
-    chunk = max(1, _CHUNK_BUDGET // max(1, flat.size))
-    neg_s = -flat[..., None]
-    for i in range(0, len(logn), chunk):
-        acc += (coeffs[i : i + chunk] * np.exp(neg_s * logn[i : i + chunk])).sum(axis=-1)
-    out = acc.reshape(np.shape(s))
+    out = _power_sum(flat, logn, coeffs[nz]).reshape(np.shape(s))
     return complex(out) if scalar else out

@@ -9,15 +9,15 @@ analytic functions, and the mean-square distance between the sup-difference
 functional built from L and the one built from partial sums.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .characters import DirichletCharacter, char_value
+from .characters import DirichletCharacter
 from .diophantine import KroneckerTarget, kronecker_membership
-from .density import ShiftFamily, _validate_cap
+from .density import ShiftFamily, _validate_cap, g_values
 from .errors import DomainError
 from .lfunc import (
     DEFAULT_CONFIG,
@@ -28,12 +28,10 @@ from .lfunc import (
     l_value,
     log_l_truncated_ratio,
 )
-from .primes import prime_zeta_tail
+from .primes import prime_zeta_tail, primes_upto
 from .sampling import block_slices, map_blocks, uniform_samples
 
 __all__ = [
-    "TrigPolynomial",
-    "trig_poly_eval",
     "max_modulus_bound",
     "coprime_tail_sum",
     "carlson_mean_value",
@@ -42,29 +40,6 @@ __all__ = [
     "b2_distance",
     "b2_ladder",
 ]
-
-
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Finite exponential sum P(tau) = sum_n a_n exp(i lambda_n tau)."""
-
-    frequencies: tuple
-    coefficients: tuple
-
-    def __post_init__(self):
-        if len(self.frequencies) != len(self.coefficients):
-            raise DomainError("frequencies and coefficients must have equal length")
-
-
-def trig_poly_eval(poly: TrigPolynomial, tau):
-    tau = np.asarray(tau, dtype=float)
-    freqs = np.asarray(poly.frequencies, dtype=float)
-    coeffs = np.asarray(poly.coefficients, dtype=complex)
-    if len(freqs) == 0:
-        out = np.zeros(tau.shape, dtype=complex)
-        return complex(out) if tau.ndim == 0 else out
-    out = (coeffs * np.exp(1j * np.multiply.outer(tau, freqs))).sum(axis=-1)
-    return complex(out) if tau.ndim == 0 else out
 
 
 def max_modulus_bound(area_integral: float, margin: float) -> float:
@@ -86,8 +61,8 @@ def coprime_tail_sum(chi: DirichletCharacter, y: float, exponent: float) -> floa
         raise DomainError("tail sum needs exponent > 1")
     q = chi.modulus
     total = hurwitz_zeta(complex(exponent), 1.0).real
-    for p in range(2, q + 1):
-        if q % p == 0 and all(p % r for r in range(2, p)):
+    for p in primes_upto(q):
+        if q % p == 0:
             total *= 1.0 - p ** (-exponent)
     head = sum(
         n ** (-exponent)
@@ -227,33 +202,9 @@ def b2_distance(
 ):
     """Mean-square distance (1/2T) int_{-T}^{T} |f - f_N|^2 dtau by Monte Carlo.
 
-    f(tau) is the sup over the K grid of |L(s+i d_j tau, chi_j) -
-    L(s+i d_k tau, chi_k)| for the selected pair, f_N the same functional with
-    partial sums of length n_partial.  Two-sided in tau, as the mean-square
-    almost-periodicity distance is.  Returns (estimate, stderr).
+    The single-rung b2_ladder: returns (estimate, stderr) for N = n_partial.
     """
-    if n_partial < 1:
-        raise DomainError("n_partial must be >= 1")
-    j, k = pair
-    _validate_cap(family, region, T, cfg)
-    taus = uniform_samples(seed, n_samples, -T, T)
-    grid, _ = region.grid_points(refine=False)
-
-    def work(i0, i1):
-        sub = taus[i0:i1]
-        vals = []
-        vals_n = []
-        for idx in (j, k):
-            dk, chik = family.shifts[idx], family.characters[idx]
-            pts = grid[None, :] + 1j * dk * sub[:, None]
-            vals.append(l_value(pts, chik, cfg))
-            vals_n.append(l_partial_sum(pts, chik, n_partial))
-        f = np.abs(vals[0] - vals[1]).max(axis=1)
-        f_n = np.abs(vals_n[0] - vals_n[1]).max(axis=1)
-        return (f - f_n) ** 2
-
-    sq = np.concatenate(map_blocks(work, n_samples, threads))
-    return float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
+    return b2_ladder(family, [n_partial], T, region, cfg, n_samples, seed, pair, threads)[0]
 
 
 def b2_ladder(
@@ -267,8 +218,36 @@ def b2_ladder(
     pair: tuple = (0, 1),
     threads: int = 1,
 ) -> list:
-    """b2_distance across an N ladder on one shared tau sample set."""
-    return [
-        b2_distance(family, n, T, region, cfg, n_samples, seed, pair, threads)
-        for n in n_ladder
-    ]
+    """(estimate, stderr) of (1/2T) int_{-T}^{T} |f - f_N|^2 dtau for each N in n_ladder.
+
+    f is g_values on the two family members that `pair` selects, over the
+    base K grid; f_N is the same functional with L replaced by the partial
+    sum of length N.  Two-sided in tau, as the mean-square almost-periodicity
+    distance is.  All rungs share one tau sample set, and f is evaluated once
+    per tau.
+    """
+    n_ladder = list(n_ladder)
+    if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2:
+        raise DomainError("b2 needs a nonempty N ladder, every N >= 1 and n_samples >= 2")
+    _validate_cap(family, region, T, cfg)
+    j, k = pair
+    sub = ShiftFamily(
+        (family.shifts[j], family.shifts[k]), (family.characters[j], family.characters[k])
+    )
+    taus = uniform_samples(seed, n_samples, -T, T)
+
+    def work(i0, i1):
+        block = taus[i0:i1]
+        f, _ = g_values(block, sub, region, cfg, refine=False)
+        out = []
+        for n in n_ladder:
+            partial = functools.partial(l_partial_sum, n_max=n)
+            f_n, _ = g_values(block, sub, region, cfg, refine=False, evaluator=partial)
+            out.append((f - f_n) ** 2)
+        return out
+
+    estimates = []
+    for rung in zip(*map_blocks(work, n_samples, threads)):
+        sq = np.concatenate(rung)
+        estimates.append((float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(len(sq)))))
+    return estimates

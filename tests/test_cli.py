@@ -187,3 +187,54 @@ def test_b2_plotdata(tmp_path):
     rows = _read(tmp_path, "plotdata.csv").strip().splitlines()
     assert rows[0] == "x,y"
     assert len(rows) == 3
+
+
+def test_b2_reproducible_across_threads_and_rerun(tmp_path):
+    argv = [
+        "b2", "--d", "1,2,3", "--chars", "4:1,4:1,5:1", "--N-ladder", "10,100",
+        "--T", "300", "--samples", "40", "--seed", "6",
+    ]
+    out1, out2, out3 = tmp_path / "t1", tmp_path / "t2", tmp_path / "rerun"
+    assert main(argv + ["--threads", "1", "--output-dir", str(out1)]) == 0
+    assert main(argv + ["--threads", "2", "--output-dir", str(out2)]) == 0
+    assert main(["rerun", str(out1 / "manifest.json"), "--output-dir", str(out3)]) == 0
+    expected = (out1 / "results.json").read_bytes()
+    assert (out2 / "results.json").read_bytes() == expected
+    assert (out3 / "results.json").read_bytes() == expected
+
+
+def _write_manifest(path, manifest):
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "eps_nan", "grid_no_x", "T_not_a_number", "zero_tolerance",
+    "manifest_without_params", "manifest_unknown_command", "manifest_threads_not_int",
+    "empty_N_ladder",
+])
+def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
+    out = ["--output-dir", str(tmp_path / "out")]
+    scan = ["scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--T", "100", "--samples", "4"]
+    argv = {
+        "eps_nan": scan + ["--eps", "nan"] + out,
+        "grid_no_x": scan + ["--eps", "1", "--grid", "3"] + out,
+        "T_not_a_number": ["kronecker", "--delta", "0.25", "--primes-upto", "2",
+                           "--T", "abc", "--samples", "10"] + out,
+        "zero_tolerance": ["relations", "--shifts", "1,2", "--mode", "float",
+                           "--tolerance", "0"] + out,
+        "manifest_without_params": ["rerun", _write_manifest(
+            tmp_path / "m.json", {"command": "scan-density", "seed": 0})] + out,
+        "manifest_unknown_command": ["rerun", _write_manifest(
+            tmp_path / "m.json", {"command": "bogus", "seed": 0, "params": {}})] + out,
+        "manifest_threads_not_int": ["rerun", _write_manifest(
+            tmp_path / "m.json", {"command": "selfcheck", "seed": 0, "params": {},
+                                  "threads": "2"})] + out,
+        "empty_N_ladder": ["b2", "--d", "1,2", "--chars", "4:1,4:1", "--N-ladder", ",",
+                           "--T", "10", "--samples", "4"] + out,
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert set(json.loads(err)) == {"error"}
+    assert not (tmp_path / "out" / "results.json").exists()

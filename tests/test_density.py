@@ -19,7 +19,7 @@ from selfapprox.density import (
 )
 from selfapprox.diophantine import KroneckerTarget, find_tau_in_set
 from selfapprox.errors import DomainError, RangeError
-from selfapprox.lfunc import DEFAULT_CONFIG, EvaluatorConfig, StripRegion, l_value
+from selfapprox.lfunc import DEFAULT_CONFIG, EvaluatorConfig, StripRegion, l_truncated, l_value
 from selfapprox.sampling import ks_two_sample_threshold
 
 CHI4 = character_from_id("4:1")
@@ -182,6 +182,9 @@ def test_kronecker_conditioned_enrichment_on_truncated():
     assert len(cond) >= 20
     uncond = np.linspace(0.0, 8000.0, 211)
     fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
-    g_cond, _ = g_values(cond, fam, REGION, refine=False, evaluator="truncated", truncation=v)
-    g_unc, _ = g_values(uncond, fam, REGION, refine=False, evaluator="truncated", truncation=v)
+    def truncated(s, chi):
+        return l_truncated(s, chi, v)
+
+    g_cond, _ = g_values(cond, fam, REGION, refine=False, evaluator=truncated)
+    g_unc, _ = g_values(uncond, fam, REGION, refine=False, evaluator=truncated)
     assert np.mean(g_cond) <= np.mean(g_unc)

@@ -15,13 +15,11 @@ from selfapprox.errors import DomainError
 from selfapprox.lfunc import DEFAULT_CONFIG, StripRegion, l_partial_sum, l_value
 from selfapprox.meanvalue import (
     CarlsonResult,
-    TrigPolynomial,
     b2_distance,
     b2_ladder,
     carlson_mean_value,
     coprime_tail_sum,
     max_modulus_bound,
-    trig_poly_eval,
     truncation_tail_check,
 )
 from selfapprox.sampling import uniform_samples
@@ -45,25 +43,6 @@ def test_max_modulus_bound_errors():
         max_modulus_bound(1.0, 0.0)
     with pytest.raises(DomainError):
         max_modulus_bound(-1.0, 1.0)
-
-
-# ---------------------------------------------------------------- trig polys
-
-
-def test_trig_poly_empty():
-    assert trig_poly_eval(TrigPolynomial((), ()), 1.23) == 0
-
-
-def test_trig_poly_constant_and_period():
-    p = TrigPolynomial((0.0,), (1.0,))
-    assert trig_poly_eval(p, 17.0) == pytest.approx(1.0)
-    p2 = TrigPolynomial((math.log(2),), (1.0,))
-    assert trig_poly_eval(p2, 2 * math.pi / math.log(2)) == pytest.approx(1.0)
-
-
-def test_trig_poly_mismatch():
-    with pytest.raises(DomainError):
-        TrigPolynomial((1.0,), (1.0, 2.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,3 +186,32 @@ def test_b2_validation():
     fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
     with pytest.raises(DomainError):
         b2_distance(fam, 0, 100.0, REGION)
+    with pytest.raises(DomainError):
+        b2_distance(fam, 10, 100.0, REGION, n_samples=1)
+
+
+def test_b2_ladder_matches_single_rungs_bitwise():
+    fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
+    ladder = [10, 100, 1000]
+    out = b2_ladder(fam, ladder, 500.0, REGION, n_samples=48, seed=3)
+    singles = [b2_distance(fam, n, 500.0, REGION, n_samples=48, seed=3) for n in ladder]
+    assert out == singles
+
+
+def test_b2_pair_selects_members_of_larger_family():
+    chi5 = character_from_id("5:1")
+    fam = ShiftFamily((1.0, 2.0, 3.0), (CHI4, CHI4, chi5))
+    n_partial, T, n = 30, 300.0, 40
+    est, se = b2_distance(fam, n_partial, T, REGION, n_samples=n, seed=2, pair=(0, 2))
+    taus = uniform_samples(2, n, -T, T)
+    grid, _ = REGION.grid_points(refine=False)
+    vals, vals_n = [], []
+    for idx in (0, 2):
+        pts = grid[None, :] + 1j * fam.shifts[idx] * taus[:, None]
+        vals.append(l_value(pts, fam.characters[idx]))
+        vals_n.append(l_partial_sum(pts, fam.characters[idx], n_partial))
+    f = np.abs(vals[0] - vals[1]).max(axis=1)
+    f_n = np.abs(vals_n[0] - vals_n[1]).max(axis=1)
+    sq = (f - f_n) ** 2
+    assert est == pytest.approx(np.mean(sq), rel=1e-12)
+    assert se == pytest.approx(np.std(sq, ddof=1) / math.sqrt(n), rel=1e-12)

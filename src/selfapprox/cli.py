@@ -460,6 +460,8 @@ def main(argv=None) -> int:
         return run(args.command, params, args.seed, outdir, args.threads)
     except DomainError as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}")
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc), code=3)
 

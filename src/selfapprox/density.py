@@ -13,6 +13,7 @@ streamed to CSV and re-analysed at any eps without re-evaluating L.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -133,17 +134,21 @@ def g_values(
     Returns (g, refine_delta): g is the max over the base grid on K of all
     pairwise |F(s+i d_j tau, chi_j) - F(s+i d_k tau, chi_k)|; refine_delta is
     the relative increase observed on the nested double-resolution grid
-    (zeros when refine=False).  F is evaluator(s, chi), a callable taking an
-    array of s and returning F at each point; the default is l_value with cfg.
-    Partial sums (the B^2 distances) and truncated Euler products (the
-    Kronecker-enrichment checks) enter through this argument.
+    (zeros when refine=False).  F comes from evaluator(grid, chi, shifts=h), a
+    callable returning F at grid + i h for every shift h as a (len(h),
+    len(grid)) array; it is called once per family member with h = d_k * taus,
+    so the grid's power sums are built once and each tau costs one phase row
+    (see lfunc.l_value).  The default is l_value with cfg.  Partial sums (the
+    B^2 distances) and truncated Euler products (the Kronecker-enrichment
+    checks) enter through this argument.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     grid, coarse_idx = region.grid_points(refine)
+    if evaluator is None:
+        evaluator = functools.partial(l_value, cfg=cfg)
     vals = np.empty((family.m, len(taus), len(grid)), dtype=np.complex128)
     for k, (dk, chik) in enumerate(zip(family.shifts, family.characters)):
-        s = grid[None, :] + 1j * dk * taus[:, None]
-        vals[k] = l_value(s, chik, cfg) if evaluator is None else evaluator(s, chik)
+        vals[k] = evaluator(grid, chik, shifts=dk * taus)
     g_fine = np.zeros(len(taus))
     g_base = np.zeros(len(taus))
     for j in range(family.m):

@@ -22,12 +22,8 @@ import numpy as np
 
 from .errors import DomainError
 from .primes import primes_upto
-from .sampling import (
-    block_slices,
-    stratified_samples,
-    uniform_samples,
-    wilson_interval,
-)
+from .sampling import BLOCK_SIZE, block_rng, wilson_interval
+from .sampling import block_slices, uniform_samples  # noqa: F401  (perfbench/spans.py wraps these names)
 
 __all__ = [
     "LinearRelation",
@@ -207,6 +203,8 @@ class KroneckerTarget:
             raise DomainError("denominator must be nonzero")
         if len(self.shifts) < 1 or any(x == 0 for x in self.shifts):
             raise DomainError("independent shifts must be nonzero")
+        if not all(math.isfinite(x) for x in self.shifts):
+            raise DomainError("independent shifts must be finite")
         object.__setattr__(self, "primes", tuple(primes_upto(self.prime_bound)))
         if not self.primes:
             raise DomainError("prime_bound admits no primes")
@@ -247,17 +245,23 @@ def measure_kronecker_density(
 ):
     """Monte Carlo estimate of (1/T) meas{tau in [0,T] in the set}.
 
-    Returns (density, (wilson_lo, wilson_hi)); reproducible per seed.
+    Returns (density, (wilson_lo, wilson_hi)); reproducible per seed.  Each
+    block's tau values are drawn inside the loop, block b from block_rng(seed,
+    b) as in sampling.uniform_samples, so memory stays at one block however
+    large n_samples is.  stratified=True takes equally spaced points with one
+    common random offset, drawn from block 0's stream.
     """
     if T <= 0 or n_samples < 1:
         raise DomainError("T must be positive and n_samples >= 1")
-    if stratified:
-        taus = stratified_samples(seed, n_samples, 0.0, T)
-    else:
-        taus = uniform_samples(seed, n_samples, 0.0, T)
+    offset = block_rng(seed, 0).uniform(0.0, 1.0) if stratified else None
     hits = 0
-    for i0, i1 in block_slices(n_samples):
-        hits += int(np.count_nonzero(kronecker_membership(taus[i0:i1], target)))
+    for b, i0 in enumerate(range(0, n_samples, BLOCK_SIZE)):
+        i1 = min(i0 + BLOCK_SIZE, n_samples)
+        if stratified:
+            taus = T * (np.arange(i0, i1) + offset) / n_samples
+        else:
+            taus = block_rng(seed, b).uniform(0.0, T, i1 - i0)
+        hits += int(np.count_nonzero(kronecker_membership(taus, target)))
     return hits / n_samples, wilson_interval(hits, n_samples)
 
 

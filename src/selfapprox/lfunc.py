@@ -9,6 +9,14 @@ covers every modulus; the number of directly summed terms grows linearly with
 |Im s| and evaluation refuses (RangeError) beyond a configured cap rather than
 silently degrading.
 
+Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}.
+Callers that evaluate one base set of points moved up by many vertical shifts
+(the grid on K at s + i d tau, one row per sampled tau) pass `shifts`: since
+x^{-(s + i h)} = x^{-s} x^{-i h}, the matrix x_n^{-s} is built once for the
+base points and each shift adds only one phase row x_n^{-i h}, so a call costs
+N (P + S) complex exponentials plus an N P S contraction instead of N P S
+exponentials (N terms, P points, S shifts).
+
 All evaluators accept numpy arrays of s values and broadcast; they are pure
 functions of immutable inputs and safe to call from worker threads.
 """
@@ -41,6 +49,10 @@ SHIFT_SCALE = 1.3
 
 # elements per temporary array in the chunked power sums
 _CHUNK_BUDGET = 2_000_000
+# series terms per chunk of a shifted power sum; a constant, so that the
+# summation order, and with it every value, does not depend on the number of
+# points or shifts in the call
+_SHIFT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -174,11 +186,26 @@ def _n_terms(imag_max: float, cfg: EvaluatorConfig) -> int:
     return max(cfg.shift_count, int(math.ceil(SHIFT_SCALE * (imag_max + 10.0))))
 
 
-def _power_sum(s: np.ndarray, logn: np.ndarray, coeffs=None) -> np.ndarray:
+def _power_sum(s: np.ndarray, logn: np.ndarray, coeffs=None, shifts=None) -> np.ndarray:
     """sum_n coeffs[n] * exp(-s * logn[n]) in memory-bounded chunks.
 
-    coeffs=None means every coefficient is 1.
+    coeffs=None means every coefficient is 1.  With `shifts` (1-d, real) the
+    result has shape (len(shifts), len(s)) and holds the sums at
+    s[None, :] + i shifts[:, None]: per chunk of terms, exp(-s logn) is built
+    once, one phase row exp(-i shift logn) per shift, and the two are
+    contracted by a fixed-order (non-BLAS) einsum, so values do not depend on
+    the number of BLAS threads.
     """
+    if shifts is not None:
+        acc = np.zeros((len(shifts), len(s)), dtype=np.complex128)
+        for i in range(0, len(logn), _SHIFT_CHUNK):
+            part = logn[i : i + _SHIFT_CHUNK]
+            base = np.exp(-s[:, None] * part)
+            if coeffs is not None:
+                base *= coeffs[i : i + _SHIFT_CHUNK]
+            phase = np.exp(-1j * shifts[:, None] * part)
+            acc += np.einsum("pn,hn->hp", base, phase)
+        return acc
     acc = np.zeros(s.shape, dtype=np.complex128)
     chunk = max(1, _CHUNK_BUDGET // max(1, s.size))
     neg_s = -s[..., None]
@@ -191,12 +218,34 @@ def _power_sum(s: np.ndarray, logn: np.ndarray, coeffs=None) -> np.ndarray:
     return acc
 
 
-def _hurwitz_em(s: np.ndarray, a: float, cfg: EvaluatorConfig) -> np.ndarray:
-    """Euler-Maclaurin zeta(s, a) for an array of s with no entry equal to 1."""
-    imag_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
+def _call_points(s, shifts):
+    """(flat base points, flat shifts or None, output shape) of an evaluator call."""
+    arr = np.asarray(s, dtype=np.complex128)
+    shape = arr.shape
+    if shifts is not None:
+        shifts = np.asarray(shifts, dtype=float)
+        shape = shifts.shape + shape
+        shifts = shifts.ravel()
+    return np.atleast_1d(arr).ravel(), shifts, shape
+
+
+def _shifted(s: np.ndarray, shifts) -> np.ndarray:
+    """The full point set s[None, :] + i shifts[:, None], or s if shifts is None."""
+    return s if shifts is None else s[None, :] + 1j * shifts[:, None]
+
+
+def _hurwitz_em(s: np.ndarray, a: float, cfg: EvaluatorConfig, shifts=None) -> np.ndarray:
+    """Euler-Maclaurin zeta(s, a) for an array of s with no entry equal to 1.
+
+    With `shifts`, returns the (len(shifts), len(s)) values at the shifted
+    points; the series length comes from the largest |Im| over all of them.
+    """
+    full = _shifted(s, shifts)
+    imag_max = float(np.max(np.abs(full.imag))) if full.size else 0.0
     n_terms = _n_terms(imag_max, cfg)
     logn = np.log(np.arange(n_terms) + a)
-    acc = _power_sum(s, logn)
+    acc = _power_sum(s, logn, shifts=shifts)
+    s = full  # the Euler-Maclaurin tail is taken point by point
     na = n_terms + a
     lna = math.log(na)
     acc += np.exp((1.0 - s) * lna) / (s - 1.0) + 0.5 * np.exp(-s * lna)
@@ -237,41 +286,48 @@ def hurwitz_zeta(s, a: float, cfg: EvaluatorConfig = DEFAULT_CONFIG):
     return complex(out) if scalar else out
 
 
-def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG):
+def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, shifts=None):
     """L(s, chi) for sigma > 1/2, via the Hurwitz decomposition.
 
     Absolute error is at most q * cfg.target_abs_error.  Raises PoleError for
     the principal character at s = 1; nonprincipal characters are evaluated
     at s = 1 through the regularized (pole-cancelling) path.
+
+    With `shifts` (real), returns L at s + i h for every shift h, with shape
+    shifts.shape + np.shape(s).  Each Hurwitz pass then builds its power sum
+    once for s and adds one phase row per shift (see _power_sum), so a block
+    of S shifts of P points costs N (P + S) exponentials rather than N P S.
     """
-    arr = np.asarray(s, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    if flat.size == 0:
-        return arr if not scalar else complex(arr)
+    flat, shifts, shape = _call_points(s, shifts)
+    full = _shifted(flat, shifts)
+    if full.size == 0:
+        return np.zeros(shape, dtype=np.complex128)
     if np.any(flat.real <= 0.5):
         raise DomainError("l_value supports only sigma > 1/2")
-    _check_cap(float(np.max(np.abs(flat.imag))), cfg)
+    _check_cap(float(np.max(np.abs(full.imag))), cfg)
     q = chi.modulus
-    at_pole = flat == 1.0
+    at_pole = full == 1.0
     if chi.principal and bool(at_pole.any()):
         raise PoleError(f"L(s, chi_0 mod {q}) has a pole at s = 1")
-    work = np.where(at_pole, 2.0 + 0.0j, flat)
+    if shifts is not None and bool(at_pole.any()):
+        # the pole is patched point by point below; do that on the full set
+        return l_value(full, chi, cfg).reshape(shape)
+    work = flat if shifts is not None else np.where(at_pole, 2.0 + 0.0j, flat)
     residues = [
         (r, char_value(chi, r))
         for r in range(1, q + 1)
         if chi.value_table[(r - 1) % q] is not None
     ]
-    acc = np.zeros(flat.shape, dtype=np.complex128)
+    acc = np.zeros(full.shape, dtype=np.complex128)
     for r, cval in residues:
-        acc += cval * _hurwitz_em(work, r / q, cfg)
-    acc *= np.exp(-work * math.log(q)) if q > 1 else 1.0
+        acc += cval * _hurwitz_em(work, r / q, cfg, shifts)
+    acc *= np.exp(-_shifted(work, shifts) * math.log(q)) if q > 1 else 1.0
     if bool(at_pole.any()):
         # sum chi(a) = 0 kills the poles; what survives is the regularized part
         val1 = sum(cval * _hurwitz_reg1(r / q, cfg) for r, cval in residues) / q
         acc[at_pole] = val1
-    out = acc.reshape(np.shape(s))
-    return complex(out) if scalar else out
+    out = acc.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _prime_char_values(chi: DirichletCharacter, v: float):
@@ -331,15 +387,16 @@ def log_l_truncated_ratio(
     return complex(out) if scalar else out
 
 
-def l_partial_sum(s, chi: DirichletCharacter, n_max: int):
-    """Dirichlet partial sum L_N(s, chi) = sum_{n <= N} chi(n) n^{-s}."""
+def l_partial_sum(s, chi: DirichletCharacter, n_max: int, shifts=None):
+    """Dirichlet partial sum L_N(s, chi) = sum_{n <= N} chi(n) n^{-s}.
+
+    `shifts` works as in l_value: values at s + i h, shape shifts.shape + np.shape(s).
+    """
     if n_max < 1:
         raise DomainError("partial sum length must be >= 1")
-    arr = np.asarray(s, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
+    flat, shifts, shape = _call_points(s, shifts)
     coeffs = np.array([char_value(chi, n) for n in range(1, n_max + 1)])
     nz = np.flatnonzero(coeffs != 0)
     logn = np.log(np.arange(1, n_max + 1, dtype=float))[nz]
-    out = _power_sum(flat, logn, coeffs[nz]).reshape(np.shape(s))
-    return complex(out) if scalar else out
+    out = _power_sum(flat, logn, coeffs[nz], shifts).reshape(shape)
+    return complex(out) if out.ndim == 0 else out

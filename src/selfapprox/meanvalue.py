@@ -114,8 +114,8 @@ def carlson_mean_value(
     n_trunc = int(math.floor(y))
 
     def work(i0, i1):
-        pts = s + 1j * x * taus[i0:i1]
-        diff = l_value(pts, chi, cfg) - l_partial_sum(pts, chi, n_trunc)
+        shifts = x * taus[i0:i1]
+        diff = l_value(s, chi, cfg, shifts=shifts) - l_partial_sum(s, chi, n_trunc, shifts=shifts)
         return np.abs(diff) ** 2
 
     sq = np.concatenate(map_blocks(work, n_samples, threads))

@@ -33,12 +33,6 @@ def uniform_samples(seed: int, n: int, low: float, high: float) -> np.ndarray:
     return out
 
 
-def stratified_samples(seed: int, n: int, low: float, high: float) -> np.ndarray:
-    """Equally spaced points with a common random offset (variance reduction)."""
-    offset = block_rng(seed, 0).uniform(0.0, 1.0)
-    return low + (high - low) * (np.arange(n) + offset) / n
-
-
 def map_blocks(fn, n: int, threads: int = 1) -> list:
     """Apply fn(i0, i1) to each block of range(n); results in block order."""
     slices = block_slices(n)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import selfapprox
 from selfapprox.cli import main
+from selfapprox.sampling import BLOCK_SIZE
 
 
 def _read(outdir, name):
@@ -147,6 +152,25 @@ def test_rerun_reproduces_results_across_threads(tmp_path):
         assert (out2 / "samples.csv").read_bytes() == (out1 / "samples.csv").read_bytes()
 
 
+def test_scan_density_identical_across_blas_and_worker_threads(tmp_path):
+    # two blocks, refined grid; each run in its own process so that the BLAS
+    # thread count takes effect
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selfapprox.__file__)))
+    argv = [
+        sys.executable, "-m", "selfapprox.cli", "scan-density", "--d", "1,2",
+        "--chars", "4:1,4:1", "--eps", "1.0", "--T", "300",
+        "--samples", str(BLOCK_SIZE + 4), "--seed", "3", "--refine", "1",
+    ]
+    outputs = set()
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{blas}-threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=src)
+            subprocess.run(argv + ["--threads", threads, "--output-dir", str(out)], env=env, check=True)
+            outputs.add(((out / "results.json").read_bytes(), (out / "samples.csv").read_bytes()))
+    assert len(outputs) == 1
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     forced = tmp_path / "forced"
     monkeypatch.setenv("SELFAPPROX_OUTPUT_DIR", str(forced))
@@ -211,7 +235,7 @@ def _write_manifest(path, manifest):
 @pytest.mark.parametrize("case", [
     "eps_nan", "grid_no_x", "T_not_a_number", "zero_tolerance",
     "manifest_without_params", "manifest_unknown_command", "manifest_threads_not_int",
-    "empty_N_ladder",
+    "empty_N_ladder", "samples_beyond_memory", "sieve_beyond_memory",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -232,6 +256,11 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
                                   "threads": "2"})] + out,
         "empty_N_ladder": ["b2", "--d", "1,2", "--chars", "4:1,4:1", "--N-ladder", ",",
                            "--T", "10", "--samples", "4"] + out,
+        # allocations larger than any address space fail at once, on any host
+        "samples_beyond_memory": ["scan-density", "--d", "1,2", "--chars", "4:1,4:1",
+                                  "--T", "100", "--eps", "1", "--samples", "1e17"] + out,
+        "sieve_beyond_memory": ["kronecker", "--delta", "0.25", "--primes-upto", "1e18",
+                                "--T", "100", "--samples", "10"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

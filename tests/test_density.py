@@ -69,11 +69,8 @@ def test_pairwise_symmetry_of_max():
     fam3 = ShiftFamily((1.0, 2.0, 0.5), (CHI4, CHI4, CHI3))
     g, _ = g_values(taus, fam3, REGION, refine=False)
     grid, _ = REGION.grid_points(refine=False)
-    # recompute with the full ordered double loop
-    vals = [
-        l_value(grid[None, :] + 1j * d * taus[:, None], chi)
-        for d, chi in zip(fam3.shifts, fam3.characters)
-    ]
+    # recompute with the full ordered double loop, from the same evaluator call
+    vals = [l_value(grid, chi, shifts=d * taus) for d, chi in zip(fam3.shifts, fam3.characters)]
     full = np.zeros(len(taus))
     for j in range(3):
         for k in range(3):
@@ -182,8 +179,8 @@ def test_kronecker_conditioned_enrichment_on_truncated():
     assert len(cond) >= 20
     uncond = np.linspace(0.0, 8000.0, 211)
     fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
-    def truncated(s, chi):
-        return l_truncated(s, chi, v)
+    def truncated(s, chi, shifts):
+        return l_truncated(s[None, :] + 1j * shifts[:, None], chi, v)
 
     g_cond, _ = g_values(cond, fam, REGION, refine=False, evaluator=truncated)
     g_unc, _ = g_values(uncond, fam, REGION, refine=False, evaluator=truncated)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from selfapprox.diophantine import (
     nearest_int_distance,
 )
 from selfapprox.errors import DomainError
-from selfapprox.sampling import binomial_stderr, uniform_samples, wilson_interval
+from selfapprox.sampling import BLOCK_SIZE, binomial_stderr, uniform_samples, wilson_interval
 
 
 # ---------------------------------------------------------------- relations
@@ -126,6 +127,15 @@ def test_target_validation():
         KroneckerTarget((1.0,), 1, 0.1, 1.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_target_rejects_nonfinite_shift(bad):
+    # every comparison with NaN is false, so a NaN shift would silently give density 0.0
+    with pytest.raises(DomainError):
+        KroneckerTarget((bad,), 1, 0.1, 5)
+    with pytest.raises(DomainError):
+        KroneckerTarget((1.0, bad), 1, 0.1, 5)
+
+
 def test_expected_density_formula():
     t = KroneckerTarget((1.0, math.sqrt(2)), 3, 0.1, 5)
     assert t.n_primes == 3
@@ -180,6 +190,32 @@ def test_density_reproducible_and_stratified():
     assert a == b
     c, _ = measure_kronecker_density(t, 1e5, 50000, seed=9, stratified=True)
     assert abs(c - t.expected_density) < 0.002
+
+
+def test_density_draws_the_same_taus_block_by_block():
+    # per-block draws reproduce the whole-array samples of the same seed
+    t = KroneckerTarget((1.0,), 1, 0.1, 5)
+    n, T = 3 * BLOCK_SIZE + 17, 1e5
+    taus = uniform_samples(4, n, 0.0, T)
+    hits = int(np.count_nonzero(kronecker_membership(taus, t)))
+    assert measure_kronecker_density(t, T, n, seed=4) == (hits / n, wilson_interval(hits, n))
+    offset = np.random.Generator(np.random.PCG64(np.random.SeedSequence((4, 0)))).uniform(0.0, 1.0)
+    grid = 0.0 + (T - 0.0) * (np.arange(n) + offset) / n
+    hits = int(np.count_nonzero(kronecker_membership(grid, t)))
+    assert measure_kronecker_density(t, T, n, seed=4, stratified=True)[0] == hits / n
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_density_memory_does_not_grow_with_samples(stratified):
+    t = KroneckerTarget((1.0,), 1, 0.1, 2)
+    n = 2_000_000  # 16 MB of tau values if held at once
+    tracemalloc.start()
+    try:
+        measure_kronecker_density(t, 1e5, n, seed=1, stratified=stratified)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 8 * BLOCK_SIZE
 
 
 def test_near_full_cube():

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from oracles import l_oracle, zeta_series
 from selfapprox.characters import character_from_id, enumerate_characters
+from selfapprox import lfunc
 from selfapprox.errors import DomainError, PoleError, RangeError
 from selfapprox.lfunc import (
     DEFAULT_CONFIG,
@@ -107,6 +109,79 @@ def test_l_value_conjugation_symmetry():
             lhs = l_value(np.conj(s), chi)
             rhs = np.conj(l_value(s, chi))
             assert abs(lhs - rhs) < 1e-10
+
+
+# ---------------------------------------------------------------- shifted evaluation
+
+
+@pytest.mark.parametrize("with_coeffs", [False, True])
+def test_power_sum_shifted_matches_pointwise(with_coeffs):
+    n = 3 * lfunc._SHIFT_CHUNK + 17
+    logn = np.log(np.arange(1, n + 1, dtype=float))
+    coeffs = np.exp(2j * np.pi * np.arange(n) / 7.0) if with_coeffs else None
+    s = np.array([0.6 - 0.5j, 0.75 + 0.25j, 0.9 + 0.0j])
+    shifts = np.array([0.0, 3.5, -120.25, 999.5])
+    got = lfunc._power_sum(s, logn, coeffs, shifts)
+    assert got.shape == (4, 3)
+    want = lfunc._power_sum((s[None, :] + 1j * shifts[:, None]).ravel(), logn, coeffs)
+    assert np.max(np.abs(got - want.reshape(4, 3))) <= 1e-12
+
+
+def _mp_dirichlet(s, chi):
+    q = chi.modulus
+    table = []
+    for n in range(q):
+        angle = chi.angle(n if n else q)
+        table.append(0 if angle is None else mpmath.expjpi(2 * mpmath.mpf(angle.numerator) / angle.denominator))
+    with mpmath.workdps(20):
+        return complex(mpmath.dirichlet(mpmath.mpc(s.real, s.imag), table))
+
+
+@pytest.mark.parametrize("label, base, shifts", [
+    pytest.param("1:0", [0.95 + 0.25j, 0.7 - 0.5j], [3999.5], id="q1"),
+    pytest.param("1:0", [0.55 + 0.0j], [3999.5], id="q1-sigma0.55", marks=pytest.mark.xfail(
+        strict=True, reason="rounding of t log n gives 1.5e-12 here, shifted or not, "
+        "against the documented 1e-12 for q = 1 (ROADMAP item 3)")),
+    pytest.param("4:1", [0.55 + 0.0j, 0.95 - 0.5j], [10.0, 4000.0], id="q4"),
+    pytest.param("60:1", [0.55 + 0.5j, 0.7 + 0.0j], [3999.75], id="q60"),
+])
+def test_shifted_l_value_against_mpmath_in_strip(label, base, shifts):
+    chi = character_from_id(label)
+    base, shifts = np.array(base), np.array(shifts)
+    got = l_value(base, chi, shifts=shifts)
+    assert got.shape == (len(shifts), len(base))
+    bound = chi.modulus * DEFAULT_CONFIG.target_abs_error
+    for h, row in zip(shifts, got):
+        for s, value in zip(base, row):
+            assert abs(value - _mp_dirichlet(s + 1j * h, chi)) <= bound
+
+
+def test_shifted_values_do_not_depend_on_the_other_grid_points():
+    region = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3)
+    fine, coarse = region.grid_points(refine=True)
+    base, _ = region.grid_points(refine=False)
+    assert np.array_equal(fine[coarse], base)
+    shifts = np.array([1999.875, 12.5, 730.0])
+    for chi in (CHI4, character_from_id("60:1")):
+        assert np.array_equal(l_value(fine, chi, shifts=shifts)[:, coarse], l_value(base, chi, shifts=shifts))
+        assert np.array_equal(
+            l_partial_sum(fine, chi, 300, shifts=shifts)[:, coarse],
+            l_partial_sum(base, chi, 300, shifts=shifts),
+        )
+
+
+def test_shifted_shapes_and_pole():
+    vals = l_value(0.8 + 0j, CHI4, shifts=[1.0, 2.0])
+    assert vals.shape == (2,)
+    assert abs(vals[1] - l_value(0.8 + 2j, CHI4)) < 1e-13
+    assert l_partial_sum([0.8 + 0j], CHI4, 10, shifts=[1.0, 2.0, 3.0]).shape == (3, 1)
+    # a shifted point landing on s = 1 takes the regularized value
+    vals = l_value(np.array([1.0 - 1j, 0.9 - 1j]), CHI4, shifts=[1.0])
+    assert vals[0, 0] == l_value(1.0 + 0j, CHI4)
+    with pytest.raises(PoleError):
+        l_value(1.0 - 1j, CHI1, shifts=[0.0, 1.0])
+    with pytest.raises(RangeError):
+        l_value(0.7 + 0j, CHI4, shifts=[10.0, 6e4])
 
 
 # ---------------------------------------------------------------- truncations

@@ -2,18 +2,20 @@
 
 Characters are built from the cyclic decomposition of (Z/qZ)*: a primitive
 root for each odd prime-power factor, the generator 3 for modulus 4, and the
-pair {-1, 5} for higher powers of two.  Character values are stored as exact
-rational angles (a Fraction k/n standing for e^{2 pi i k/n}); floating point
-enters only when a value is requested as a complex number.
+pair {-1, 5} for higher powers of two.  A character is stored as integer
+numerators k modulo the group exponent e (chi(n) = e^{2 pi i k/e}, with -1
+where chi vanishes), so its values are exact; floating point enters only when
+a value is requested as a complex number.
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -29,15 +31,16 @@ __all__ = [
 class DirichletCharacter:
     """A Dirichlet character mod q with exact root-of-unity values.
 
-    value_table[i] is the rational angle of chi(i+1), or None when
-    gcd(i+1, q) > 1 (where chi vanishes).  `index` is the lexicographic
-    position of the character among all characters mod q, ordered by the
-    exponents of the generator images; index 0 is always the principal
-    character.
+    numerators[r] is the k with chi(r) = e^{2 pi i k/exponent} for the residue
+    r = n mod q, or -1 when gcd(r, q) > 1 (where chi vanishes).  `index` is the
+    lexicographic position of the character among all characters mod q,
+    ordered by the exponents of the generator images; index 0 is always the
+    principal character.
     """
 
     modulus: int
-    value_table: tuple  # tuple[Optional[Fraction]]
+    numerators: tuple  # tuple[int], indexed by n mod q
+    exponent: int
     order: int
     principal: bool
     index: int
@@ -46,38 +49,50 @@ class DirichletCharacter:
     def label(self) -> str:
         return f"{self.modulus}:{self.index}"
 
+    @cached_property
+    def value_table(self) -> tuple:
+        """value_table[i] is the exact angle of chi(i+1) (a Fraction in [0, 1)),
+        or None where chi vanishes."""
+        return tuple(self.angle(n) for n in range(1, self.modulus + 1))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Read-only complex table: values[n % q] is chi(n) as a double."""
+        # k / e rounds correctly, as float(Fraction(k, e)) does, so these are the
+        # doubles of the exact angles
+        e = self.exponent
+        table = np.array([cmath.exp(2j * cmath.pi * (k / e)) if k >= 0 else 0j
+                          for k in self.numerators])
+        table.setflags(write=False)
+        return table
+
     def angle(self, n: int) -> Optional[Fraction]:
         """Exact angle of chi(n) as a Fraction in [0, 1), or None if chi(n)=0."""
-        return self.value_table[(n - 1) % self.modulus]
+        k = self.numerators[n % self.modulus]
+        return None if k < 0 else Fraction(k, self.exponent)
 
     def __call__(self, n: int) -> complex:
         return char_value(self, n)
 
     def conjugate(self) -> "DirichletCharacter":
-        table = tuple(None if a is None else (-a) % 1 for a in self.value_table)
-        for chi in enumerate_characters(self.modulus):
-            if chi.value_table == table:
-                return chi
-        raise AssertionError("conjugate character not found")  # pragma: no cover
+        # the conjugate sends generator j to -k_j mod m_j; read the k_j off
+        # the index as mixed-radix digits (last generator fastest)
+        rest, index, stride = self.index, 0, 1
+        for _, m in reversed(_component_generators(self.modulus)):
+            rest, k = divmod(rest, m)
+            index += (-k % m) * stride
+            stride *= m
+        return enumerate_characters(self.modulus)[index]
 
     @property
     def is_real(self) -> bool:
-        return all(a is None or a.denominator <= 2 for a in self.value_table)
+        return all(2 * k % self.exponent == 0 for k in self.numerators if k >= 0)
 
 
 def _primitive_root(pk: int, p: int) -> int:
     """A generator of (Z/p^k Z)* for odd prime p."""
     phi = pk - pk // p
-    factors = set()
-    n = phi
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            factors.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        factors.add(n)
+    factors = [ell for ell, _ in _factorize(phi)]
     for g in range(2, pk):
         if math.gcd(g, pk) != 1:
             continue
@@ -119,28 +134,10 @@ def _component_generators(q: int):
         else:
             local = [(_primitive_root(pk, p), pk - pk // p)]
         for g, m in local:
-            if rest == 1:
-                gens.append((g % q, m))
-            else:
-                # lift to a residue that is g mod p^e and 1 mod q/p^e
-                inv = pow(pk, -1, rest)
-                lifted = (g * rest * pow(rest, -1, pk) + pk * inv) % q
-                gens.append((lifted, m))
+            # lift to the residue that is g mod p^e and 1 mod q/p^e (g itself
+            # when q = p^e, where pow(pk, -1, 1) is 0)
+            gens.append(((g * rest * pow(rest, -1, pk) + pk * pow(pk, -1, rest)) % q, m))
     return gens
-
-
-@lru_cache(maxsize=256)
-def _group_data(q: int):
-    gens = _component_generators(q)
-    orders = tuple(m for _, m in gens)
-    # discrete logs of every unit w.r.t. the generator tuple
-    dlog = {}
-    for exps in itertools.product(*[range(m) for m in orders]):
-        r = 1
-        for (g, _), e in zip(gens, exps):
-            r = r * pow(g, e, q) % q
-        dlog[r] = exps
-    return orders, dlog
 
 
 @lru_cache(maxsize=64)
@@ -149,28 +146,34 @@ def enumerate_characters(q: int) -> tuple:
     order (so the ordering, and hence the "q:index" labels, is reproducible)."""
     if q < 1:
         raise DomainError(f"modulus must be positive, got {q}")
-    orders, dlog = _group_data(q)
-    exponent = math.lcm(*orders) if orders else 1
-    chars = []
-    for idx, imgs in enumerate(itertools.product(*[range(m) for m in orders])):
-        table = [None] * q
-        for r, exps in dlog.items():
-            num = sum(e * k * (exponent // m) for e, k, m in zip(exps, imgs, orders))
-            table[r - 1] = Fraction(num % exponent, exponent)
-        order = math.lcm(*[m // math.gcd(m, k) for m, k in zip(orders, imgs)]) if orders else 1
-        principal = all(k == 0 for k in imgs)
-        chars.append(
-            DirichletCharacter(q, tuple(table), order, principal, idx)
-        )
-    return tuple(chars)
+    gens = _component_generators(q)
+    orders = [m for _, m in gens]
+    exponent, phi = math.lcm(*orders), math.prod(orders)
+    # Row c holds the generator exponents of the c-th tuple in lexicographic
+    # order (last generator fastest, as itertools.product): the images of
+    # character c and the discrete logs of unit c alike.
+    exps = np.indices(orders, dtype=np.int64).reshape(len(orders), phi).T
+    scaled = exps * (exponent // np.array(orders, dtype=np.int64))
+    # numerator of character c at unit u: sum_j x_j k_j (e/m_j) mod e.  Each
+    # term is below m_j * e <= q^2, so entries stay below rank * q^2, far
+    # inside int64 for any modulus whose phi(q)^2 table fits in memory.
+    nums = (exps @ scaled.T) % exponent  # [unit, character]
+    units = np.full(phi, 1 % q, dtype=np.int64)  # residue of unit u; 1 % q is 0 for q = 1
+    for (g, m), col in zip(gens, exps.T):
+        powers = np.array([pow(g, x, q) for x in range(m)], dtype=np.int64)
+        units = units * powers[col] % q
+    table = np.full((phi, q), -1, dtype=np.int64)
+    table[:, units] = nums.T
+    char_orders = exponent // np.gcd.reduce(scaled, axis=1, initial=exponent)
+    return tuple(
+        DirichletCharacter(q, tuple(row), exponent, order, order == 1, idx)
+        for idx, (row, order) in enumerate(zip(table.tolist(), char_orders.tolist()))
+    )
 
 
 def char_value(chi: DirichletCharacter, n: int) -> complex:
     """chi(n) as a complex double; n is reduced mod q first."""
-    ang = chi.value_table[(n - 1) % chi.modulus]
-    if ang is None:
-        return 0j
-    return cmath.exp(2j * cmath.pi * float(ang))
+    return chi.values.item(n % chi.modulus)
 
 
 def character_from_id(label: str) -> DirichletCharacter:

@@ -226,10 +226,20 @@ class KroneckerTarget:
 
 
 def kronecker_membership(taus, target: KroneckerTarget) -> np.ndarray:
-    """Vectorized membership test; returns a boolean array over tau samples."""
+    """Vectorized membership test; returns a boolean array over tau samples.
+
+    Tests one frequency at a time and carries only the surviving indices to
+    the next, so a tau stops costing work at its first failed coordinate; each
+    survivor gets the same float operations as the full tau x frequency test.
+    """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    coords = taus[:, None] * target.frequencies.ravel()[None, :]
-    return np.all(nearest_int_distance(coords) < target.delta, axis=1)
+    alpha = target.frequencies.ravel()
+    alive = np.flatnonzero(nearest_int_distance(taus * alpha[0]) < target.delta)
+    for a in alpha[1:]:
+        alive = alive[nearest_int_distance(taus[alive] * a) < target.delta]
+    mask = np.zeros(taus.shape, dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def in_kronecker_set(tau: float, target: KroneckerTarget) -> bool:

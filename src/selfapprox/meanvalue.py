@@ -65,9 +65,7 @@ def coprime_tail_sum(chi: DirichletCharacter, y: float, exponent: float) -> floa
         if q % p == 0:
             total *= 1.0 - p ** (-exponent)
     head = sum(
-        n ** (-exponent)
-        for n in range(1, int(math.floor(y)) + 1)
-        if chi.value_table[(n - 1) % q] is not None
+        n ** (-exponent) for n in range(1, int(math.floor(y)) + 1) if chi.numerators[n % q] >= 0
     )
     return total - head
 

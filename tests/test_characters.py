@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -125,3 +127,55 @@ def test_conjugate_character():
         bar = chi.conjugate()
         for n in range(1, 6):
             assert abs(char_value(bar, n) - char_value(chi, n).conjugate()) < 1e-14
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            bar = chi.conjugate()
+            assert bar.value_table == tuple(None if a is None else -a % 1 for a in chi.value_table)
+            assert bar.conjugate() == chi
+
+
+# sha256 over (label, order, principal, str(angle) for every residue) of every
+# character mod q <= 200, recorded from the Fraction-table construction this
+# representation replaced.  It pins the "q:index" labels that CLI runs,
+# manifests and `rerun` refer to.
+TABLE_DIGEST_Q200 = "0ffa92e56d3a7018f36b8685c1736bb9b92c99f29f15e0269ecf12c151c00c8d"
+
+
+def test_character_tables_match_recorded_digest():
+    h = hashlib.sha256()
+    for q in range(1, 201):
+        for chi in enumerate_characters(q):
+            angles = ",".join(str(chi.angle(n)) for n in range(1, q + 1))
+            h.update(f"{chi.label}|{chi.order}|{chi.principal}|{angles}\n".encode())
+    assert h.hexdigest() == TABLE_DIGEST_Q200
+
+
+def test_numerators_exactly_multiplicative():
+    # k(mn) = k(m) + k(n) mod e on units, -1 as soon as a factor is a non-unit
+    for q in range(1, 61):
+        r = np.arange(q)
+        products = r[:, None] * r[None, :] % q
+        for chi in enumerate_characters(q):
+            k = np.array(chi.numerators)
+            vanish = (k[:, None] < 0) | (k[None, :] < 0)
+            expected = np.where(vanish, -1, (k[:, None] + k[None, :]) % chi.exponent)
+            assert np.array_equal(k[products], expected)
+
+
+def test_complex_table_matches_float_of_exact_angle():
+    # the double chi(n) is exp(2 pi i float(angle)), bit for bit
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            for n in range(q):
+                a = chi.angle(n)
+                expected = 0j if a is None else cmath.exp(2j * cmath.pi * float(a))
+                assert char_value(chi, n) == expected and chi.values[n] == expected
+
+
+def test_is_real_and_order_against_angles():
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            angles = [a for a in chi.value_table if a is not None]
+            assert chi.is_real == all(a.denominator <= 2 for a in angles)
+            assert chi.order == math.lcm(*(a.denominator for a in angles))
+            assert chi.principal == (chi.index == 0) == (chi.order == 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -114,6 +115,46 @@ def test_membership_strict_inequality():
     # coordinate exactly delta away from an integer fails the strict test
     tau = 0.1 * 2 * math.pi / math.log(2)
     assert not in_kronecker_set(tau, t)
+
+
+def _dense_membership(taus, target):
+    """The full tau x frequency predicate, reference for kronecker_membership."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    alpha = target.frequencies.ravel()
+    return np.all(nearest_int_distance(taus[:, None] * alpha) < target.delta, axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shifts=st.lists(
+        st.floats(min_value=-20.0, max_value=20.0).filter(lambda x: abs(x) > 1e-3),
+        min_size=1, max_size=2,
+    ),
+    denominator=st.integers(min_value=1, max_value=5),
+    delta=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+    prime_bound=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    taus=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=200),
+    ks=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=4),
+)
+def test_short_circuit_membership_equals_dense_predicate(shifts, denominator, delta, prime_bound, taus, ks):
+    target = KroneckerTarget(tuple(shifts), denominator, delta, prime_bound)
+    alpha = target.frequencies.ravel()
+    # tau exactly at the interval endpoints (k +- delta)/alpha_i, and one ulp either side
+    ends = np.array([(k + sign * delta) / a for a in alpha for k in ks for sign in (-1.0, 1.0)])
+    ends = np.concatenate([ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+    special = [0.0, -0.0, -1.5, float("nan"), float("inf"), float("-inf")]
+    for sample in (taus, special, ends, np.concatenate([taus, special, ends])):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge and infinite tau
+            got, expected = kronecker_membership(sample, target), _dense_membership(sample, target)
+        assert got.dtype == bool
+        assert np.array_equal(got, expected)
+
+
+def test_membership_of_empty_input():
+    t = KroneckerTarget((1.0, 0.5), 2, 0.2, 13)
+    for empty in ([], np.array([]), np.zeros(0)):
+        got = kronecker_membership(empty, t)
+        assert got.shape == (0,) and got.dtype == bool
 
 
 def test_target_validation():
@@ -262,6 +303,32 @@ def test_find_tau_empty_is_not_error():
     t = KroneckerTarget((1.0,), 1, 0.01, 7)
     hits = find_tau_in_set(t, 1.0, "lattice")
     assert hits == [0.0] or hits == []
+
+
+def _digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_search_and_density_match_recorded_values():
+    # recorded from the full tau x frequency membership test, which the
+    # short-circuit test must reproduce bit for bit
+    t1 = KroneckerTarget((1.0,), 1, 0.1, 5)
+    t2 = KroneckerTarget((1.0, 2.5), 3, 0.2, 3)
+    grid = find_tau_in_set(t1, 2e4, "grid")
+    assert len(grid) == 426
+    assert _digest(grid) == "46a80cf60d45858272846efcf95bac8a692fcc0e8a62d5ab76f70f974daf09e3"
+    grid = find_tau_in_set(t2, 5e3, "grid")
+    assert len(grid) == 93
+    assert _digest(grid) == "b3901b1035a416a2667e443222c159abaad64f42e963abf485ca80b8450176f1"
+    lattice = find_tau_in_set(t1, 1e5, "lattice")
+    assert len(lattice) == 50
+    assert _digest(lattice) == "1163b1fd2398a86f89cf30eeab5995ec95f32097c4bb07da2f23486727533c5c"
+    assert len(find_tau_in_set(t2, 1e4, "lattice")) == 47
+    n = 70000
+    assert measure_kronecker_density(t1, 1e5, n, seed=11)[0] == 502 / n
+    assert measure_kronecker_density(t2, 1e4, n, seed=12)[0] == 1907 / n
+    assert measure_kronecker_density(t1, 1e5, n, seed=11, stratified=True)[0] == 560 / n
+    assert measure_kronecker_density(t2, 1e4, n, seed=12, stratified=True)[0] == 1791 / n
 
 
 def test_find_tau_bad_inputs():

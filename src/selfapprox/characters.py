@@ -82,7 +82,7 @@ class DirichletCharacter:
             rest, k = divmod(rest, m)
             index += (-k % m) * stride
             stride *= m
-        return enumerate_characters(self.modulus)[index]
+        return _build_characters(self.modulus, index)[0]
 
     @property
     def is_real(self) -> bool:
@@ -140,35 +140,44 @@ def _component_generators(q: int):
     return gens
 
 
-@lru_cache(maxsize=64)
-def enumerate_characters(q: int) -> tuple:
-    """All phi(q) Dirichlet characters mod q, in lexicographic generator-image
-    order (so the ordering, and hence the "q:index" labels, is reproducible)."""
+def _build_characters(q: int, index: Optional[int] = None) -> tuple:
+    """The characters mod q in lexicographic generator-image order: all phi(q)
+    of them, or only the one at position `index`."""
     if q < 1:
         raise DomainError(f"modulus must be positive, got {q}")
     gens = _component_generators(q)
     orders = [m for _, m in gens]
     exponent, phi = math.lcm(*orders), math.prod(orders)
+    if index is not None and not 0 <= index < phi:
+        raise DomainError(f"character index {index} out of range for modulus {q} (phi={phi})")
+    picked = range(phi) if index is None else [index]
     # Row c holds the generator exponents of the c-th tuple in lexicographic
     # order (last generator fastest, as itertools.product): the images of
     # character c and the discrete logs of unit c alike.
     exps = np.indices(orders, dtype=np.int64).reshape(len(orders), phi).T
-    scaled = exps * (exponent // np.array(orders, dtype=np.int64))
+    scaled = exps[picked] * (exponent // np.array(orders, dtype=np.int64))
     # numerator of character c at unit u: sum_j x_j k_j (e/m_j) mod e.  Each
-    # term is below m_j * e <= q^2, so entries stay below rank * q^2, far
-    # inside int64 for any modulus whose phi(q)^2 table fits in memory.
+    # term is below m_j * e <= q^2, so entries stay below rank * q^2, inside
+    # int64 for every q below 10^8.
     nums = (exps @ scaled.T) % exponent  # [unit, character]
     units = np.full(phi, 1 % q, dtype=np.int64)  # residue of unit u; 1 % q is 0 for q = 1
     for (g, m), col in zip(gens, exps.T):
         powers = np.array([pow(g, x, q) for x in range(m)], dtype=np.int64)
         units = units * powers[col] % q
-    table = np.full((phi, q), -1, dtype=np.int64)
+    table = np.full((len(picked), q), -1, dtype=np.int64)
     table[:, units] = nums.T
     char_orders = exponent // np.gcd.reduce(scaled, axis=1, initial=exponent)
     return tuple(
         DirichletCharacter(q, tuple(row), exponent, order, order == 1, idx)
-        for idx, (row, order) in enumerate(zip(table.tolist(), char_orders.tolist()))
+        for idx, row, order in zip(picked, table.tolist(), char_orders.tolist())
     )
+
+
+@lru_cache(maxsize=64)
+def enumerate_characters(q: int) -> tuple:
+    """All phi(q) Dirichlet characters mod q, in lexicographic generator-image
+    order (so the ordering, and hence the "q:index" labels, is reproducible)."""
+    return _build_characters(q)
 
 
 def char_value(chi: DirichletCharacter, n: int) -> complex:
@@ -183,7 +192,4 @@ def character_from_id(label: str) -> DirichletCharacter:
         q, idx = int(q_str), int(idx_str)
     except ValueError as exc:
         raise DomainError(f"malformed character id {label!r}; expected 'q:index'") from exc
-    chars = enumerate_characters(q)
-    if not 0 <= idx < len(chars):
-        raise DomainError(f"character index {idx} out of range for modulus {q} (phi={len(chars)})")
-    return chars[idx]
+    return _build_characters(q, idx)[0]

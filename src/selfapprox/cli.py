@@ -284,13 +284,7 @@ def _run_scan_density(params, seed, threads):
     )
     est = density_from_samples(g, params["eps"], params["T"])
     results = {
-        "epsilon": est.epsilon,
-        "horizon": est.horizon,
-        "n_samples": est.n_samples,
-        "hits": est.hits,
-        "density": est.density,
-        "ci_lo": est.ci_lo,
-        "ci_hi": est.ci_hi,
+        **est.as_dict(),
         "shifts": list(family.shifts),
         "characters": [c.label for c in family.characters],
         "region": {

@@ -360,6 +360,8 @@ def find_tau_in_set(
     """
     if search_bound <= 0:
         raise DomainError("search_bound must be positive")
+    if max_results < 1:
+        raise DomainError("max_results must be >= 1")
     alpha = target.frequencies.ravel()
     if strategy == "grid":
         step = target.delta / np.max(np.abs(alpha))

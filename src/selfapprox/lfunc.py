@@ -9,9 +9,11 @@ covers every modulus; the number of directly summed terms grows linearly with
 |Im s| and evaluation refuses (RangeError) beyond a configured cap rather than
 silently degrading.
 
-Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}.
-Callers that evaluate one base set of points moved up by many vertical shifts
-(the grid on K at s + i d tau, one row per sampled tau) pass `shifts`: since
+Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
+of them summed by one kernel, `_power_sum`, in chunks of a constant number of
+terms, so no value depends on the other points in its call.  Callers that
+evaluate one base set of points moved up by many vertical shifts (the grid on
+K at s + i d tau, one row per sampled tau) pass `shifts`: since
 x^{-(s + i h)} = x^{-s} x^{-i h}, the matrix x_n^{-s} is built once for the
 base points and each shift adds only one phase row x_n^{-i h}, so a call costs
 N (P + S) complex exponentials plus an N P S contraction instead of N P S
@@ -47,12 +49,12 @@ __all__ = [
 # stays below target accuracy at em_order 24 in sigma > 1/2.
 SHIFT_SCALE = 1.3
 
-# elements per temporary array in the chunked power sums
+# elements per temporary array in the power sums
 _CHUNK_BUDGET = 2_000_000
-# series terms per chunk of a shifted power sum; a constant, so that the
-# summation order, and with it every value, does not depend on the number of
-# points or shifts in the call
-_SHIFT_CHUNK = 256
+# series terms per chunk of a power sum; a constant, so that the summation
+# order, and with it every value, does not depend on the number of points or
+# shifts in the call
+_TERM_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,8 @@ def _n_terms(imag_max: float, cfg: EvaluatorConfig) -> int:
 
 
 def _power_sum(s: np.ndarray, logn: np.ndarray, coeffs=None, shifts=None) -> np.ndarray:
-    """sum_n coeffs[n] * exp(-s * logn[n]) in memory-bounded chunks.
+    """sum_n coeffs[n] * exp(-s * logn[n]) over the 1-d points s, in chunks of
+    _TERM_CHUNK terms for groups of points small enough to bound temporaries.
 
     coeffs=None means every coefficient is 1.  With `shifts` (1-d, real) the
     result has shape (len(shifts), len(s)) and holds the sums at
@@ -196,29 +199,26 @@ def _power_sum(s: np.ndarray, logn: np.ndarray, coeffs=None, shifts=None) -> np.
     contracted by a fixed-order (non-BLAS) einsum, so values do not depend on
     the number of BLAS threads.
     """
-    if shifts is not None:
-        acc = np.zeros((len(shifts), len(s)), dtype=np.complex128)
-        for i in range(0, len(logn), _SHIFT_CHUNK):
-            part = logn[i : i + _SHIFT_CHUNK]
-            base = np.exp(-s[:, None] * part)
+    acc = np.zeros(s.shape if shifts is None else (len(shifts), len(s)), dtype=np.complex128)
+    group = _CHUNK_BUDGET // _TERM_CHUNK
+    for j in range(0, len(s), group):
+        neg_s = -s[j : j + group, None]
+        out = acc[..., j : j + group]
+        for i in range(0, len(logn), _TERM_CHUNK):
+            part = logn[i : i + _TERM_CHUNK]
+            base = np.exp(neg_s * part)
             if coeffs is not None:
-                base *= coeffs[i : i + _SHIFT_CHUNK]
-            phase = np.exp(-1j * shifts[:, None] * part)
-            acc += np.einsum("pn,hn->hp", base, phase)
-        return acc
-    acc = np.zeros(s.shape, dtype=np.complex128)
-    chunk = max(1, _CHUNK_BUDGET // max(1, s.size))
-    neg_s = -s[..., None]
-    for i in range(0, len(logn), chunk):
-        terms = np.exp(neg_s * logn[i : i + chunk])
-        if coeffs is not None:
-            terms *= coeffs[i : i + chunk]
-        acc += terms.sum(axis=-1)
-        del terms  # free this chunk before the next one is allocated
+                base *= coeffs[i : i + _TERM_CHUNK]
+            if shifts is None:
+                out += base.sum(axis=-1)
+                del base  # free this chunk before the next one is allocated
+            else:
+                phase = np.exp(-1j * shifts[:, None] * part)
+                out += np.einsum("pn,hn->hp", base, phase)
     return acc
 
 
-def _call_points(s, shifts):
+def _call_points(s, shifts=None):
     """(flat base points, flat shifts or None, output shape) of an evaluator call."""
     arr = np.asarray(s, dtype=np.complex128)
     shape = arr.shape
@@ -226,7 +226,13 @@ def _call_points(s, shifts):
         shifts = np.asarray(shifts, dtype=float)
         shape = shifts.shape + shape
         shifts = shifts.ravel()
-    return np.atleast_1d(arr).ravel(), shifts, shape
+    return arr.ravel(), shifts, shape
+
+
+def _shaped(values: np.ndarray, shape):
+    """An evaluator's result: values in the call's shape, a complex for a scalar call."""
+    out = values.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _shifted(s: np.ndarray, shifts) -> np.ndarray:
@@ -275,15 +281,12 @@ def hurwitz_zeta(s, a: float, cfg: EvaluatorConfig = DEFAULT_CONFIG):
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"Hurwitz parameter must satisfy 0 < a <= 1, got {a}")
-    arr = np.asarray(s, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
+    flat, _, shape = _call_points(s)
     if np.any(flat == 1.0):
         raise PoleError("zeta(s, a) has a pole at s = 1")
     if flat.size:
         _check_cap(float(np.max(np.abs(flat.imag))), cfg)
-    out = _hurwitz_em(flat, a, cfg).reshape(np.shape(s))
-    return complex(out) if scalar else out
+    return _shaped(_hurwitz_em(flat, a, cfg), shape)
 
 
 def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, shifts=None):
@@ -315,7 +318,7 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
         raise PoleError(f"L(s, chi_0 mod {q}) has a pole at s = 1")
     if shifts is not None and bool(at_pole.any()):
         # the pole is patched point by point below; do that on the full set
-        return l_value(full, chi, cfg).reshape(shape)
+        return _shaped(l_value(full, chi, cfg), shape)
     work = flat if shifts is not None else np.where(at_pole, 2.0 + 0.0j, flat)
     residues = [(r, char_value(chi, r)) for r in range(1, q + 1) if chi.numerators[r % q] >= 0]
     acc = np.zeros(full.shape, dtype=np.complex128)
@@ -326,8 +329,7 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
         # sum chi(a) = 0 kills the poles; what survives is the regularized part
         val1 = sum(cval * _hurwitz_reg1(r / q, cfg) for r, cval in residues) / q
         acc[at_pole] = val1
-    out = acc.reshape(shape)
-    return complex(out) if out.ndim == 0 else out
+    return _shaped(acc, shape)
 
 
 def _prime_char_values(chi: DirichletCharacter, v: float):
@@ -341,16 +343,13 @@ def _prime_char_values(chi: DirichletCharacter, v: float):
 
 def l_truncated(s, chi: DirichletCharacter, v: float):
     """Truncated Euler product prod_{p <= v} (1 - chi(p) p^{-s})^{-1}, sigma > 0."""
-    arr = np.asarray(s, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    if flat.size and np.any(flat.real <= 0.0):
+    flat, _, shape = _call_points(s)
+    if np.any(flat.real <= 0.0):
         raise DomainError("l_truncated requires sigma > 0")
     acc = np.ones(flat.shape, dtype=np.complex128)
     for p, cval in _prime_char_values(chi, v):
         acc /= 1.0 - cval * np.exp(-flat * math.log(p))
-    out = acc.reshape(np.shape(s))
-    return complex(out) if scalar else out
+    return _shaped(acc, shape)
 
 
 def log_l_truncated_ratio(
@@ -363,16 +362,13 @@ def log_l_truncated_ratio(
     """
     if y < v:
         raise DomainError("log_l_truncated_ratio requires y >= v")
-    arr = np.asarray(s, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    if flat.size and np.any(flat.real <= 0.5):
+    flat, _, shape = _call_points(s)
+    if np.any(flat.real <= 0.5):
         raise DomainError("log_l_truncated_ratio supports only sigma > 1/2")
     pairs = [(p, c) for p, c in _prime_char_values(chi, y) if p > v]
     acc = np.zeros(flat.shape, dtype=np.complex128)
     if not pairs or flat.size == 0:
-        out = acc.reshape(np.shape(s))
-        return complex(out) if scalar else out
+        return _shaped(acc, shape)
     sigma_min = float(np.min(flat.real))
     threshold = min(1e-16, cfg.target_abs_error / len(pairs))
     for p, cval in pairs:
@@ -383,8 +379,7 @@ def log_l_truncated_ratio(
             acc += cj / j * np.exp(-j * flat * logp)
             j += 1
             cj *= cval
-    out = acc.reshape(np.shape(s))
-    return complex(out) if scalar else out
+    return _shaped(acc, shape)
 
 
 def l_partial_sum(s, chi: DirichletCharacter, n_max: int, shifts=None):
@@ -398,5 +393,4 @@ def l_partial_sum(s, chi: DirichletCharacter, n_max: int, shifts=None):
     coeffs = chi.values[np.arange(1, n_max + 1) % chi.modulus]
     nz = np.flatnonzero(coeffs != 0)
     logn = np.log(np.arange(1, n_max + 1, dtype=float))[nz]
-    out = _power_sum(flat, logn, coeffs[nz], shifts).reshape(shape)
-    return complex(out) if out.ndim == 0 else out
+    return _shaped(_power_sum(flat, logn, coeffs[nz], shifts), shape)

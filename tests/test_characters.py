@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,26 @@ def test_lexicographic_labels_stable():
     chi = character_from_id("4:1")
     assert chi.label == "4:1" and not chi.principal
     assert character_from_id("4:0").principal
+
+
+def test_character_from_id_builds_the_enumerated_character():
+    for q in range(1, 201):
+        for i, chi in enumerate(enumerate_characters(q)):
+            assert character_from_id(f"{q}:{i}") == chi
+
+
+def test_character_from_id_and_conjugate_build_one_character_only():
+    # building all 2002 characters mod 2003 peaked at 240 MB traced
+    tracemalloc.start()
+    try:
+        chi = character_from_id("2003:1")
+        bar = chi.conjugate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chi.label == "2003:1" and chi.order == 2002
+    assert bar.label == "2003:2001"
+    assert peak < 16e6
 
 
 def test_bad_inputs():

@@ -236,10 +236,12 @@ def _write_manifest(path, manifest):
     "eps_nan", "grid_no_x", "T_not_a_number", "zero_tolerance",
     "manifest_without_params", "manifest_unknown_command", "manifest_threads_not_int",
     "empty_N_ladder", "samples_beyond_memory", "sieve_beyond_memory",
+    "negative_max_results", "zero_max_results_lattice",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
     scan = ["scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--T", "100", "--samples", "4"]
+    find_tau = ["find-tau", "--d", "1", "--delta", "0.05", "--primes-upto", "7", "--bound", "1e5"]
     argv = {
         "eps_nan": scan + ["--eps", "nan"] + out,
         "grid_no_x": scan + ["--eps", "1", "--grid", "3"] + out,
@@ -261,6 +263,8 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
                                   "--T", "100", "--eps", "1", "--samples", "1e17"] + out,
         "sieve_beyond_memory": ["kronecker", "--delta", "0.25", "--primes-upto", "1e18",
                                 "--T", "100", "--samples", "10"] + out,
+        "negative_max_results": find_tau + ["--max-results", "-1"] + out,
+        "zero_max_results_lattice": find_tau + ["--max-results", "0", "--strategy", "lattice"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

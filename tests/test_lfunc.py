@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -116,7 +117,7 @@ def test_l_value_conjugation_symmetry():
 
 @pytest.mark.parametrize("with_coeffs", [False, True])
 def test_power_sum_shifted_matches_pointwise(with_coeffs):
-    n = 3 * lfunc._SHIFT_CHUNK + 17
+    n = 3 * lfunc._TERM_CHUNK + 17
     logn = np.log(np.arange(1, n + 1, dtype=float))
     coeffs = np.exp(2j * np.pi * np.arange(n) / 7.0) if with_coeffs else None
     s = np.array([0.6 - 0.5j, 0.75 + 0.25j, 0.9 + 0.0j])
@@ -178,10 +179,34 @@ def test_shifted_shapes_and_pole():
     # a shifted point landing on s = 1 takes the regularized value
     vals = l_value(np.array([1.0 - 1j, 0.9 - 1j]), CHI4, shifts=[1.0])
     assert vals[0, 0] == l_value(1.0 + 0j, CHI4)
+    assert isinstance(l_value(1.0 - 1j, CHI4, shifts=1.0), complex)
     with pytest.raises(PoleError):
         l_value(1.0 - 1j, CHI1, shifts=[0.0, 1.0])
     with pytest.raises(RangeError):
         l_value(0.7 + 0j, CHI4, shifts=[10.0, 6e4])
+
+
+def test_values_do_not_depend_on_the_other_points_in_the_call():
+    # pts[[i, -1]] shares the largest |Im s| with pts, hence the series length
+    pts = 0.7 + 1j * np.linspace(2500.0, 3000.0, 1000)
+    whole_l, whole_h = l_value(pts, CHI4), hurwitz_zeta(pts, 0.5)
+    for i in (0, 1, 500, 998):
+        assert np.array_equal(l_value(pts[[i, -1]], CHI4), whole_l[[i, -1]])
+        assert np.array_equal(hurwitz_zeta(pts[[i, -1]], 0.5), whole_h[[i, -1]])
+
+
+def test_unshifted_memory_stays_bounded():
+    # 20 000 points over two chunks of terms.  The bound is the peak of the
+    # earlier size-dependent chunk rule; keeping one chunk's terms alive while
+    # the next is built raises the peak to 83 MB.
+    pts = 0.7 + 1j * np.linspace(0.0, 300.0, 20_000)
+    tracemalloc.start()
+    try:
+        l_value(pts, CHI4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 65.3e6
 
 
 # ---------------------------------------------------------------- truncations

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError
@@ -87,6 +86,8 @@ def _as_fraction(x) -> Fraction:
 
 def _pslq_relation(values, tolerance: float, coeff_cap: int, dps: int):
     """Integer relation for `values` via PSLQ, or None."""
+    import mpmath  # only PSLQ needs it; importing it costs every command ~25 ms
+
     with mpmath.workdps(dps):
         rel = mpmath.pslq(
             [mpmath.mpf(v) for v in values],
@@ -408,6 +409,8 @@ def check_log_prime_independence(
     primes = list(primes)
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
+    import mpmath
+
     dps = precision_digits + 10
     with mpmath.workdps(dps):
         vec = [mpmath.mpf(dk) * mpmath.log(p) for dk in d for p in primes]

@@ -171,6 +171,16 @@ def test_scan_density_identical_across_blas_and_worker_threads(tmp_path):
     assert len(outputs) == 1
 
 
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the PSLQ commands need mpmath; they import it when they run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selfapprox.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, selfapprox.cli; print('mpmath' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     forced = tmp_path / "forced"
     monkeypatch.setenv("SELFAPPROX_OUTPUT_DIR", str(forced))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -101,6 +102,8 @@ def test_l_value_errors():
         l_value(0.4 + 2j, CHI4)
     with pytest.raises(RangeError):
         l_value(0.8 + 1e9j, CHI4)
+    with pytest.raises(RangeError):  # the remainder bound would ask for 6e14 terms
+        l_value(0.7 + 49_000j, CHI4, EvaluatorConfig(em_order=2))
 
 
 def test_l_value_conjugation_symmetry():
@@ -117,14 +120,14 @@ def test_l_value_conjugation_symmetry():
 
 @pytest.mark.parametrize("with_coeffs", [False, True])
 def test_power_sum_shifted_matches_pointwise(with_coeffs):
+    # the nodes 7 n + r, r = 1..7, are 1, 2, ..., n with coefficient e^{2 pi i (m - 1)/7} at m
     n = 3 * lfunc._TERM_CHUNK + 17
-    logn = np.log(np.arange(1, n + 1, dtype=float))
-    coeffs = np.exp(2j * np.pi * np.arange(n) / 7.0) if with_coeffs else None
+    nodes = (7, np.arange(1, 8), np.exp(2j * np.pi * np.arange(7) / 7.0) if with_coeffs else None)
     s = np.array([0.6 - 0.5j, 0.75 + 0.25j, 0.9 + 0.0j])
     shifts = np.array([0.0, 3.5, -120.25, 999.5])
-    got = lfunc._power_sum(s, logn, coeffs, shifts)
+    got = lfunc._power_sum(s, n, *nodes, shifts)
     assert got.shape == (4, 3)
-    want = lfunc._power_sum((s[None, :] + 1j * shifts[:, None]).ravel(), logn, coeffs)
+    want = lfunc._power_sum((s[None, :] + 1j * shifts[:, None]).ravel(), n, *nodes)
     assert np.max(np.abs(got - want.reshape(4, 3))) <= 1e-12
 
 
@@ -140,9 +143,7 @@ def _mp_dirichlet(s, chi):
 
 @pytest.mark.parametrize("label, base, shifts", [
     pytest.param("1:0", [0.95 + 0.25j, 0.7 - 0.5j], [3999.5], id="q1"),
-    pytest.param("1:0", [0.55 + 0.0j], [3999.5], id="q1-sigma0.55", marks=pytest.mark.xfail(
-        strict=True, reason="rounding of t log n gives 1.5e-12 here, shifted or not, "
-        "against the documented 1e-12 for q = 1 (ROADMAP item 3)")),
+    pytest.param("1:0", [0.55 + 0.0j], [3999.5], id="q1-sigma0.55"),
     pytest.param("4:1", [0.55 + 0.0j, 0.95 - 0.5j], [10.0, 4000.0], id="q4"),
     pytest.param("60:1", [0.55 + 0.5j, 0.7 + 0.0j], [3999.75], id="q60"),
 ])
@@ -155,6 +156,39 @@ def test_shifted_l_value_against_mpmath_in_strip(label, base, shifts):
     for h, row in zip(shifts, got):
         for s, value in zip(base, row):
             assert abs(value - _mp_dirichlet(s + 1j * h, chi)) <= bound
+
+
+@pytest.mark.parametrize("label, t", [("1:0", 1e4), ("1:0", 4.9e4), ("4:1", 4.9e4)])
+def test_l_value_against_mpmath_at_large_height(label, t):
+    # rows that broke the documented bound while the phase t log n was rounded in float64
+    chi = character_from_id(label)
+    s = complex(0.7, t)
+    assert abs(l_value(s, chi) - _mp_dirichlet(s, chi)) <= chi.modulus * DEFAULT_CONFIG.target_abs_error
+
+
+def test_phase_is_exact_to_rounding():
+    rng = np.random.default_rng(9)
+    nodes = np.concatenate([[1, 2, 3, 2**19, 2**19 + 1, 999_983, 10**6], rng.integers(1, 10**6, 60)])
+    x = np.concatenate([[5e4, -5e4, 49_999.99], rng.uniform(-5e4, 5e4, 9)])
+    got = lfunc._phase(x, *lfunc._log_parts(nodes.astype(float)))
+    assert np.all(np.abs(got) <= 3.15)
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        for xi, row in zip(x, got):
+            for m, theta in zip(nodes, row):
+                d = mpmath.mpf(float(theta)) - mpmath.mpf(float(xi)) * mpmath.log(int(m))
+                assert abs(d - two_pi * mpmath.nint(d / two_pi)) <= 4e-15
+
+
+@pytest.mark.parametrize("em_order", [80, 100])
+def test_high_em_order_stays_finite(em_order):
+    # the rising factorial (s)_{2k-1} alone reaches 1e380 here at em_order 80
+    s = 0.7 + 49_000j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = l_value(s, CHI4, EvaluatorConfig(em_order=em_order))
+    assert np.isfinite(got.real) and np.isfinite(got.imag)
+    assert abs(got - l_value(s, CHI4)) <= 1e-13
 
 
 def test_shifted_values_do_not_depend_on_the_other_grid_points():
@@ -195,11 +229,24 @@ def test_values_do_not_depend_on_the_other_points_in_the_call():
         assert np.array_equal(hurwitz_zeta(pts[[i, -1]], 0.5), whole_h[[i, -1]])
 
 
+def test_single_point_matches_the_same_point_in_a_large_call():
+    # one point sums many chunks per numpy call, a large call one chunk per
+    # call for many points; the chunk sums are added in the same order
+    chi = character_from_id("60:1")
+    pts = 0.7 + 1j * np.linspace(9000.0, 10_000.0, 300)
+    whole = l_value(pts, chi)
+    assert lfunc._n_terms(10_000.0, DEFAULT_CONFIG) * 16 > 64 * lfunc._TERM_CHUNK
+    assert l_value(pts[-1], chi) == whole[-1]
+    assert np.array_equal(l_value(pts[[7, -1]], chi), whole[[7, -1]])
+    assert hurwitz_zeta(pts[-1], 0.25) == hurwitz_zeta(pts, 0.25)[-1]
+
+
 def test_unshifted_memory_stays_bounded():
-    # 20 000 points over two chunks of terms.  The bound is the peak of the
+    # 20 000 points over three chunks of terms.  The bound is the peak of the
     # earlier size-dependent chunk rule; keeping one chunk's terms alive while
-    # the next is built raises the peak to 83 MB.
-    pts = 0.7 + 1j * np.linspace(0.0, 300.0, 20_000)
+    # the next is built raised the peak to 83 MB.
+    pts = 0.7 + 1j * np.linspace(0.0, 1000.0, 20_000)
+    assert math.ceil(2 * lfunc._n_terms(1000.0, DEFAULT_CONFIG) / lfunc._TERM_CHUNK) == 3
     tracemalloc.start()
     try:
         l_value(pts, CHI4)
@@ -207,6 +254,20 @@ def test_unshifted_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 65.3e6
+
+
+def test_shifted_memory_stays_bounded():
+    # Carlson's call shape at the top of the supported range: 16 residue
+    # classes of 13 800 terms each, built chunk by chunk from the residue list
+    taus = np.linspace(100.0, 49_000.0, 120)
+    chi = character_from_id("60:1")
+    tracemalloc.start()
+    try:
+        l_value(0.75 + 0j, chi, shifts=taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 # ---------------------------------------------------------------- truncations

@@ -14,15 +14,13 @@ configured cap rather than silently degrading.
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
 of them summed by one kernel, `_power_sum`, in chunks of a constant number of
 terms, so no value depends on the other points in its call.  Each phase
-Im(s) log x_n is reduced mod 2 pi in double-double arithmetic before the
-cosine and sine (`_phase`), from logs that are exact to about 2e-20 with
-numpy's 80-bit long double; so what remains of the error is float64 rounding,
-not the phase.  Callers that evaluate one base set of points moved up by many
-vertical shifts (the grid on K at s + i d tau, one row per sampled tau) pass
-`shifts`: since x^{-(s + i h)} = x^{-s} x^{-i h}, the matrix x_n^{-s} is built
-once for the base points and each shift adds only one phase row x_n^{-i h},
-so a call costs N (P + S) phase factors plus an N P S contraction instead of
-N P S (N terms, P points, S shifts).
+Im(s) log x_n is reduced mod 2 pi in double-double arithmetic (`_phase`), so
+the error is float64 rounding, not the phase.  Callers that evaluate one base
+set of points moved up by many vertical shifts (the grid on K at s + i d tau,
+one row per sampled tau) pass `shifts`: since x^{-(s + i h)} = x^{-s} x^{-i h},
+the matrix x_n^{-s} is built once for the base points and each shift adds only
+one phase row x_n^{-i h}, so a call costs N (P + S) phase factors plus an
+N P S contraction instead of N P S (N terms, P points, S shifts).
 
 All evaluators accept numpy arrays of s values and broadcast; they are pure
 functions of immutable inputs and safe to call from worker threads.
@@ -268,12 +266,11 @@ def _power_sum(s: np.ndarray, count: int, step=1, offsets=(1,), weights=None, sh
     never for the whole series.  Without `shifts`, a group of G points takes
     _TILE // G terms per tile, each _TERM_CHUNK-term chunk is summed on its
     own and the chunk sums are added in order, so a value does not depend on
-    the other points in its call.
-    With `shifts` (1-d, real) the result has shape (len(shifts), len(s)) and
-    holds the sums at s[None, :] + i shifts[:, None]: per chunk, x^{-s} is
-    built once, one phase row x^{-i h} per shift h, and the two are
-    contracted by a fixed-order (non-BLAS) einsum, so values do not depend on
-    the number of BLAS threads.
+    the other points in its call.  With `shifts` (1-d, real) the result has
+    shape (len(shifts), len(s)) and holds the sums at s[None, :] + i
+    shifts[:, None]: per chunk, x^{-s} is built once, one phase row x^{-i h}
+    per shift h, and the two are contracted by a fixed-order (non-BLAS)
+    einsum, so values do not depend on the number of BLAS threads.
     """
     offsets = np.asarray(offsets, dtype=float)
     acc = np.zeros(s.shape if shifts is None else (len(shifts), len(s)), dtype=np.complex128)
@@ -378,20 +375,17 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
         L(s, chi) = sum_{m <= qN, (m, q) = 1} chi(m) m^{-s} + q^{-s} sum_r chi(r) T(s, N + r/q),
 
     with N from the remainder bound at the largest |Im s| of the call
-    (_n_terms), so truncation adds at most sqrt(q) cfg.target_abs_error / 100.
-    The phases t log m are reduced mod 2 pi in double-double (_phase), so the
+    (_n_terms), so truncation adds at most sqrt(q) cfg.target_abs_error / 100,
+    and the phases t log m reduced mod 2 pi in double-double (_phase): the
     error is float64 rounding, within the documented q * cfg.target_abs_error
-    over the whole supported range (2e-15 at the reference points up to
-    |Im s| = 4.9e4).  Where numpy's long double is plain float64 the phases
-    round as in float64 and the error grows with |Im s|, to about 1e-11 at the
-    cap.  Raises PoleError for the principal character at s = 1;
-    nonprincipal characters are evaluated at s = 1 through the regularized
-    (pole-cancelling) tail.
+    over the whole supported range (README, "Evaluator limits").  Raises
+    PoleError for the principal character at s = 1; nonprincipal characters
+    are evaluated at s = 1 through the regularized (pole-cancelling) tail.
 
     With `shifts` (real), returns L at s + i h for every shift h, with shape
     shifts.shape + np.shape(s).  The sum is then built once for s with one
     phase row per shift (see _power_sum), so a block of S shifts of P points
-    costs N (P + S) exponentials rather than N P S.
+    costs N (P + S) phase factors rather than N P S.
     """
     flat, shifts, shape = _call_points(s, shifts)
     full = _shifted(flat, shifts)

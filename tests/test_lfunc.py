@@ -180,6 +180,12 @@ def test_phase_is_exact_to_rounding():
                 assert abs(d - two_pi * mpmath.nint(d / two_pi)) <= 4e-15
 
 
+def test_bernoulli_coefficients_are_correctly_rounded():
+    with mpmath.workdps(60):
+        want = [float(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)) for k in range(1, 51)]
+    assert lfunc._bernoulli_over_fact(100) == tuple(want)
+
+
 @pytest.mark.parametrize("em_order", [80, 100])
 def test_high_em_order_stays_finite(em_order):
     # the rising factorial (s)_{2k-1} alone reaches 1e380 here at em_order 80
@@ -230,21 +236,22 @@ def test_values_do_not_depend_on_the_other_points_in_the_call():
 
 
 def test_single_point_matches_the_same_point_in_a_large_call():
-    # one point sums many chunks per numpy call, a large call one chunk per
-    # call for many points; the chunk sums are added in the same order
+    # one point sums many chunks per numpy call (two tiles here), a large
+    # call one or two chunks per call; the chunk sums are added in the same order
     chi = character_from_id("60:1")
     pts = 0.7 + 1j * np.linspace(9000.0, 10_000.0, 300)
     whole = l_value(pts, chi)
-    assert lfunc._n_terms(10_000.0, DEFAULT_CONFIG) * 16 > 64 * lfunc._TERM_CHUNK
+    assert lfunc._n_terms(10_000.0, DEFAULT_CONFIG) * 16 > lfunc._TILE
     assert l_value(pts[-1], chi) == whole[-1]
     assert np.array_equal(l_value(pts[[7, -1]], chi), whole[[7, -1]])
     assert hurwitz_zeta(pts[-1], 0.25) == hurwitz_zeta(pts, 0.25)[-1]
 
 
 def test_unshifted_memory_stays_bounded():
-    # 20 000 points over three chunks of terms.  The bound is the peak of the
-    # earlier size-dependent chunk rule; keeping one chunk's terms alive while
-    # the next is built raised the peak to 83 MB.
+    # 20 000 points over three chunks of terms, in tiles of lfunc._TILE
+    # elements.  The bound is the peak of an earlier, size-dependent chunk
+    # rule; keeping one chunk's terms alive while the next was built raised
+    # that peak to 83 MB.
     pts = 0.7 + 1j * np.linspace(0.0, 1000.0, 20_000)
     assert math.ceil(2 * lfunc._n_terms(1000.0, DEFAULT_CONFIG) / lfunc._TERM_CHUNK) == 3
     tracemalloc.start()

@@ -50,17 +50,20 @@ print(f"  measured {density:.6f}  [Wilson 95%: {lo:.6f}, {hi:.6f}]")
 print(f"  predicted (2 delta)^(lM) = {target.expected_density:.6f}")
 
 # --- constructive tau --------------------------------------------------------
-# For small prime sets one can exhibit members of S_T explicitly.  With a
-# single prime the set is periodic with period 2 pi / log 2.
+# For small prime sets one can exhibit members of S_T explicitly: each
+# condition ||tau d log p / (2 pi a)|| < delta is a periodic union of
+# intervals, and intersecting those unions lists every member interval, one
+# tau (its midpoint) per interval.  With a single prime the set is periodic
+# with period 2 pi / log 2.
 
 single = KroneckerTarget((1.0,), 1, 0.1, 2)
-hits = find_tau_in_set(single, 100.0, "grid")
+hits = find_tau_in_set(single, 100.0)
 period = 2 * math.pi / math.log(2)
 print(f"\ntau in S_100(0.1, 2), first few of {len(hits)}: "
       + ", ".join(f"{t:.3f}" for t in hits[:5]))
 print(f"  period 2 pi / log 2 = {period:.3f}")
 
 two = KroneckerTarget((1.0,), 1, 0.05, 3)     # primes 2 and 3
-hits = find_tau_in_set(two, 1e4, "lattice")
-print(f"tau for primes (2, 3), delta 0.05, lattice search: {len(hits)} hits, "
+hits = find_tau_in_set(two, 1e4)
+print(f"tau for primes (2, 3), delta 0.05, tau <= 1e4: {len(hits)} member intervals, "
       f"all verified: {all(in_kronecker_set(t, two) for t in hits)}")

@@ -261,10 +261,12 @@ def _run_kronecker(params, seed, threads):
 
 
 def _run_find_tau(params, seed, threads):
+    # "grid" and "lattice" name the two searches the interval sweep replaced;
+    # both stay accepted so that recorded manifests still run.
+    if params["strategy"] not in ("grid", "lattice"):
+        raise DomainError(f"unknown strategy {params['strategy']!r}")
     target = _make_target(params)
-    hits = find_tau_in_set(
-        target, params["bound"], strategy=params["strategy"], max_results=params["max_results"]
-    )
+    hits = find_tau_in_set(target, params["bound"], max_results=params["max_results"])
     results = {
         "n_hits": len(hits),
         "expected_density": target.expected_density,

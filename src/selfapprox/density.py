@@ -8,15 +8,15 @@ weak convergence of F_T as T grows.
 
 The sup over K is taken on the region's sample grid and re-taken at doubled
 resolution; the relative change (refine_delta) rides along with every sample
-so grid adequacy is visible in the output.  Per-sample g values can be
-streamed to CSV and re-analysed at any eps without re-evaluating L.
+so grid adequacy is visible in the output.  The per-sample g values that
+scan-density writes to samples.csv can be re-analysed at any eps by
+density_from_samples without re-evaluating L.
 """
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,13 +197,11 @@ def sample_g(
     seed: int,
     refine: bool = True,
     threads: int = 1,
-    stream_path: Optional[str] = None,
 ):
     """Seeded tau samples and their g values; the workhorse for all densities.
 
     Sampling and evaluation proceed in fixed blocks (deterministic regardless
-    of thread count).  stream_path, if given, receives a CSV with header
-    tau,g_value,refine_delta for later re-analysis at other eps.
+    of thread count).
     """
     if T <= 0 or n_samples < 1:
         raise DomainError("T must be positive and n_samples >= 1")
@@ -216,12 +214,6 @@ def sample_g(
     parts = map_blocks(work, n_samples, threads)
     g = np.concatenate([p[0] for p in parts])
     deltas = np.concatenate([p[1] for p in parts])
-    if stream_path is not None:
-        with open(stream_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "g_value", "refine_delta"])
-            for row in zip(taus, g, deltas):
-                writer.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(row[2]))])
     return taus, g, deltas
 
 
@@ -245,15 +237,11 @@ def estimate_density(
     seed: int = 0,
     refine: bool = True,
     threads: int = 1,
-    stream_path: Optional[str] = None,
 ) -> DensityEstimate:
     """Monte Carlo estimate of (1/T) meas{tau in [0,T] : g(tau) < eps}."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    _, g, _ = sample_g(
-        family, region, cfg, T, n_samples, seed,
-        refine=refine, threads=threads, stream_path=stream_path,
-    )
+    _, g, _ = sample_g(family, region, cfg, T, n_samples, seed, refine=refine, threads=threads)
     return density_from_samples(g, epsilon, T)
 
 
@@ -266,13 +254,9 @@ def empirical_distribution(
     seed: int = 0,
     refine: bool = True,
     threads: int = 1,
-    stream_path: Optional[str] = None,
 ) -> EmpiricalDistribution:
     """Empirical distribution F_T of g over [0, T]."""
-    _, g, _ = sample_g(
-        family, region, cfg, T, n_samples, seed,
-        refine=refine, threads=threads, stream_path=stream_path,
-    )
+    _, g, _ = sample_g(family, region, cfg, T, n_samples, seed, refine=refine, threads=threads)
     return EmpiricalDistribution(np.sort(g), T)
 
 
@@ -313,6 +297,8 @@ def convergence_diagnostic(
     jump cluster are reported as candidate exceptional eps regions instead.
     """
     T_ladder = list(T_ladder)
+    if not T_ladder:
+        raise DomainError("T_ladder needs at least one horizon")
     if any(b <= a for a, b in zip(T_ladder, T_ladder[1:])):
         raise DomainError("T_ladder must be strictly increasing")
     samples = []

@@ -4,14 +4,14 @@ Covers four jobs: discovering the decomposition a*d_k = sum_j a_{k,j} d_j over
 a maximal Q-independent subset of the shifts, membership testing for the sets
 of tau whose scaled coordinates tau*d_n*log(p)/(2*pi*a) all sit within delta of
 integers, Monte Carlo measurement of the density of those sets (whose limit is
-the box volume (2*delta)^(l*M)), and effective search for members.
+the box volume (2*delta)^(l*M)), and an exact sweep that lists one member
+per maximal member interval.
 
 Float-mode relation detection is lattice based (PSLQ) and only ever claims a
 relation "at the stated precision"; Q-linear independence is not decidable
 from floating point data.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -276,120 +276,72 @@ def measure_kronecker_density(
     return hits / n_samples, wilson_interval(hits, n_samples)
 
 
-def _lll_reduce(basis, delta=0.75):
-    """Integer LLL on a list of integer row vectors (small dimensions)."""
-    b = [list(map(int, row)) for row in basis]
-    n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def gso():
-        star = [[float(x) for x in b[0]]]
-        mu = [[0.0] * n for _ in range(n)]
-        for i in range(1, n):
-            v = [float(x) for x in b[i]]
-            for j in range(i):
-                denom = dot(star[j], star[j])
-                mu[i][j] = dot([float(x) for x in b[i]], star[j]) / denom if denom else 0.0
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-        return star, mu
-
-    star, mu = gso()
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                star, mu = gso()
-        lhs = dot(star[k], star[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1])
-        if lhs >= rhs:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            star, mu = gso()
-            k = max(k - 1, 1)
-    return b
+# Periods of the fastest coordinate per sweep window.  Window edges sit where
+# that coordinate is a half-integer, so no member interval crosses one.  A
+# window meets at most about _SWEEP_WINDOW intervals of each coordinate, so the
+# sweep's memory is set by this constant and the number of coordinates, not
+# by the search bound or by how far apart the frequencies are.
+_SWEEP_WINDOW = 1 << 14
 
 
-def _lattice_candidates(gammas, delta, k_max):
-    """Integers k with ||k * gamma_i|| plausibly < delta, via LLL short vectors."""
-    r = len(gammas)
-    if r == 0:
-        return list(range(1, min(k_max, 1000) + 1))
-    scale = int(round((2.0 / delta) ** (1 + 1.0 / max(r, 1))))
-    dim = r + 1
-    basis = [[1] + [int(round(scale * g)) for g in gammas]]
-    for i in range(r):
-        row = [0] * dim
-        row[i + 1] = scale
-        basis.append(row)
-    reduced = _lll_reduce(basis)
-    ks = set()
-    for combo in itertools.product([-2, -1, 0, 1, 2], repeat=min(len(reduced), 3)):
-        vec = [0] * dim
-        for c, row in zip(combo, reduced):
-            vec = [x + c * y for x, y in zip(vec, row)]
-        k = abs(vec[0])
-        if 0 < k <= k_max:
-            ks.add(k)
-    out = set()
-    for k in ks:  # multiples of good k are often good too
-        j = 1
-        while j * k <= k_max and j <= 64:
-            out.add(j * k)
-            j += 1
-    return sorted(out)
+def _member_intervals(target: KroneckerTarget, search_bound: float):
+    """Maximal open intervals (lo, hi) of the Kronecker set that meet [0, search_bound].
+
+    Each condition ||alpha_i tau|| < delta is the periodic union of the open
+    intervals ((k - delta)/|alpha_i|, (k + delta)/|alpha_i|).  Per window,
+    starting from the whole window, the current intervals are intersected
+    with each coordinate's union in turn, slowest |alpha| first, by repeating
+    every interval once per integer k whose interval meets it.  Yields one
+    (lo, hi) pair of sorted arrays per window, windows in increasing tau; the
+    interval around 0 comes first and reaches below 0.
+    """
+    alpha = np.sort(np.abs(target.frequencies.ravel()))
+    delta = target.delta
+    period = 1.0 / alpha[-1]
+    w = 0
+    while (w * _SWEEP_WINDOW - 0.5) * period < search_bound:
+        lo = np.array([(w * _SWEEP_WINDOW - 0.5) * period])
+        w += 1
+        hi = np.array([(w * _SWEEP_WINDOW - 0.5) * period])
+        for a in alpha:
+            k0 = np.floor(lo * a - delta) + 1.0  # first k whose interval ends above lo
+            n = np.maximum(np.ceil(hi * a + delta) - k0, 0.0).astype(np.intp)
+            ends = np.cumsum(n)
+            k = np.repeat(k0 - (ends - n), n) + np.arange(n.sum())
+            lo = np.maximum(np.repeat(lo, n), (k - delta) / a)
+            hi = np.minimum(np.repeat(hi, n), (k + delta) / a)
+            keep = lo < hi
+            lo, hi = lo[keep], hi[keep]
+        keep = (hi > 0.0) & (lo < search_bound)
+        yield lo[keep], hi[keep]
 
 
 def find_tau_in_set(
     target: KroneckerTarget,
     search_bound: float,
-    strategy: str = "grid",
     max_results: int = 10000,
 ) -> list:
-    """Members of the Kronecker set in [0, search_bound]; every hit re-verifies.
+    """Members of the Kronecker set in [0, search_bound], one per member interval.
 
-    grid: scan with step delta*2*pi*a/max(|d_n| log p), small enough that no
-    coordinate can cross a half-integer between consecutive points.
-    lattice: pin the fastest coordinate to exact integers and LLL-reduce the
-    remaining simultaneous approximation problem; candidates are still checked
-    through the membership test, so soundness never depends on the reduction.
+    Sweeps the maximal member intervals in increasing tau (see
+    _member_intervals) and returns each one's midpoint, clipped into
+    [0, search_bound], so the interval around 0 gives exactly 0.0.  A
+    midpoint is kept only if kronecker_membership, the strict float
+    predicate, accepts it: an interval narrower than the rounding of its
+    endpoints may be dropped, never a point outside the set returned.  The
+    sweep stops at the window where max_results is reached.
     """
     if search_bound <= 0:
         raise DomainError("search_bound must be positive")
     if max_results < 1:
         raise DomainError("max_results must be >= 1")
-    alpha = target.frequencies.ravel()
-    if strategy == "grid":
-        step = target.delta / np.max(np.abs(alpha))
-        n_steps = int(math.floor(search_bound / step)) + 1
-        hits = []
-        chunk = 1 << 16
-        for i0 in range(0, n_steps, chunk):
-            taus = step * np.arange(i0, min(i0 + chunk, n_steps), dtype=float)
-            mask = kronecker_membership(taus, target)
-            hits.extend(taus[mask].tolist())
-            if len(hits) >= max_results:
-                break
-        return hits[:max_results]
-    if strategy == "lattice":
-        pin = int(np.argmax(np.abs(alpha)))
-        base = 1.0 / abs(alpha[pin])  # tau = k * base makes coordinate `pin` integral
-        gammas = [a / abs(alpha[pin]) for i, a in enumerate(alpha) if i != pin]
-        k_max = int(math.floor(search_bound / base))
-        hits = [0.0] if in_kronecker_set(0.0, target) else []
-        for k in _lattice_candidates(gammas, target.delta, k_max):
-            tau = float(k * base)
-            if tau <= search_bound and in_kronecker_set(tau, target):
-                hits.append(tau)
-                if len(hits) >= max_results:
-                    break
-        return sorted(hits)
-    raise DomainError(f"unknown strategy {strategy!r}")
+    hits = []
+    for lo, hi in _member_intervals(target, search_bound):
+        taus = np.clip(0.5 * (lo + hi), 0.0, search_bound)
+        hits.extend(taus[kronecker_membership(taus, target)].tolist())
+        if len(hits) >= max_results:
+            break
+    return hits[:max_results]
 
 
 def check_log_prime_independence(

@@ -110,7 +110,7 @@ def test_03_kronecker_volume_law():
 def test_04_constructive_tau():
     t0 = time.time()
     target = KroneckerTarget((1.0,), 1, 0.05, 3)
-    hits = find_tau_in_set(target, 1e4, "grid")
+    hits = find_tau_in_set(target, 1e4)
     ok = len(hits) > 0 and all(in_kronecker_set(t, target) for t in hits)
     elapsed = time.time() - t0
     _report(4, "constructive tau search", ok and elapsed < 60.0,

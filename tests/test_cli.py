@@ -71,6 +71,17 @@ def test_find_tau_writes_samples(tmp_path):
     assert (tmp_path / "plotdata.csv").exists()
 
 
+def test_find_tau_strategy_names_run_the_one_search(tmp_path):
+    # recorded manifests name "grid" or "lattice"; both select the interval sweep
+    argv = ["find-tau", "--delta", "0.05", "--primes-upto", "7", "--bound", "2e4"]
+    outputs = []
+    for extra in ([], ["--strategy", "grid"], ["--strategy", "lattice"]):
+        out = tmp_path / (extra[-1] if extra else "default")
+        assert main(argv + extra + ["--output-dir", str(out)]) == 0
+        outputs.append((_read(out, "results.json"), _read(out, "samples.csv")))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_scan_density_degenerate(tmp_path):
     rc = main([
         "scan-density", "--d", "1,1", "--chars", "4:1,4:1", "--eps", "1e-9",
@@ -246,7 +257,7 @@ def _write_manifest(path, manifest):
     "eps_nan", "grid_no_x", "T_not_a_number", "zero_tolerance",
     "manifest_without_params", "manifest_unknown_command", "manifest_threads_not_int",
     "empty_N_ladder", "samples_beyond_memory", "sieve_beyond_memory",
-    "negative_max_results", "zero_max_results_lattice",
+    "negative_max_results", "zero_max_results_lattice", "empty_T_ladder", "unknown_strategy",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -275,6 +286,9 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
                                 "--T", "100", "--samples", "10"] + out,
         "negative_max_results": find_tau + ["--max-results", "-1"] + out,
         "zero_max_results_lattice": find_tau + ["--max-results", "0", "--strategy", "lattice"] + out,
+        "empty_T_ladder": ["dist-fn", "--d", "1,2", "--chars", "4:1,4:1", "--T-ladder", ",",
+                           "--samples", "4"] + out,
+        "unknown_strategy": find_tau + ["--strategy", "magic"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from selfapprox.characters import character_from_id, enumerate_characters
+from selfapprox.cli import main
 from selfapprox.density import (
     DensityEstimate,
     EmpiricalDistribution,
@@ -117,11 +118,13 @@ def test_cap_validation_reports_usable_horizon():
 
 
 def test_stream_and_reanalysis(tmp_path):
+    # the samples.csv of a scan-density run is enough to re-analyse at any eps
+    assert main([
+        "scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--eps", "1", "--T", "100",
+        "--samples", "48", "--seed", "5", "--output-dir", str(tmp_path),
+    ]) == 0
+    _, g, _ = sample_g(FAMILY, REGION, DEFAULT_CONFIG, 100.0, 48, seed=5, refine=True)
     path = tmp_path / "samples.csv"
-    taus, g, deltas = sample_g(
-        FAMILY, REGION, DEFAULT_CONFIG, 100.0, 48, seed=5, refine=True,
-        stream_path=str(path),
-    )
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "tau,g_value,refine_delta"
     assert len(rows) == 49
@@ -168,6 +171,8 @@ def test_convergence_diagnostic_degenerate():
 def test_convergence_diagnostic_validates_ladder():
     with pytest.raises(DomainError):
         convergence_diagnostic(FAMILY, REGION, DEFAULT_CONFIG, [100.0, 100.0], n_samples=8)
+    with pytest.raises(DomainError):
+        convergence_diagnostic(FAMILY, REGION, DEFAULT_CONFIG, [], n_samples=8)
 
 
 def test_kronecker_conditioned_enrichment_on_truncated():
@@ -175,7 +180,7 @@ def test_kronecker_conditioned_enrichment_on_truncated():
     # truncated-product functional
     v = 5.0
     target = KroneckerTarget((1.0,), 1, 0.05, v)
-    cond = np.array(find_tau_in_set(target, 8000.0, "grid")[:200])
+    cond = np.array(find_tau_in_set(target, 8000.0)[:200])
     assert len(cond) >= 20
     uncond = np.linspace(0.0, 8000.0, 211)
     fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))

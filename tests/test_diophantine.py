@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from selfapprox.diophantine import (
     KroneckerTarget,
+    _member_intervals,
     find_rational_relations,
     find_tau_in_set,
     in_kronecker_set,
@@ -277,7 +277,7 @@ def test_wilson_interval_sane():
 
 def test_find_tau_periodic_solutions():
     t = KroneckerTarget((1.0,), 1, 0.1, 2)
-    hits = find_tau_in_set(t, 100.0, "grid")
+    hits = find_tau_in_set(t, 100.0)
     assert hits and hits[0] == 0.0
     period = 2 * math.pi / math.log(2)
     for k in range(1, 12):
@@ -287,26 +287,21 @@ def test_find_tau_periodic_solutions():
 
 def test_find_tau_two_primes_grid_and_lattice():
     t = KroneckerTarget((1.0,), 1, 0.05, 3)
-    for strategy in ("grid", "lattice"):
-        hits = find_tau_in_set(t, 1e4, strategy)
-        assert hits
-        assert all(in_kronecker_set(h, t) for h in hits)
+    hits = find_tau_in_set(t, 1e4)
+    assert hits
+    assert all(in_kronecker_set(h, t) for h in hits)
 
 
 def test_find_tau_zero_always_member():
     t = KroneckerTarget((1.0, math.pi), 2, 0.2, 3)
-    hits = find_tau_in_set(t, 1.0, "grid")
+    hits = find_tau_in_set(t, 1.0)
     assert 0.0 in hits
 
 
 def test_find_tau_empty_is_not_error():
     t = KroneckerTarget((1.0,), 1, 0.01, 7)
-    hits = find_tau_in_set(t, 1.0, "lattice")
+    hits = find_tau_in_set(t, 1.0)
     assert hits == [0.0] or hits == []
-
-
-def _digest(values):
-    return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
 def test_search_and_density_match_recorded_values():
@@ -314,16 +309,6 @@ def test_search_and_density_match_recorded_values():
     # short-circuit test must reproduce bit for bit
     t1 = KroneckerTarget((1.0,), 1, 0.1, 5)
     t2 = KroneckerTarget((1.0, 2.5), 3, 0.2, 3)
-    grid = find_tau_in_set(t1, 2e4, "grid")
-    assert len(grid) == 426
-    assert _digest(grid) == "46a80cf60d45858272846efcf95bac8a692fcc0e8a62d5ab76f70f974daf09e3"
-    grid = find_tau_in_set(t2, 5e3, "grid")
-    assert len(grid) == 93
-    assert _digest(grid) == "b3901b1035a416a2667e443222c159abaad64f42e963abf485ca80b8450176f1"
-    lattice = find_tau_in_set(t1, 1e5, "lattice")
-    assert len(lattice) == 50
-    assert _digest(lattice) == "1163b1fd2398a86f89cf30eeab5995ec95f32097c4bb07da2f23486727533c5c"
-    assert len(find_tau_in_set(t2, 1e4, "lattice")) == 47
     n = 70000
     assert measure_kronecker_density(t1, 1e5, n, seed=11)[0] == 502 / n
     assert measure_kronecker_density(t2, 1e4, n, seed=12)[0] == 1907 / n
@@ -335,8 +320,93 @@ def test_find_tau_bad_inputs():
     t = KroneckerTarget((1.0,), 1, 0.1, 2)
     with pytest.raises(DomainError):
         find_tau_in_set(t, -1.0)
-    with pytest.raises(DomainError):
-        find_tau_in_set(t, 10.0, strategy="magic")
+
+
+def _intervals(target, bound):
+    parts = list(_member_intervals(target, bound))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    magnitudes=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=2),
+    a=st.integers(1, 3),
+    delta=st.floats(0.05, 0.45),
+    prime_bound=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    bound=st.floats(1.0, 60.0),
+)
+def test_find_tau_lists_every_member_interval(magnitudes, a, delta, prime_bound, bound):
+    shifts = tuple(magnitudes[:-1]) + (-magnitudes[-1],)
+    t = KroneckerTarget(shifts, a, delta, prime_bound)
+    hits = np.array(find_tau_in_set(t, bound, max_results=10**6))
+    assert hits[0] == 0.0
+    assert np.all(np.diff(hits) > 0) and np.all(hits <= bound)
+    assert kronecker_membership(hits, t).all()
+    lo, hi = _intervals(t, bound)
+    assert np.all(lo < hi) and np.all(hi[:-1] < lo[1:])
+    # one tau per interval: each hit lies in its own interval
+    where = np.searchsorted(lo, hits, side="right") - 1
+    assert np.array_equal(where, np.unique(where))
+    assert np.all(lo[where] < hits) and np.all(hits < hi[where])
+    assert len(hits) >= np.count_nonzero(hi - lo > 1e-9)
+    # dense oracle, at a step 32 times below the narrowest coordinate interval
+    # 2*delta/max|alpha|: members lie in the intervals, interval interiors are members
+    step = delta / (16.0 * np.max(np.abs(t.frequencies)))
+    taus = np.arange(0.0, bound, step)
+    member = kronecker_membership(taus, t)
+    i = np.maximum(np.searchsorted(lo, taus, side="right") - 1, 0)
+    tol = 1e-9 * (1.0 + bound)
+    assert not np.any(member & ~((lo[i] - tol < taus) & (taus < hi[i] + tol)))
+    assert np.all(member[(lo[i] + tol < taus) & (taus < hi[i] - tol)])
+
+
+def test_find_tau_hits_are_exact_members():
+    # the benchmark target: d = 1, delta = 0.05, p <= 7, tau <= 1e6
+    import mpmath
+
+    t = KroneckerTarget((1.0,), 1, 0.05, 7)
+    hits = find_tau_in_set(t, 1e6, max_results=10**6)
+    assert len(hits) == len(_intervals(t, 1e6)[0]) == 852
+    with mpmath.workdps(50):
+        scale = [mpmath.log(p) / (2 * mpmath.pi) for p in t.primes]
+        for tau in hits:
+            for c in scale:
+                x = mpmath.mpf(tau) * c
+                assert abs(x - mpmath.nint(x)) < t.delta
+
+
+def test_interval_measure_matches_monte_carlo_density():
+    t = KroneckerTarget((1.0,), 1, 0.1, 5)
+    T, n = 1e5, 200000
+    lo, hi = _intervals(t, T)
+    measure = float(np.sum(np.clip(hi, 0.0, T) - np.clip(lo, 0.0, T))) / T
+    density, _ = measure_kronecker_density(t, T, n, seed=3)
+    assert abs(measure - density) < 4 * binomial_stderr(int(round(density * n)), n)
+
+
+def test_find_tau_smaller_searches_are_prefixes():
+    # windows span 2**14 / max|alpha| ~ 5.3e4 here, so these cross several
+    t = KroneckerTarget((1.0,), 1, 0.05, 7)
+    full = find_tau_in_set(t, 4e5, max_results=10**6)
+    small = find_tau_in_set(t, 1.5e5, max_results=10**6)
+    # only an interval straddling the smaller bound may end in a clipped tau
+    assert small[:-1] == full[: len(small) - 1]
+    assert small[-1] in (full[len(small) - 1], 1.5e5)
+    for k in (1, 50, len(full) // 2, len(full) - 1):
+        assert find_tau_in_set(t, 4e5, max_results=k) == full[:k]
+
+
+def test_find_tau_memory_does_not_grow_with_bound():
+    t = KroneckerTarget((1.0,), 1, 0.01, 7)  # a few members per window
+    peaks = []
+    for bound in (1e6, 1e8):
+        tracemalloc.start()
+        try:
+            find_tau_in_set(t, bound, max_results=10**6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 # ---------------------------------------------------------------- independence

@@ -8,7 +8,6 @@ Run with:  python3 demos/demo_distribution_and_mean_values.py
 import numpy as np
 
 from selfapprox import (
-    DEFAULT_CONFIG,
     ShiftFamily,
     StripRegion,
     b2_ladder,
@@ -33,8 +32,7 @@ print("F_2000 at selected x:")
 for x in (0.25, 0.5, 1.0, 2.0):
     print(f"  F({x:4.2f}) = {dist.cdf(x):.3f}")
 
-report = convergence_diagnostic(family, region, DEFAULT_CONFIG,
-                                [1000.0, 2000.0, 4000.0],
+report = convergence_diagnostic(family, region, [1000.0, 2000.0, 4000.0],
                                 n_samples=256, seed=42, threads=4)
 print("sup-distances along the T ladder "
       f"{[int(t) for t in report['T_ladder']]}: "

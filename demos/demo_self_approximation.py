@@ -7,7 +7,6 @@ Run with:  python3 demos/demo_self_approximation.py
 import numpy as np
 
 from selfapprox import (
-    DEFAULT_CONFIG,
     ShiftFamily,
     StripRegion,
     character_from_id,
@@ -46,7 +45,7 @@ for eps in (0.5, 1.0, 1.5):
 # --- one shared sample set, many epsilons -----------------------------------
 # sample_g returns the raw g values, so sweeping epsilon is free afterwards.
 
-_, g, deltas = sample_g(family, region, DEFAULT_CONFIG, 2000.0, 400,
+_, g, deltas = sample_g(family, region, 2000.0, 400,
                         seed=20260824, refine=True, threads=4)
 qs = np.quantile(g, [0.05, 0.25, 0.5, 0.75, 0.95])
 print("\nquantiles of g over [0, 2000]: "

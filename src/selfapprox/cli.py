@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ from .diophantine import (
     measure_kronecker_density,
 )
 from .errors import DomainError
-from .lfunc import DEFAULT_CONFIG, StripRegion, hurwitz_zeta
+from .lfunc import StripRegion, hurwitz_zeta
 from .meanvalue import b2_ladder, carlson_mean_value
 
 COMMANDS = (
@@ -159,31 +160,38 @@ def _parse_family(params) -> ShiftFamily:
     return ShiftFamily(shifts, chars)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_config_file(path: str) -> dict:
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
+    for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        out[key] = val
     return out
 
 
-def _resolve_params(command: str, file_cfg: dict, overrides: dict) -> dict:
+def _resolve_params(command: str, file_params: dict, overrides: dict) -> dict:
     schema = _SCHEMAS[command]
-    unknown = set(file_cfg) - set(schema)
+    unknown = set(file_params) - set(schema)
     if unknown:
         raise DomainError(f"unknown config keys for {command}: {sorted(unknown)}")
     params = {}
     for name, (parse, default) in schema.items():
         if name in overrides and overrides[name] is not None:
             raw = overrides[name]
-        elif name in file_cfg:
-            raw = file_cfg[name]
+        elif name in file_params:
+            raw = file_params[name]
         elif default is not None:
             raw = default
         else:
@@ -281,20 +289,15 @@ def _run_scan_density(params, seed, threads):
     family = _parse_family(params)
     region = _parse_region(params)
     taus, g, deltas = sample_g(
-        family, region, DEFAULT_CONFIG, params["T"], int(params["samples"]), seed,
+        family, region, params["T"], int(params["samples"]), seed,
         refine=bool(params["refine"]), threads=threads,
     )
     est = density_from_samples(g, params["eps"], params["T"])
     results = {
-        **est.as_dict(),
+        **asdict(est),
         "shifts": list(family.shifts),
         "characters": [c.label for c in family.characters],
-        "region": {
-            "sigma_lo": region.sigma_lo, "sigma_hi": region.sigma_hi,
-            "t_lo": region.t_lo, "t_hi": region.t_hi,
-            "margin": region.margin,
-            "grid_sigma": region.grid_sigma, "grid_t": region.grid_t,
-        },
+        "region": asdict(region),
     }
     samples = (
         ["tau", "g_value", "refine_delta"],
@@ -314,7 +317,7 @@ def _run_dist_fn(params, seed, threads):
     region = _parse_region(params)
     ladder = _parse_list(params["T_ladder"])
     report = convergence_diagnostic(
-        family, region, DEFAULT_CONFIG, ladder, int(params["samples"]), seed, threads=threads
+        family, region, ladder, int(params["samples"]), seed, threads=threads
     )
     # plot data: consecutive sup-distance against the larger horizon
     plot = [
@@ -336,13 +339,7 @@ def _run_mean_value(params, seed, threads):
         seed,
         threads=threads,
     )
-    results = {
-        "empirical": res.empirical,
-        "theoretical": res.theoretical,
-        "stderr": res.stderr,
-        "relative_gap": res.relative_gap,
-    }
-    return results, None, None
+    return {**asdict(res), "relative_gap": res.relative_gap}, None, None
 
 
 def _run_b2(params, seed, threads):
@@ -391,10 +388,9 @@ _RUNNERS = {
 
 def run(command: str, params: dict, seed: int, output_dir: str, threads: int = 1) -> int:
     """Execute one resolved command and write its artifacts."""
-    if not isinstance(seed, int) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not isinstance(threads, int):
-        raise DomainError(f"threads must be an integer, got {threads!r}")
+    for name, value, least in (("seed", seed, 0), ("threads", threads, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     manifest = {
         "command": command,
         "seed": seed,
@@ -435,8 +431,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
-            with open(args.manifest) as fh:
-                manifest = json.load(fh)
+            manifest = json.loads(_read_text(args.manifest))
             outdir = args.output_dir or os.path.dirname(os.path.abspath(args.manifest))
             outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", outdir)
             if not (
@@ -449,9 +444,9 @@ def main(argv=None) -> int:
             params = _resolve_params(command, manifest["params"], {})
             threads = args.threads if args.threads is not None else manifest.get("threads", 1)
             return run(command, params, manifest.get("seed"), outdir, threads)
-        file_cfg = _read_config_file(args.config) if args.config else {}
+        file_params = _read_config_file(args.config) if args.config else {}
         overrides = {key: getattr(args, key) for key in _SCHEMAS[args.command]}
-        params = _resolve_params(args.command, file_cfg, overrides)
+        params = _resolve_params(args.command, file_params, overrides)
         outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", args.output_dir)
         return run(args.command, params, args.seed, outdir, args.threads)
     except DomainError as exc:

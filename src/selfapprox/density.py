@@ -13,7 +13,6 @@ scan-density writes to samples.csv can be re-analysed at any eps by
 density_from_samples without re-evaluating L.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +21,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import DomainError, RangeError
-from .lfunc import DEFAULT_CONFIG, EvaluatorConfig, StripRegion, l_value
+from .lfunc import DEFAULT_CONFIG, StripRegion, l_value
 from .sampling import ks_two_sample_threshold, map_blocks, uniform_samples, wilson_interval
 
 __all__ = [
@@ -82,17 +81,6 @@ class DensityEstimate:
     ci_lo: float
     ci_hi: float
 
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "horizon": self.horizon,
-            "n_samples": self.n_samples,
-            "hits": self.hits,
-            "density": self.density,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-        }
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -111,12 +99,14 @@ class EmpiricalDistribution:
         return float(np.quantile(self.sample_values, p))
 
 
-def _validate_cap(family: ShiftFamily, region: StripRegion, T: float, cfg: EvaluatorConfig):
-    need = T * family.max_abs_shift + region.t_abs_max
-    if need > cfg.im_cap:
-        usable = (cfg.im_cap - region.t_abs_max) / max(family.max_abs_shift, 1e-300)
+def _validate_cap(T: float, scale: float, height: float):
+    """RangeError if T*scale + height, the largest |Im s| a horizon T reaches, exceeds im_cap."""
+    cap = DEFAULT_CONFIG.im_cap
+    need = T * scale + height
+    if need > cap:
+        usable = max(cap - height, 0.0) / max(scale, 1e-300)
         raise RangeError(
-            f"T = {T:.6g} needs |Im s| up to {need:.6g} > cap {cfg.im_cap:.6g}; "
+            f"T = {T:.6g} needs |Im s| up to {need:.6g} > cap {cap:.6g}; "
             f"largest usable T at this cap is {usable:.6g}"
         )
 
@@ -125,7 +115,6 @@ def g_values(
     taus,
     family: ShiftFamily,
     region: StripRegion,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     refine: bool = True,
     evaluator=None,
 ):
@@ -138,14 +127,15 @@ def g_values(
     callable returning F at grid + i h for every shift h as a (len(h),
     len(grid)) array; it is called once per family member with h = d_k * taus,
     so the grid's power sums are built once and each tau costs one phase row
-    (see lfunc.l_value).  The default is l_value with cfg.  Partial sums (the
-    B^2 distances) and truncated Euler products (the Kronecker-enrichment
-    checks) enter through this argument.
+    (see lfunc.l_value).  The default is l_value at DEFAULT_CONFIG, looked up
+    when called; another configuration enters as
+    functools.partial(l_value, cfg=...), and partial sums (the B^2 distances)
+    and truncated Euler products (the Kronecker-enrichment checks) enter the
+    same way.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     grid, coarse_idx = region.grid_points(refine)
-    if evaluator is None:
-        evaluator = functools.partial(l_value, cfg=cfg)
+    evaluator = l_value if evaluator is None else evaluator
     vals = np.empty((family.m, len(taus), len(grid)), dtype=np.complex128)
     for k, (dk, chik) in enumerate(zip(family.shifts, family.characters)):
         vals[k] = evaluator(grid, chik, shifts=dk * taus)
@@ -167,11 +157,10 @@ def g_value(
     tau: float,
     family: ShiftFamily,
     region: StripRegion,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     refine: bool = True,
 ) -> float:
     """g at a single tau (base-grid value; see g_values for the refinement flag)."""
-    g, _ = g_values([tau], family, region, cfg, refine=refine)
+    g, _ = g_values([tau], family, region, refine=refine)
     return float(g[0])
 
 
@@ -180,18 +169,16 @@ def indicator(
     epsilon: float,
     family: ShiftFamily,
     region: StripRegion,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
 ) -> int:
     """1 iff g(tau) < epsilon (strict, matching the defining inequality)."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    return int(g_value(tau, family, region, cfg) < epsilon)
+    return int(g_value(tau, family, region) < epsilon)
 
 
 def sample_g(
     family: ShiftFamily,
     region: StripRegion,
-    cfg: EvaluatorConfig,
     T: float,
     n_samples: int,
     seed: int,
@@ -205,11 +192,11 @@ def sample_g(
     """
     if T <= 0 or n_samples < 1:
         raise DomainError("T must be positive and n_samples >= 1")
-    _validate_cap(family, region, T, cfg)
+    _validate_cap(T, family.max_abs_shift, region.t_abs_max)
     taus = uniform_samples(seed, n_samples, 0.0, T)
 
     def work(i0, i1):
-        return g_values(taus[i0:i1], family, region, cfg, refine=refine)
+        return g_values(taus[i0:i1], family, region, refine=refine)
 
     parts = map_blocks(work, n_samples, threads)
     g = np.concatenate([p[0] for p in parts])
@@ -232,7 +219,6 @@ def estimate_density(
     T: float,
     family: ShiftFamily,
     region: StripRegion,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     n_samples: int = 256,
     seed: int = 0,
     refine: bool = True,
@@ -241,7 +227,7 @@ def estimate_density(
     """Monte Carlo estimate of (1/T) meas{tau in [0,T] : g(tau) < eps}."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    _, g, _ = sample_g(family, region, cfg, T, n_samples, seed, refine=refine, threads=threads)
+    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=refine, threads=threads)
     return density_from_samples(g, epsilon, T)
 
 
@@ -249,14 +235,13 @@ def empirical_distribution(
     T: float,
     family: ShiftFamily,
     region: StripRegion,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     n_samples: int = 256,
     seed: int = 0,
     refine: bool = True,
     threads: int = 1,
 ) -> EmpiricalDistribution:
     """Empirical distribution F_T of g over [0, T]."""
-    _, g, _ = sample_g(family, region, cfg, T, n_samples, seed, refine=refine, threads=threads)
+    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=refine, threads=threads)
     return EmpiricalDistribution(np.sort(g), T)
 
 
@@ -285,7 +270,6 @@ def _continuity_safe_grid(pooled: np.ndarray, n_grid: int = 101, jump_factor: fl
 def convergence_diagnostic(
     family: ShiftFamily,
     region: StripRegion,
-    cfg: EvaluatorConfig,
     T_ladder: Sequence[float],
     n_samples: int = 256,
     seed: int = 0,
@@ -303,9 +287,7 @@ def convergence_diagnostic(
         raise DomainError("T_ladder must be strictly increasing")
     samples = []
     for i, T in enumerate(T_ladder):
-        _, g, _ = sample_g(
-            family, region, cfg, T, n_samples, seed=seed + 7919 * i, threads=threads,
-        )
+        _, g, _ = sample_g(family, region, T, n_samples, seed=seed + 7919 * i, threads=threads)
         samples.append(np.sort(g))
     pooled = np.sort(np.concatenate(samples))
     xs, flagged = _continuity_safe_grid(pooled)

@@ -19,15 +19,7 @@ from .characters import DirichletCharacter
 from .diophantine import KroneckerTarget, kronecker_membership
 from .density import ShiftFamily, _validate_cap, g_values
 from .errors import DomainError
-from .lfunc import (
-    DEFAULT_CONFIG,
-    EvaluatorConfig,
-    StripRegion,
-    hurwitz_zeta,
-    l_partial_sum,
-    l_value,
-    log_l_truncated_ratio,
-)
+from .lfunc import StripRegion, hurwitz_zeta, l_partial_sum, l_value, log_l_truncated_ratio
 from .primes import prime_zeta_tail, primes_upto
 from .sampling import block_slices, map_blocks, uniform_samples
 
@@ -89,7 +81,6 @@ def carlson_mean_value(
     T: float = 5000.0,
     n_samples: int = 50000,
     seed: int = 0,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     threads: int = 1,
 ) -> CarlsonResult:
     """Time-averaged |L - L_y|^2 along vertical shifts against its limit.
@@ -106,14 +97,13 @@ def carlson_mean_value(
         raise DomainError("shift scale x must be nonzero")
     if T <= 0 or n_samples < 2:
         raise DomainError("T must be positive and n_samples >= 2")
-    if abs(x) * T + abs(s.imag) > cfg.im_cap:
-        raise DomainError(f"T*|x| exceeds evaluator cap {cfg.im_cap:.3g}")
+    _validate_cap(T, abs(x), abs(s.imag))
     taus = uniform_samples(seed, n_samples, 0.0, T)
     n_trunc = int(math.floor(y))
 
     def work(i0, i1):
         shifts = x * taus[i0:i1]
-        diff = l_value(s, chi, cfg, shifts=shifts) - l_partial_sum(s, chi, n_trunc, shifts=shifts)
+        diff = l_value(s, chi, shifts=shifts) - l_partial_sum(s, chi, n_trunc, shifts=shifts)
         return np.abs(diff) ** 2
 
     sq = np.concatenate(map_blocks(work, n_samples, threads))
@@ -131,7 +121,6 @@ def truncation_tail_check(
     T: float,
     n_samples: int = 20000,
     seed: int = 0,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     u_grid: tuple = (6, 6),
     threads: int = 1,
 ) -> dict:
@@ -146,6 +135,8 @@ def truncation_tail_check(
     v = target.prime_bound
     if y < v:
         raise DomainError("truncation_tail_check requires y >= v")
+    if T <= 0 or n_samples < 1:
+        raise DomainError("T must be positive and n_samples >= 1")
     taus = uniform_samples(seed, n_samples, 0.0, T)
     mask = np.zeros(n_samples, dtype=bool)
     for i0, i1 in block_slices(n_samples):
@@ -163,7 +154,7 @@ def truncation_tail_check(
             acc = np.zeros(len(sub))
             for dk in target.shifts:
                 pts = centers[None, :] + 1j * dk * sub[:, None]
-                acc += (np.abs(log_l_truncated_ratio(pts, chi, v, y, cfg)) ** 2).sum(axis=1)
+                acc += (np.abs(log_l_truncated_ratio(pts, chi, v, y)) ** 2).sum(axis=1)
             return acc * cell_area
 
         integrals = np.concatenate(map_blocks(work, len(hit_taus), threads))
@@ -192,7 +183,6 @@ def b2_distance(
     n_partial: int,
     T: float,
     region: StripRegion,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     n_samples: int = 2000,
     seed: int = 0,
     pair: tuple = (0, 1),
@@ -202,7 +192,7 @@ def b2_distance(
 
     The single-rung b2_ladder: returns (estimate, stderr) for N = n_partial.
     """
-    return b2_ladder(family, [n_partial], T, region, cfg, n_samples, seed, pair, threads)[0]
+    return b2_ladder(family, [n_partial], T, region, n_samples, seed, pair, threads)[0]
 
 
 def b2_ladder(
@@ -210,7 +200,6 @@ def b2_ladder(
     n_ladder,
     T: float,
     region: StripRegion,
-    cfg: EvaluatorConfig = DEFAULT_CONFIG,
     n_samples: int = 2000,
     seed: int = 0,
     pair: tuple = (0, 1),
@@ -225,10 +214,12 @@ def b2_ladder(
     per tau.
     """
     n_ladder = list(n_ladder)
-    if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2:
-        raise DomainError("b2 needs a nonempty N ladder, every N >= 1 and n_samples >= 2")
-    _validate_cap(family, region, T, cfg)
+    if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2 or T <= 0:
+        raise DomainError("b2 needs a nonempty N ladder, every N >= 1, n_samples >= 2 and T > 0")
     j, k = pair
+    if j == k or not (0 <= j < family.m and 0 <= k < family.m):
+        raise DomainError(f"pair must name two distinct members of the family, got {pair!r}")
+    _validate_cap(T, family.max_abs_shift, region.t_abs_max)
     sub = ShiftFamily(
         (family.shifts[j], family.shifts[k]), (family.characters[j], family.characters[k])
     )
@@ -236,11 +227,11 @@ def b2_ladder(
 
     def work(i0, i1):
         block = taus[i0:i1]
-        f, _ = g_values(block, sub, region, cfg, refine=False)
+        f, _ = g_values(block, sub, region, refine=False)
         out = []
         for n in n_ladder:
             partial = functools.partial(l_partial_sum, n_max=n)
-            f_n, _ = g_values(block, sub, region, cfg, refine=False, evaluator=partial)
+            f_n, _ = g_values(block, sub, region, refine=False, evaluator=partial)
             out.append((f - f_n) ** 2)
         return out
 

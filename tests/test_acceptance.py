@@ -30,7 +30,7 @@ from selfapprox.diophantine import (
     in_kronecker_set,
     measure_kronecker_density,
 )
-from selfapprox.lfunc import DEFAULT_CONFIG, StripRegion, hurwitz_zeta, l_value
+from selfapprox.lfunc import StripRegion, hurwitz_zeta, l_value
 from selfapprox.meanvalue import carlson_mean_value
 from selfapprox.sampling import binomial_stderr
 
@@ -146,7 +146,7 @@ def test_06_positivity_probe():
 def test_07_degenerate_exactness():
     t0 = time.time()
     degenerate = ShiftFamily((1.0, 1.0), (CHI4, CHI4))
-    _, g, _ = sample_g(degenerate, REGION, DEFAULT_CONFIG, 500.0, 128, seed=1, refine=False)
+    _, g, _ = sample_g(degenerate, REGION, 500.0, 128, seed=1, refine=False)
     ok = bool(np.all(g <= 1e-12))
     for eps in (1e-9, 1e-3, 1.0):
         est = estimate_density(eps, 500.0, degenerate, REGION, n_samples=64, seed=2, refine=False)
@@ -159,7 +159,7 @@ def test_07_degenerate_exactness():
 def test_08_distribution_convergence_trend():
     t0 = time.time()
     report = convergence_diagnostic(
-        FAMILY, REGION, DEFAULT_CONFIG, [1000.0, 2000.0, 4000.0],
+        FAMILY, REGION, [1000.0, 2000.0, 4000.0],
         n_samples=256, seed=42, threads=4,
     )
     d12, d24 = report["distances"]

@@ -253,16 +253,25 @@ def _write_manifest(path, manifest):
     return str(path)
 
 
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
 @pytest.mark.parametrize("case", [
     "eps_nan", "grid_no_x", "T_not_a_number", "zero_tolerance",
     "manifest_without_params", "manifest_unknown_command", "manifest_threads_not_int",
     "empty_N_ladder", "samples_beyond_memory", "sieve_beyond_memory",
     "negative_max_results", "zero_max_results_lattice", "empty_T_ladder", "unknown_strategy",
+    "config_not_utf8", "manifest_not_utf8", "threads_zero", "threads_negative",
+    "manifest_seed_bool", "manifest_threads_bool", "mean_value_beyond_cap",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
     scan = ["scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--T", "100", "--samples", "4"]
     find_tau = ["find-tau", "--d", "1", "--delta", "0.05", "--primes-upto", "7", "--bound", "1e5"]
+    selfcheck = {"command": "selfcheck", "seed": 0, "params": {}}
+    # each case writes its own file: the dict below builds every argv
     argv = {
         "eps_nan": scan + ["--eps", "nan"] + out,
         "grid_no_x": scan + ["--eps", "1", "--grid", "3"] + out,
@@ -271,12 +280,11 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
         "zero_tolerance": ["relations", "--shifts", "1,2", "--mode", "float",
                            "--tolerance", "0"] + out,
         "manifest_without_params": ["rerun", _write_manifest(
-            tmp_path / "m.json", {"command": "scan-density", "seed": 0})] + out,
+            tmp_path / "no_params.json", {"command": "scan-density", "seed": 0})] + out,
         "manifest_unknown_command": ["rerun", _write_manifest(
-            tmp_path / "m.json", {"command": "bogus", "seed": 0, "params": {}})] + out,
+            tmp_path / "bogus.json", {"command": "bogus", "seed": 0, "params": {}})] + out,
         "manifest_threads_not_int": ["rerun", _write_manifest(
-            tmp_path / "m.json", {"command": "selfcheck", "seed": 0, "params": {},
-                                  "threads": "2"})] + out,
+            tmp_path / "threads_str.json", {**selfcheck, "threads": "2"})] + out,
         "empty_N_ladder": ["b2", "--d", "1,2", "--chars", "4:1,4:1", "--N-ladder", ",",
                            "--T", "10", "--samples", "4"] + out,
         # allocations larger than any address space fail at once, on any host
@@ -289,9 +297,31 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
         "empty_T_ladder": ["dist-fn", "--d", "1,2", "--chars", "4:1,4:1", "--T-ladder", ",",
                            "--samples", "4"] + out,
         "unknown_strategy": find_tau + ["--strategy", "magic"] + out,
+        "config_not_utf8": ["kronecker", "--config", _write_bytes(
+            tmp_path / "bad.cfg", b"delta = 0.25\n# \xff\n")] + out,
+        "manifest_not_utf8": ["rerun", _write_bytes(
+            tmp_path / "bad.json", b'{"command": "selfcheck", "params": {}, "x": "\xff"}')] + out,
+        "threads_zero": ["relations", "--shifts", "1,2", "--threads", "0"] + out,
+        "threads_negative": ["relations", "--shifts", "1,2", "--threads=-3"] + out,
+        "manifest_seed_bool": ["rerun", _write_manifest(
+            tmp_path / "seed_bool.json", {**selfcheck, "seed": True})] + out,
+        "manifest_threads_bool": ["rerun", _write_manifest(
+            tmp_path / "threads_bool.json", {**selfcheck, "threads": True})] + out,
+        "mean_value_beyond_cap": ["mean-value", "--char", "4:1", "--T", "1e5",
+                                  "--samples", "4"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert set(json.loads(err)) == {"error"}
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_mean_value_beyond_cap_names_the_largest_usable_T(tmp_path, capsys):
+    rc = main([
+        "mean-value", "--char", "4:1", "--t", "1000", "--x", "2", "--T", "1e5",
+        "--samples", "4", "--output-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "largest usable T at this cap is 24500" in err

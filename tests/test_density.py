@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from selfapprox import density as density_module
 from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox.cli import main
 from selfapprox.density import (
@@ -20,7 +22,7 @@ from selfapprox.density import (
 )
 from selfapprox.diophantine import KroneckerTarget, find_tau_in_set
 from selfapprox.errors import DomainError, RangeError
-from selfapprox.lfunc import DEFAULT_CONFIG, EvaluatorConfig, StripRegion, l_truncated, l_value
+from selfapprox.lfunc import EvaluatorConfig, StripRegion, l_truncated, l_value
 from selfapprox.sampling import ks_two_sample_threshold
 
 CHI4 = character_from_id("4:1")
@@ -60,9 +62,23 @@ def test_point_region_matches_direct_difference():
 def test_two_configurations_agree():
     cfg_a = EvaluatorConfig(em_order=24, shift_count=50)
     cfg_b = EvaluatorConfig(em_order=16, shift_count=120)
-    ga = g_value(1.0, FAMILY, POINT, cfg_a)
-    gb = g_value(1.0, FAMILY, POINT, cfg_b)
-    assert abs(ga - gb) < 1e-8
+    ga, _ = g_values([1.0], FAMILY, POINT, evaluator=functools.partial(l_value, cfg=cfg_a))
+    gb, _ = g_values([1.0], FAMILY, POINT, evaluator=functools.partial(l_value, cfg=cfg_b))
+    assert abs(ga[0] - gb[0]) < 1e-8
+
+
+def test_g_values_looks_up_l_value_when_called(monkeypatch):
+    # the default evaluator is density.l_value as it is at call time, so a
+    # wrapper installed on that name sees every default evaluation
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].label)
+        return l_value(*args, **kwargs)
+
+    monkeypatch.setattr(density_module, "l_value", counting)
+    g_values([1.0], FAMILY, POINT)
+    assert calls == ["4:1", "4:1"]
 
 
 def test_pairwise_symmetry_of_max():
@@ -96,7 +112,7 @@ def test_indicator_strictness():
 
 
 def test_density_monotone_in_eps_and_matches_cdf():
-    _, g, _ = sample_g(FAMILY, REGION, DEFAULT_CONFIG, 200.0, 96, seed=4, refine=False)
+    _, g, _ = sample_g(FAMILY, REGION, 200.0, 96, seed=4, refine=False)
     d_small = density_from_samples(g, 0.4, 200.0)
     d_big = density_from_samples(g, 1.2, 200.0)
     assert d_small.density <= d_big.density
@@ -123,7 +139,7 @@ def test_stream_and_reanalysis(tmp_path):
         "scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--eps", "1", "--T", "100",
         "--samples", "48", "--seed", "5", "--output-dir", str(tmp_path),
     ]) == 0
-    _, g, _ = sample_g(FAMILY, REGION, DEFAULT_CONFIG, 100.0, 48, seed=5, refine=True)
+    _, g, _ = sample_g(FAMILY, REGION, 100.0, 48, seed=5, refine=True)
     path = tmp_path / "samples.csv"
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "tau,g_value,refine_delta"
@@ -136,8 +152,8 @@ def test_stream_and_reanalysis(tmp_path):
 
 
 def test_threaded_sampling_deterministic():
-    _, g1, _ = sample_g(FAMILY, REGION, DEFAULT_CONFIG, 150.0, 64, seed=8, threads=1, refine=False)
-    _, g4, _ = sample_g(FAMILY, REGION, DEFAULT_CONFIG, 150.0, 64, seed=8, threads=4, refine=False)
+    _, g1, _ = sample_g(FAMILY, REGION, 150.0, 64, seed=8, threads=1, refine=False)
+    _, g4, _ = sample_g(FAMILY, REGION, 150.0, 64, seed=8, threads=4, refine=False)
     assert np.array_equal(g1, g4)
 
 
@@ -163,16 +179,16 @@ def test_distribution_seed_consistency_ks():
 
 def test_convergence_diagnostic_degenerate():
     report = convergence_diagnostic(
-        DEGENERATE, REGION, DEFAULT_CONFIG, [50.0, 100.0, 200.0], n_samples=16, seed=0
+        DEGENERATE, REGION, [50.0, 100.0, 200.0], n_samples=16, seed=0
     )
     assert all(d == 0.0 for d in report["distances"])
 
 
 def test_convergence_diagnostic_validates_ladder():
     with pytest.raises(DomainError):
-        convergence_diagnostic(FAMILY, REGION, DEFAULT_CONFIG, [100.0, 100.0], n_samples=8)
+        convergence_diagnostic(FAMILY, REGION, [100.0, 100.0], n_samples=8)
     with pytest.raises(DomainError):
-        convergence_diagnostic(FAMILY, REGION, DEFAULT_CONFIG, [], n_samples=8)
+        convergence_diagnostic(FAMILY, REGION, [], n_samples=8)
 
 
 def test_kronecker_conditioned_enrichment_on_truncated():

@@ -11,8 +11,8 @@ from oracles import coprime_power_tail
 from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox.density import ShiftFamily
 from selfapprox.diophantine import KroneckerTarget
-from selfapprox.errors import DomainError
-from selfapprox.lfunc import DEFAULT_CONFIG, StripRegion, l_partial_sum, l_value
+from selfapprox.errors import DomainError, RangeError
+from selfapprox.lfunc import StripRegion, l_partial_sum, l_value
 from selfapprox.meanvalue import (
     CarlsonResult,
     b2_distance,
@@ -104,6 +104,14 @@ def test_carlson_validation():
         carlson_mean_value(CHI4, 0.75 + 0j, 20, x=0.0)
 
 
+@pytest.mark.parametrize("t, T, usable", [(1000.0, 1e5, "24500"), (6e4, 1.0, "0")])
+def test_carlson_beyond_cap_reports_usable_horizon(t, T, usable):
+    # |Im s| reaches |t| + 2T against the cap 5e4; a start above the cap leaves no T
+    with pytest.raises(RangeError) as err:
+        carlson_mean_value(CHI4, complex(0.75, t), 20, x=2.0, T=T, n_samples=4)
+    assert f"largest usable T at this cap is {usable};" in str(err.value) + ";"
+
+
 # ---------------------------------------------------------------- tail check
 
 
@@ -111,6 +119,13 @@ def test_truncation_tail_check_y_equals_v():
     target = KroneckerTarget((1.0,), 1, 0.2, 5)
     report = truncation_tail_check(CHI4, target, REGION, 5, 500.0, 4000, seed=1)
     assert report["empirical"] == 0.0
+
+
+@pytest.mark.parametrize("T, n_samples", [(500.0, 0), (0.0, 100), (-500.0, 100)])
+def test_truncation_tail_check_validation(T, n_samples):
+    target = KroneckerTarget((1.0,), 1, 0.2, 5)
+    with pytest.raises(DomainError):
+        truncation_tail_check(CHI4, target, REGION, 5, T, n_samples)
 
 
 def test_truncation_tail_check_single_prime_gap():
@@ -188,6 +203,19 @@ def test_b2_validation():
         b2_distance(fam, 0, 100.0, REGION)
     with pytest.raises(DomainError):
         b2_distance(fam, 10, 100.0, REGION, n_samples=1)
+
+
+def test_b2_rejects_nonpositive_horizon():
+    fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
+    with pytest.raises(DomainError):
+        b2_ladder(fam, [10], 0.0, REGION, n_samples=4)
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (2, 0), (1, 1), (-1, 0)])
+def test_b2_pair_must_name_two_distinct_members(pair):
+    fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
+    with pytest.raises(DomainError):
+        b2_ladder(fam, [10], 100.0, REGION, n_samples=4, pair=pair)
 
 
 def test_b2_ladder_matches_single_rungs_bitwise():

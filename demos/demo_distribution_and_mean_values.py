@@ -27,7 +27,7 @@ family = ShiftFamily((1.0, 2.0), (chi, chi))
 # candidate jump points of the limit law.
 
 dist = empirical_distribution(2000.0, family, region, n_samples=256, seed=42,
-                              refine=False, threads=4)
+                              threads=4)
 print("F_2000 at selected x:")
 for x in (0.25, 0.5, 1.0, 2.0):
     print(f"  F({x:4.2f}) = {dist.cdf(x):.3f}")

@@ -38,7 +38,7 @@ print(f"degenerate family: g(7.3) = {g_value(7.3, degenerate, region):.1e}")
 
 for eps in (0.5, 1.0, 1.5):
     est = estimate_density(eps, 2000.0, family, region, n_samples=400,
-                           seed=20260824, refine=False, threads=4)
+                           seed=20260824, threads=4)
     print(f"eps = {eps:3.1f}: density {est.density:.4f} "
           f"[{est.ci_lo:.4f}, {est.ci_hi:.4f}]  ({est.hits}/{est.n_samples})")
 

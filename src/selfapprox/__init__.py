@@ -44,7 +44,6 @@ from .lfunc import (
 )
 from .meanvalue import (
     CarlsonResult,
-    b2_distance,
     b2_ladder,
     carlson_mean_value,
     coprime_tail_sum,

@@ -43,18 +43,6 @@ from .errors import DomainError
 from .lfunc import StripRegion, hurwitz_zeta
 from .meanvalue import b2_ladder, carlson_mean_value
 
-COMMANDS = (
-    "scan-density",
-    "dist-fn",
-    "kronecker",
-    "find-tau",
-    "mean-value",
-    "b2",
-    "relations",
-    "selfcheck",
-)
-
-
 def _finite_float(raw) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -403,13 +391,22 @@ def run(command: str, params: dict, seed: int, output_dir: str, threads: int = 1
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise DomainError, so that they
+    get the one-line JSON error like every other bad input; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _fail(message: str, code: int = 2) -> int:
     sys.stderr.write(json.dumps({"error": message}) + "\n")
     return code
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="selfapprox",
         description="Numerical experiments on self-approximation of Dirichlet L-functions",
     )
@@ -419,7 +416,7 @@ def main(argv=None) -> int:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output-dir", default="runs/out")
     common.add_argument("--threads", type=int, default=1)
-    for name in COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, parents=[common])
         for key in _SCHEMAS[name]:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
@@ -428,15 +425,15 @@ def main(argv=None) -> int:
     rerun.add_argument("--output-dir", default=None)
     rerun.add_argument("--threads", type=int, default=None)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "rerun":
             manifest = json.loads(_read_text(args.manifest))
             outdir = args.output_dir or os.path.dirname(os.path.abspath(args.manifest))
             outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", outdir)
             if not (
                 isinstance(manifest, dict)
-                and manifest.get("command") in COMMANDS
+                and manifest.get("command") in _RUNNERS
                 and isinstance(manifest.get("params"), dict)
             ):
                 raise DomainError(f"{args.manifest}: needs a known command and a params object")

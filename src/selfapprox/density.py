@@ -6,11 +6,11 @@ Monte Carlo over tau, the density of {tau in [0,T] : g(tau) < eps}, the
 empirical distribution function F_T(x) of g, and a ladder diagnostic for the
 weak convergence of F_T as T grows.
 
-The sup over K is taken on the region's sample grid and re-taken at doubled
-resolution; the relative change (refine_delta) rides along with every sample
-so grid adequacy is visible in the output.  The per-sample g values that
-scan-density writes to samples.csv can be re-analysed at any eps by
-density_from_samples without re-evaluating L.
+The sup over K is taken on the region's sample grid.  g_values and sample_g
+can re-take it at doubled resolution; the relative change (refine_delta)
+then rides along with every sample, so grid adequacy is visible in the
+output.  The per-sample g values that scan-density writes to samples.csv can
+be re-analysed at any eps by density_from_samples without re-evaluating L.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import DomainError, RangeError
-from .lfunc import DEFAULT_CONFIG, StripRegion, l_value
+from .lfunc import IM_CAP, StripRegion, l_value
 from .sampling import ks_two_sample_threshold, map_blocks, uniform_samples, wilson_interval
 
 __all__ = [
@@ -100,13 +100,12 @@ class EmpiricalDistribution:
 
 
 def _validate_cap(T: float, scale: float, height: float):
-    """RangeError if T*scale + height, the largest |Im s| a horizon T reaches, exceeds im_cap."""
-    cap = DEFAULT_CONFIG.im_cap
+    """RangeError if T*scale + height, the largest |Im s| a horizon T reaches, exceeds IM_CAP."""
     need = T * scale + height
-    if need > cap:
-        usable = max(cap - height, 0.0) / max(scale, 1e-300)
+    if need > IM_CAP:
+        usable = max(IM_CAP - height, 0.0) / max(scale, 1e-300)
         raise RangeError(
-            f"T = {T:.6g} needs |Im s| up to {need:.6g} > cap {cap:.6g}; "
+            f"T = {T:.6g} needs |Im s| up to {need:.6g} > cap {IM_CAP:.6g}; "
             f"largest usable T at this cap is {usable:.6g}"
         )
 
@@ -153,14 +152,9 @@ def g_values(
     return g_base, delta
 
 
-def g_value(
-    tau: float,
-    family: ShiftFamily,
-    region: StripRegion,
-    refine: bool = True,
-) -> float:
-    """g at a single tau (base-grid value; see g_values for the refinement flag)."""
-    g, _ = g_values([tau], family, region, refine=refine)
+def g_value(tau: float, family: ShiftFamily, region: StripRegion) -> float:
+    """g at a single tau, on the base grid."""
+    g, _ = g_values([tau], family, region, refine=False)
     return float(g[0])
 
 
@@ -221,13 +215,12 @@ def estimate_density(
     region: StripRegion,
     n_samples: int = 256,
     seed: int = 0,
-    refine: bool = True,
     threads: int = 1,
 ) -> DensityEstimate:
     """Monte Carlo estimate of (1/T) meas{tau in [0,T] : g(tau) < eps}."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=refine, threads=threads)
+    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=False, threads=threads)
     return density_from_samples(g, epsilon, T)
 
 
@@ -237,11 +230,10 @@ def empirical_distribution(
     region: StripRegion,
     n_samples: int = 256,
     seed: int = 0,
-    refine: bool = True,
     threads: int = 1,
 ) -> EmpiricalDistribution:
     """Empirical distribution F_T of g over [0, T]."""
-    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=refine, threads=threads)
+    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=False, threads=threads)
     return EmpiricalDistribution(np.sort(g), T)
 
 
@@ -287,7 +279,9 @@ def convergence_diagnostic(
         raise DomainError("T_ladder must be strictly increasing")
     samples = []
     for i, T in enumerate(T_ladder):
-        _, g, _ = sample_g(family, region, T, n_samples, seed=seed + 7919 * i, threads=threads)
+        _, g, _ = sample_g(
+            family, region, T, n_samples, seed=seed + 7919 * i, refine=False, threads=threads
+        )
         samples.append(np.sort(g))
     pooled = np.sort(np.concatenate(samples))
     xs, flagged = _continuity_safe_grid(pooled)

@@ -153,24 +153,14 @@ def find_rational_relations(
                 ok = True
         if not ok:
             indep.append(k)
-    if not dep:
-        return LinearRelation(
-            independent_indices=tuple(indep),
-            dependent_indices=(),
-            denominator=1,
-            coefficients=(),
-            bound_A=0,
-            mode="float",
-            tolerance=tolerance,
-        )
-    a = math.lcm(*[math.lcm(*[c.denominator for c in coeffs] or [1]) for _, coeffs in dep])
+    a = math.lcm(*(c.denominator for _, coeffs in dep for c in coeffs))
     rows = []
     for k, coeffs in dep:
         row = [0] * len(indep)
         for j, c in zip(range(len(coeffs)), coeffs):
             row[j] = int(c * a)
         rows.append(tuple(row))
-    bound = max(sum(abs(c) for c in row) for row in rows)
+    bound = max((sum(abs(c) for c in row) for row in rows), default=0)
     return LinearRelation(
         independent_indices=tuple(indep),
         dependent_indices=tuple(k for k, _ in dep),

@@ -8,8 +8,8 @@ with each Hurwitz zeta computed by Euler-Maclaurin summation to N terms.  The
 q heads merge into one Dirichlet sum over the integers m <= qN prime to q, and
 each class keeps only its Euler-Maclaurin tail.  N comes from a rigorous bound
 on the remainder (Johansson, arXiv:1309.2877), so it grows linearly with the
-largest |Im s| of a call, and evaluation refuses (RangeError) beyond a
-configured cap rather than silently degrading.
+largest |Im s| of a call, and evaluation refuses (RangeError) beyond
+IM_CAP rather than silently degrading.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
 of them summed by one kernel, `_power_sum`, in chunks of a constant number of
@@ -40,6 +40,7 @@ __all__ = [
     "EvaluatorConfig",
     "StripRegion",
     "DEFAULT_CONFIG",
+    "IM_CAP",
     "hurwitz_zeta",
     "l_value",
     "l_truncated",
@@ -47,6 +48,8 @@ __all__ = [
     "l_partial_sum",
 ]
 
+# largest supported |Im s|; beyond it evaluation raises RangeError
+IM_CAP = 5e4
 # elements per temporary array in the power sums and Euler-Maclaurin tails
 _TILE = 1 << 15
 # series terms per chunk of a power sum; a constant, so that the summation
@@ -71,21 +74,19 @@ class EvaluatorConfig:
         residue class; above it N comes from the remainder bound (_n_terms).
     target_abs_error: requested absolute accuracy per Hurwitz evaluation;
         N makes the Euler-Maclaurin remainder of each one at most 1/100 of it.
-    im_cap: largest supported |Im s|; beyond it evaluation raises RangeError.
     """
 
     em_order: int = 60
     shift_count: int = 50
     target_abs_error: float = 1e-12
-    im_cap: float = 5e4
 
     def __post_init__(self):
         if self.em_order < 2 or self.em_order % 2:
             raise DomainError("em_order must be even and >= 2")
         if self.target_abs_error <= 0:
             raise DomainError("target_abs_error must be positive")
-        if self.shift_count < 1 or self.im_cap <= 0:
-            raise DomainError("invalid shift_count or im_cap")
+        if self.shift_count < 1:
+            raise DomainError("shift_count must be >= 1")
 
 
 DEFAULT_CONFIG = EvaluatorConfig()
@@ -180,12 +181,9 @@ def _bernoulli_over_fact(em_order: int):
     )
 
 
-def _check_cap(imag_max: float, cfg: EvaluatorConfig):
-    if imag_max > cfg.im_cap:
-        raise RangeError(
-            f"|Im s| = {imag_max:.6g} exceeds evaluator cap {cfg.im_cap:.6g}; "
-            "raise EvaluatorConfig.im_cap explicitly if this is intended"
-        )
+def _check_cap(imag_max: float):
+    if imag_max > IM_CAP:
+        raise RangeError(f"|Im s| = {imag_max:.6g} exceeds evaluator cap {IM_CAP:.6g}")
 
 
 def _n_terms(imag_max: float, cfg: EvaluatorConfig) -> int:
@@ -362,7 +360,7 @@ def hurwitz_zeta(s, a: float, cfg: EvaluatorConfig = DEFAULT_CONFIG):
     if np.any(flat == 1.0):
         raise PoleError("zeta(s, a) has a pole at s = 1")
     imag_max = float(np.max(np.abs(flat.imag), initial=0.0))
-    _check_cap(imag_max, cfg)
+    _check_cap(imag_max)
     n = _n_terms(imag_max, cfg)
     x = np.array([n + a])
     acc = _power_sum(flat, n, 1, (a,)) + _em_tail(flat, x, x, np.ones(1), cfg)
@@ -394,7 +392,7 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
     if np.any(flat.real <= 0.5):
         raise DomainError("l_value supports only sigma > 1/2")
     imag_max = float(np.max(np.abs(full.imag)))
-    _check_cap(imag_max, cfg)
+    _check_cap(imag_max)
     q = chi.modulus
     at_pole = full == 1.0
     if chi.principal and bool(at_pole.any()):

@@ -29,7 +29,6 @@ __all__ = [
     "carlson_mean_value",
     "CarlsonResult",
     "truncation_tail_check",
-    "b2_distance",
     "b2_ladder",
 ]
 
@@ -121,7 +120,6 @@ def truncation_tail_check(
     T: float,
     n_samples: int = 20000,
     seed: int = 0,
-    u_grid: tuple = (6, 6),
     threads: int = 1,
 ) -> dict:
     """Kronecker-restricted tail average against its prime-tail envelope.
@@ -142,7 +140,7 @@ def truncation_tail_check(
     for i0, i1 in block_slices(n_samples):
         mask[i0:i1] = kronecker_membership(taus[i0:i1], target)
     hit_taus = taus[mask]
-    centers, cell_area = region.u_grid(*u_grid)
+    centers, cell_area = region.u_grid()
     sigma1 = region.u_rect[0]
     tail = prime_zeta_tail(2.0 * sigma1, v)
     bound = target.expected_density * tail
@@ -178,23 +176,6 @@ def truncation_tail_check(
     return report
 
 
-def b2_distance(
-    family: ShiftFamily,
-    n_partial: int,
-    T: float,
-    region: StripRegion,
-    n_samples: int = 2000,
-    seed: int = 0,
-    pair: tuple = (0, 1),
-    threads: int = 1,
-):
-    """Mean-square distance (1/2T) int_{-T}^{T} |f - f_N|^2 dtau by Monte Carlo.
-
-    The single-rung b2_ladder: returns (estimate, stderr) for N = n_partial.
-    """
-    return b2_ladder(family, [n_partial], T, region, n_samples, seed, pair, threads)[0]
-
-
 def b2_ladder(
     family: ShiftFamily,
     n_ladder,
@@ -202,36 +183,29 @@ def b2_ladder(
     region: StripRegion,
     n_samples: int = 2000,
     seed: int = 0,
-    pair: tuple = (0, 1),
     threads: int = 1,
 ) -> list:
     """(estimate, stderr) of (1/2T) int_{-T}^{T} |f - f_N|^2 dtau for each N in n_ladder.
 
-    f is g_values on the two family members that `pair` selects, over the
-    base K grid; f_N is the same functional with L replaced by the partial
-    sum of length N.  Two-sided in tau, as the mean-square almost-periodicity
-    distance is.  All rungs share one tau sample set, and f is evaluated once
-    per tau.
+    f is g_values on the whole family over the base K grid, the functional
+    the densities use; f_N is the same functional with L replaced by the
+    partial sum of length N.  Two-sided in tau, as the mean-square
+    almost-periodicity distance is.  All rungs share one tau sample set, and f
+    is evaluated once per tau.
     """
     n_ladder = list(n_ladder)
     if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2 or T <= 0:
         raise DomainError("b2 needs a nonempty N ladder, every N >= 1, n_samples >= 2 and T > 0")
-    j, k = pair
-    if j == k or not (0 <= j < family.m and 0 <= k < family.m):
-        raise DomainError(f"pair must name two distinct members of the family, got {pair!r}")
     _validate_cap(T, family.max_abs_shift, region.t_abs_max)
-    sub = ShiftFamily(
-        (family.shifts[j], family.shifts[k]), (family.characters[j], family.characters[k])
-    )
     taus = uniform_samples(seed, n_samples, -T, T)
 
     def work(i0, i1):
         block = taus[i0:i1]
-        f, _ = g_values(block, sub, region, refine=False)
+        f, _ = g_values(block, family, region, refine=False)
         out = []
         for n in n_ladder:
             partial = functools.partial(l_partial_sum, n_max=n)
-            f_n, _ = g_values(block, sub, region, refine=False, evaluator=partial)
+            f_n, _ = g_values(block, family, region, refine=False, evaluator=partial)
             out.append((f - f_n) ** 2)
         return out
 

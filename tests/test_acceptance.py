@@ -131,8 +131,7 @@ def test_05_carlson_identity():
 def test_06_positivity_probe():
     t0 = time.time()
     est = estimate_density(
-        1.0, 2000.0, FAMILY, REGION, n_samples=400, seed=20260824,
-        refine=False, threads=4,
+        1.0, 2000.0, FAMILY, REGION, n_samples=400, seed=20260824, threads=4,
     )
     ok = est.ci_lo > 0.0
     # pinned seeded regression values from the first successful run
@@ -149,7 +148,7 @@ def test_07_degenerate_exactness():
     _, g, _ = sample_g(degenerate, REGION, 500.0, 128, seed=1, refine=False)
     ok = bool(np.all(g <= 1e-12))
     for eps in (1e-9, 1e-3, 1.0):
-        est = estimate_density(eps, 500.0, degenerate, REGION, n_samples=64, seed=2, refine=False)
+        est = estimate_density(eps, 500.0, degenerate, REGION, n_samples=64, seed=2)
         ok &= est.density == 1.0
     elapsed = time.time() - t0
     _report(7, "degenerate family exactness", ok and elapsed < 60.0,

@@ -265,6 +265,7 @@ def _write_bytes(path, data):
     "negative_max_results", "zero_max_results_lattice", "empty_T_ladder", "unknown_strategy",
     "config_not_utf8", "manifest_not_utf8", "threads_zero", "threads_negative",
     "manifest_seed_bool", "manifest_threads_bool", "mean_value_beyond_cap",
+    "seed_not_int", "unknown_flag", "no_subcommand", "rerun_without_manifest", "threads_not_int",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -309,12 +310,27 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
             tmp_path / "threads_bool.json", {**selfcheck, "threads": True})] + out,
         "mean_value_beyond_cap": ["mean-value", "--char", "4:1", "--T", "1e5",
                                   "--samples", "4"] + out,
+        # argparse's own usage errors
+        "seed_not_int": ["relations", "--shifts", "1,2", "--seed", "abc"] + out,
+        "unknown_flag": ["relations", "--shifts", "1,2", "--bogus", "1"] + out,
+        "no_subcommand": [],
+        "rerun_without_manifest": ["rerun"] + out,
+        "threads_not_int": ["kronecker", "--delta", "0.25", "--primes-upto", "2", "--T", "10",
+                            "--samples", "10", "--threads", "x"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert set(json.loads(err)) == {"error"}
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["b2", "--help"]], ids=["top", "b2"])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: selfapprox" in capsys.readouterr().out
 
 
 def test_mean_value_beyond_cap_names_the_largest_usable_T(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,12 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # the blocks build on each other, so they share one namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

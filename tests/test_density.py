@@ -96,11 +96,21 @@ def test_pairwise_symmetry_of_max():
 
 
 def test_refine_delta_reported():
-    g, delta = g_values([4.0], FAMILY, REGION, refine=True)
-    assert delta[0] >= 0.0
-    g2, delta2 = g_values([4.0], FAMILY, REGION, refine=False)
-    assert delta2[0] == 0.0
-    assert g[0] == g2[0]  # base-grid value unchanged by refinement
+    # the estimators that write no refine delta take the base grid alone, so
+    # refinement must leave the base-grid g bit-identical
+    regions = [
+        REGION,
+        StripRegion(0.62, 0.78, -1.0, 2.0, margin=0.02, grid_sigma=2, grid_t=4),
+        StripRegion(0.7, 0.7, -0.5, 0.5, margin=0.05, grid_sigma=1, grid_t=3),
+        POINT,
+    ]
+    taus = [0.0, 4.0, 37.5, 1234.25]
+    for region in regions:
+        g, delta = g_values(taus, FAMILY, region, refine=True)
+        assert np.all(delta >= 0.0)
+        g2, delta2 = g_values(taus, FAMILY, region, refine=False)
+        assert np.all(delta2 == 0.0)
+        assert np.array_equal(g, g2), region
 
 
 def test_indicator_strictness():
@@ -122,7 +132,7 @@ def test_density_monotone_in_eps_and_matches_cdf():
 
 
 def test_degenerate_density_is_one():
-    est = estimate_density(1e-9, 100.0, DEGENERATE, REGION, n_samples=32, seed=0, refine=False)
+    est = estimate_density(1e-9, 100.0, DEGENERATE, REGION, n_samples=32, seed=0)
     assert est.density == 1.0 and est.hits == 32
     assert est.ci_hi == 1.0
 
@@ -158,20 +168,20 @@ def test_threaded_sampling_deterministic():
 
 
 def test_empirical_distribution_degenerate_step():
-    dist = empirical_distribution(50.0, DEGENERATE, REGION, n_samples=16, seed=1, refine=False)
+    dist = empirical_distribution(50.0, DEGENERATE, REGION, n_samples=16, seed=1)
     assert dist.cdf(0.0) == 0.0  # strict "< x"
     assert dist.cdf(1e-300) == 1.0
 
 
 def test_empirical_distribution_strict_at_zero():
-    dist = empirical_distribution(200.0, FAMILY, REGION, n_samples=48, seed=2, refine=False)
+    dist = empirical_distribution(200.0, FAMILY, REGION, n_samples=48, seed=2)
     assert dist.cdf(0.0) == 0.0
     assert dist.quantile(0.5) > 0
 
 
 def test_distribution_seed_consistency_ks():
-    d1 = empirical_distribution(2000.0, FAMILY, POINT, n_samples=160, seed=21, refine=False)
-    d2 = empirical_distribution(2000.0, FAMILY, POINT, n_samples=160, seed=22, refine=False)
+    d1 = empirical_distribution(2000.0, FAMILY, POINT, n_samples=160, seed=21)
+    d2 = empirical_distribution(2000.0, FAMILY, POINT, n_samples=160, seed=22)
     xs = np.linspace(0, float(d1.sample_values[-1]), 200)
     ks = float(np.max(np.abs(d1.cdf(xs) - d2.cdf(xs))))
     assert ks < ks_two_sample_threshold(160, 160)

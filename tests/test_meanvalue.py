@@ -15,7 +15,6 @@ from selfapprox.errors import DomainError, RangeError
 from selfapprox.lfunc import StripRegion, l_partial_sum, l_value
 from selfapprox.meanvalue import (
     CarlsonResult,
-    b2_distance,
     b2_ladder,
     carlson_mean_value,
     coprime_tail_sum,
@@ -157,13 +156,13 @@ def test_truncation_tail_ratio_stable_across_v():
 
 def test_b2_degenerate_zero():
     fam = ShiftFamily((1.0, 1.0), (CHI4, CHI4))
-    est, se = b2_distance(fam, 10, 100.0, REGION, n_samples=64, seed=0)
+    est, se = b2_ladder(fam, [10], 100.0, REGION, n_samples=64, seed=0)[0]
     assert est == 0.0
 
 
 def test_b2_positive_at_n_one():
     fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
-    est, se = b2_distance(fam, 1, 500.0, REGION, n_samples=128, seed=1)
+    est, se = b2_ladder(fam, [1], 500.0, REGION, n_samples=128, seed=1)[0]
     assert est > 0.0 and se > 0.0
 
 
@@ -200,9 +199,9 @@ def test_b2_triangle_and_square_decomposition():
 def test_b2_validation():
     fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
     with pytest.raises(DomainError):
-        b2_distance(fam, 0, 100.0, REGION)
+        b2_ladder(fam, [0], 100.0, REGION)
     with pytest.raises(DomainError):
-        b2_distance(fam, 10, 100.0, REGION, n_samples=1)
+        b2_ladder(fam, [10], 100.0, REGION, n_samples=1)
 
 
 def test_b2_rejects_nonpositive_horizon():
@@ -211,18 +210,11 @@ def test_b2_rejects_nonpositive_horizon():
         b2_ladder(fam, [10], 0.0, REGION, n_samples=4)
 
 
-@pytest.mark.parametrize("pair", [(0, 2), (2, 0), (1, 1), (-1, 0)])
-def test_b2_pair_must_name_two_distinct_members(pair):
-    fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
-    with pytest.raises(DomainError):
-        b2_ladder(fam, [10], 100.0, REGION, n_samples=4, pair=pair)
-
-
 def test_b2_ladder_matches_single_rungs_bitwise():
     fam = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
     ladder = [10, 100, 1000]
     out = b2_ladder(fam, ladder, 500.0, REGION, n_samples=48, seed=3)
-    singles = [b2_distance(fam, n, 500.0, REGION, n_samples=48, seed=3) for n in ladder]
+    singles = [b2_ladder(fam, [n], 500.0, REGION, n_samples=48, seed=3)[0] for n in ladder]
     assert out == singles
 
 
@@ -230,16 +222,18 @@ def test_b2_pair_selects_members_of_larger_family():
     chi5 = character_from_id("5:1")
     fam = ShiftFamily((1.0, 2.0, 3.0), (CHI4, CHI4, chi5))
     n_partial, T, n = 30, 300.0, 40
-    est, se = b2_distance(fam, n_partial, T, REGION, n_samples=n, seed=2, pair=(0, 2))
+    # f is g over the whole family: the largest of the three pairwise sup-differences
+    est, se = b2_ladder(fam, [n_partial], T, REGION, n_samples=n, seed=2)[0]
     taus = uniform_samples(2, n, -T, T)
     grid, _ = REGION.grid_points(refine=False)
     vals, vals_n = [], []
-    for idx in (0, 2):
-        pts = grid[None, :] + 1j * fam.shifts[idx] * taus[:, None]
-        vals.append(l_value(pts, fam.characters[idx]))
-        vals_n.append(l_partial_sum(pts, fam.characters[idx], n_partial))
-    f = np.abs(vals[0] - vals[1]).max(axis=1)
-    f_n = np.abs(vals_n[0] - vals_n[1]).max(axis=1)
+    for d, chi in zip(fam.shifts, fam.characters):
+        pts = grid[None, :] + 1j * d * taus[:, None]
+        vals.append(l_value(pts, chi))
+        vals_n.append(l_partial_sum(pts, chi, n_partial))
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    f = np.max([np.abs(vals[j] - vals[k]).max(axis=1) for j, k in pairs], axis=0)
+    f_n = np.max([np.abs(vals_n[j] - vals_n[k]).max(axis=1) for j, k in pairs], axis=0)
     sq = (f - f_n) ** 2
     assert est == pytest.approx(np.mean(sq), rel=1e-12)
     assert se == pytest.approx(np.std(sq, ddof=1) / math.sqrt(n), rel=1e-12)

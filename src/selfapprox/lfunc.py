@@ -7,20 +7,22 @@ The analytic continuation route is the Hurwitz-zeta decomposition
 with each Hurwitz zeta computed by Euler-Maclaurin summation to N terms.  The
 q heads merge into one Dirichlet sum over the integers m <= qN prime to q, and
 each class keeps only its Euler-Maclaurin tail.  N comes from a rigorous bound
-on the remainder (Johansson, arXiv:1309.2877), so it grows linearly with the
-largest |Im s| of a call, and evaluation refuses (RangeError) beyond
-IM_CAP rather than silently degrading.
+on the remainder (Johansson, arXiv:1309.2877) at each point's own |Im s|, so
+it grows linearly with that |Im s| alone, and evaluation refuses (RangeError)
+beyond IM_CAP rather than silently degrading.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
 of them summed by one kernel, `_power_sum`, in chunks of a constant number of
-terms, so no value depends on the other points in its call.  Each phase
-Im(s) log x_n is reduced mod 2 pi in double-double arithmetic (`_phase`), so
-the error is float64 rounding, not the phase.  Callers that evaluate one base
-set of points moved up by many vertical shifts (the grid on K at s + i d tau,
-one row per sampled tau) pass `shifts`: since x^{-(s + i h)} = x^{-s} x^{-i h},
-the matrix x_n^{-s} is built once for the base points and each shift adds only
-one phase row x_n^{-i h}, so a call costs N (P + S) phase factors plus an
-N P S contraction instead of N P S (N terms, P points, S shifts).
+terms, each point's head a whole number of chunks, so no value depends on the
+other points in its call.  Each phase Im(s) log x_n is reduced mod 2 pi in
+double-double arithmetic (`_phase`), so the error is float64 rounding, not
+the phase.  Callers that evaluate one base set of points moved up by many
+vertical shifts (the grid on K at s + i d tau, one row per sampled tau) pass
+`shifts`: since x^{-(s + i h)} = x^{-s} x^{-i h}, the matrix x_n^{-s} is
+built once for the base points and each shift adds only one phase row
+x_n^{-i h}, so a call costs N (P + S) phase factors plus an N P S
+contraction instead of N P S (N terms, P points, S shifts), with each
+(shift, point) pair contracted only over its own N.
 
 All evaluators accept numpy arrays of s values and broadcast; they are pure
 functions of immutable inputs and safe to call from worker threads.
@@ -58,6 +60,8 @@ _TILE = 1 << 15
 _TERM_CHUNK = 256
 # largest series length per residue class
 _N_MAX = 10**7
+# slack in log|(s)_{2M}| between a tier edge and the bound (see _tier_edges)
+_EDGE_MARGIN = 1e-9
 # 2 pi = _C1 + _C2 to 7e-26, _C1 with 30 significant bits (Cody-Waite)
 _C1, _C2 = 6.283185303211212, 3.968374318722162e-09
 # log 2 = _LN2_A + _LN2_B to 4e-31, _LN2_A with 47 significant bits
@@ -186,23 +190,69 @@ def _check_cap(imag_max: float):
         raise RangeError(f"|Im s| = {imag_max:.6g} exceeds evaluator cap {IM_CAP:.6g}")
 
 
-def _n_terms(imag_max: float, cfg: EvaluatorConfig) -> int:
+def _n_terms(imag_max: float, cfg: EvaluatorConfig, sigma: float = 0.5) -> int:
     """N, the terms per residue class: the smallest N >= cfg.shift_count with
     Johansson's bound (arXiv:1309.2877, Thm. 1) on the Euler-Maclaurin
     remainder of zeta(s, a) after N terms and M = em_order/2 Bernoulli terms,
 
         |R| <= 4 |(s)_{2M}| / (2 pi)^{2M} (N + a)^{-(sigma + 2M - 1)} / (sigma + 2M - 1),
 
-    at most cfg.target_abs_error / 100 for sigma = 1/2, |Im s| = imag_max and
-    a = 0.  RangeError if that N exceeds _N_MAX (small em_order).
+    at most cfg.target_abs_error / 100 for |Im s| = imag_max and a = 0, with
+    |(s)_{2M}| taken at sigma = 1/2 and the exponent at min(sigma, 1/2) (both
+    upper bounds for 0 <= sigma <= 1/2).  RangeError if that N exceeds _N_MAX
+    (small em_order).
     """
-    e = cfg.em_order - 0.5  # sigma + 2M - 1 at sigma = 1/2
+    e = min(sigma, 0.5) + cfg.em_order - 1
     log_poch = 0.5 * sum(math.log((k + 0.5) ** 2 + imag_max**2) for k in range(cfg.em_order))
     log_r = math.log(4.0) + log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
     log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
     if log_n > math.log(_N_MAX):
         raise RangeError(f"em_order {cfg.em_order} needs over {_N_MAX:.0e} terms at |Im s| = {imag_max:.6g}")
     return max(cfg.shift_count, math.ceil(math.exp(log_n)))
+
+
+def _tier_edges(first: int, last: int, classes: int, cfg: EvaluatorConfig, sigma: float = 0.5) -> np.ndarray:
+    """E_first <= ... <= E_last: a head of m _TERM_CHUNK terms over `classes`
+    residue classes, hence at least n_m = m _TERM_CHUNK // classes terms per
+    class, certifies every |Im s| <= E_m, that is _n_terms(|Im s|) <= n_m
+    (E_m = -1 where n_m certifies no |Im s|).
+
+    E_m solves log|(1/2 + iE)_{2M}| = Lambda_m - _EDGE_MARGIN, Lambda_m being
+    the log_poch at which _n_terms reaches n_m, by Newton's method in u = log E
+    from above (the left side is increasing and convex in u, and at least 2M u).
+    Each E_m stops once it is within _EDGE_MARGIN / 2 of its target, so it
+    depends on m alone, and the margin covers the rounding of _n_terms: E_m
+    certifies, and only |Im s| within about _EDGE_MARGIN / 2M (relative, for
+    |Im s| well above 2M) of a tier edge get one tier more than they need.
+    """
+    e = min(sigma, 0.5) + cfg.em_order - 1
+    n = np.arange(first, last + 1) * _TERM_CHUNK // classes
+    with np.errstate(divide="ignore"):
+        lam = e * np.log(n) + math.log(cfg.target_abs_error / 100.0) - math.log(4.0)
+    lam += cfg.em_order * math.log(2.0 * math.pi) + math.log(e) - _EDGE_MARGIN
+    a2 = (np.arange(cfg.em_order) + 0.5) ** 2
+    ok = (n >= cfg.shift_count) & (lam > 0.5 * np.log(a2).sum() + _EDGE_MARGIN)
+    u = np.where(ok, lam / cfg.em_order, 0.0)
+    live = ok.copy()
+    while live.any():
+        t2 = np.exp(2.0 * u[live])[:, None]
+        f = 0.5 * np.log(a2 + t2).sum(axis=-1) - lam[live]
+        step = np.where(f > 0.5 * _EDGE_MARGIN, f / (t2 / (a2 + t2)).sum(axis=-1), 0.0)
+        u[live] -= step
+        live[live] = step > 0.0
+    return np.where(ok, np.exp(u), -1.0)
+
+
+def _head_counts(t_abs: np.ndarray, classes: int, cfg: EvaluatorConfig, sigma: float = 0.5) -> np.ndarray:
+    """Head length C per point: the smallest multiple of _TERM_CHUNK with
+    C >= classes * _n_terms(|Im s|) (up to _tier_edges' margin), from the
+    point's own |Im s| = t_abs (nonempty) alone.  Residue class j < classes
+    then sums ceil((C - j) / classes) >= _n_terms(|Im s|) terms.  Every tier
+    below `first` certifies less than the smallest |Im s| needs, and E_last
+    lies above the largest, so only the edges in between are computed."""
+    first = -(-classes * _n_terms(float(t_abs.min()), cfg, sigma) // _TERM_CHUNK)
+    last = -(-classes * (_n_terms(float(t_abs.max()), cfg, sigma) + 1) // _TERM_CHUNK)
+    return _TERM_CHUNK * (first + np.searchsorted(_tier_edges(first, last, classes, cfg, sigma), t_abs))
 
 
 def _split(x):
@@ -227,93 +277,125 @@ def _log_parts(x: np.ndarray):
 
 
 def _phase(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """x (hi + lo) mod 2 pi in about [-pi, pi], shape (len(x), len(hi)): both
-    halves of x multiply hi exactly and k _C1 is exact, so only the small rest
-    rounds; the error is about 1e-16 plus |x| times that of hi + lo.
+    """x[:, None] (hi + lo) mod 2 pi in about [-pi, pi], for 1-d x and hi, lo
+    of shape (n,) or (len(x), n): both halves of x multiply hi exactly
+    and k _C1 is exact, so only the small rest rounds; the error is about
+    1e-16 plus |x| times that of hi + lo.
     """
-    xh, xl = _split(x)
-    r = np.multiply.outer(xh, hi)
+    xh, xl = _split(x[:, None])
+    r = xh * hi
     k = np.rint(r * (0.5 / math.pi))
     r -= k * _C1
     k *= -_C2
-    k += np.multiply.outer(xl, hi)
-    k += np.multiply.outer(x, lo)
+    k += xl * hi
+    k += x[:, None] * lo
     r += k
     return r
 
 
 def _powers(s: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """x^{-s}, shape (len(s), len(hi)), for the nodes x with log x = hi + lo:
-    cos + i sin of the reduced phase (cheaper than a complex exp), times the
-    modulus x^{-Re s} unless every Re s is 0 (phase rows)."""
+    """x^{-s}, shape (len(s), n), for the nodes x with log x = hi + lo (shape
+    (n,), or (len(s), n) for nodes per point): cos + i sin of the reduced
+    phase (cheaper than a complex exp), times the modulus x^{-Re s} unless
+    every Re s is 0 (phase rows)."""
     theta = _phase(-s.imag, hi, lo)
     z = np.empty(theta.shape, dtype=np.complex128)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     if s.real.any():
-        z *= np.exp(np.multiply.outer(-s.real, hi + lo))
+        z *= np.exp(-s.real[:, None] * (hi + lo))
     return z
 
 
-def _power_sum(s: np.ndarray, count: int, step=1, offsets=(1,), weights=None, shifts=None) -> np.ndarray:
+def _power_sum(s: np.ndarray, counts, step=1, offsets=(1,), weights=None, shifts=None) -> np.ndarray:
     """sum_{k < count} w_k x_k^{-s} over the 1-d points s, for the nodes
     x_k = step (k // J) + offsets[k % J] and weights w_k = weights[k % J]
     (J = len(offsets); weights=None means every w_k is 1).
 
-    Nodes (float64, exact for integers) and their logs are built per tile,
-    never for the whole series.  Without `shifts`, a group of G points takes
-    _TILE // G terms per tile, each _TERM_CHUNK-term chunk is summed on its
-    own and the chunk sums are added in order, so a value does not depend on
-    the other points in its call.  With `shifts` (1-d, real) the result has
-    shape (len(shifts), len(s)) and holds the sums at s[None, :] + i
-    shifts[:, None]: per chunk, x^{-s} is built once, one phase row x^{-i h}
-    per shift h, and the two are contracted by a fixed-order (non-BLAS)
-    einsum, so values do not depend on the number of BLAS threads.
+    `counts` holds one count per value (an int applies to all of them); every
+    count is a multiple of _TERM_CHUNK unless they are all equal.  Nodes
+    (float64, exact for integers) and their logs are built per tile, never for
+    the whole series.  The points are sorted by count, longest first, so each
+    tile builds x^{-s} only for the leading points that still sum.  Without
+    `shifts`, a group of G points takes _TILE // G terms per tile, each
+    _TERM_CHUNK-term chunk is summed on its own and the chunk sums are added
+    in order, so a value depends on its own point and count alone.  With
+    `shifts` (1-d, real) the result has shape (len(shifts), len(s)) and holds
+    the sums at s[None, :] + i shifts[:, None]: per chunk, x^{-s} is built
+    once, one phase row x^{-i h} per shift h still summing (the shifts are
+    sorted by count too), and the two are contracted by a fixed-order
+    (non-BLAS) einsum, so values do not depend on the number of BLAS threads;
+    a (shift, point) pair whose count has ended is left out of the add.
     """
     offsets = np.asarray(offsets, dtype=float)
-    acc = np.zeros(s.shape if shifts is None else (len(shifts), len(s)), dtype=np.complex128)
+    shape = s.shape if shifts is None else (len(shifts), len(s))
+    counts = np.broadcast_to(counts, shape)
+    ends = counts if shifts is None else counts.max(axis=0, initial=0)
+    p = np.argsort(-ends, kind="stable")
+    s, counts, ends = s[p], counts[..., p], ends[p]
+    if shifts is not None:
+        h = np.argsort(-counts.max(axis=1, initial=0), kind="stable")
+        shifts, counts = shifts[h], counts[h]
+        row_ends = counts.max(axis=1, initial=0)
+    acc = np.zeros(shape, dtype=np.complex128)
     group = _TILE // _TERM_CHUNK
     for j in range(0, len(s), group):
-        pts, out = s[j : j + group], acc[..., j : j + group]
+        pts, out, end = s[j : j + group], acc[..., j : j + group], ends[j : j + group].tolist()
         span = _TERM_CHUNK * (1 if shifts is not None else group // len(pts))
-        for i in range(0, count, span):
-            n, r = np.divmod(np.arange(i, min(i + span, count)), len(offsets))
+        live = len(pts)
+        for i in range(0, end[0], span):
+            n, r = np.divmod(np.arange(i, min(i + span, end[0])), len(offsets))
             hi, lo = _log_parts(offsets[r] + step * n)
-            base = _powers(pts, hi, lo)
+            while end[live - 1] <= i:
+                live -= 1
+            base = _powers(pts[:live], hi, lo)
             if weights is not None:
                 base *= weights[r]
             if shifts is None:
+                rows = live
                 for c in range(0, base.shape[1], _TERM_CHUNK):
-                    out += base[:, c : c + _TERM_CHUNK].sum(axis=-1)
-            else:
-                for h in range(0, len(shifts), group):
-                    out[h : h + group] += np.einsum("pn,hn->hp", base, _powers(1j * shifts[h : h + group], hi, lo))
-    return acc
+                    while end[rows - 1] <= i + c:
+                        rows -= 1
+                    out[:rows] += base[:rows, c : c + _TERM_CHUNK].sum(axis=-1)
+                continue
+            rows = np.count_nonzero(row_ends > i)
+            for h0 in range(0, rows, group):
+                h1 = min(h0 + group, rows)
+                block = out[h0:h1, :live]
+                terms = np.einsum("pn,hn->hp", base, _powers(1j * shifts[h0:h1], hi, lo))
+                np.add(block, terms, out=block, where=counts[h0:h1, j : j + live] > i)
+    result = np.empty_like(acc)
+    result[(p,) if shifts is None else np.ix_(h, p)] = acc
+    return result
 
 
-def _em_tail(s: np.ndarray, x: np.ndarray, b: np.ndarray, weights: np.ndarray, cfg: EvaluatorConfig) -> np.ndarray:
-    """sum_r weights[r] x_r^{-s} E(s, b_r) over the 1-d points s, with
+def _em_tail(s: np.ndarray, counts: np.ndarray, step, offsets, weights, cfg: EvaluatorConfig) -> np.ndarray:
+    """sum_j weights[j] x_j^{-s} E(s, b_j) over the 1-d points s, with
 
         E(s, b) = b / (s - 1) + 1/2 + sum_{k=1}^{M} B_2k/(2k)! (s)_{2k-1} b^{1-2k},
 
-    the Euler-Maclaurin tail of the residue class whose first node left out
-    of the head is x_r = q b_r.  The Bernoulli terms are
-    term_1 = B_2/2! s/b times the cumulative products of the ratios
-    (s+2k-3)(s+2k-2)/b^2 B_2k/(2k)! / (B_{2k-2}/(2k-2)!), so no rising
-    factorial (1e380 at |s| = 5e4, em_order 80) is formed on its own.  At
-    s = 1 the pole is replaced by its regular part -b log x; the poles cancel
-    when the weights add up to 0.
+    the Euler-Maclaurin tail of residue class j after the point's head
+    _power_sum(s, count, step, offsets): the class's first node left out is
+    x_j = step b_j = step ceil((count - j) / J) + offsets[j] (J = len(offsets)).
+    The Bernoulli terms are term_1 = B_2/2! s/b times the cumulative products
+    of the ratios (s+2k-3)(s+2k-2)/b^2 B_2k/(2k)! / (B_{2k-2}/(2k-2)!), so no
+    rising factorial (1e380 at |s| = 5e4, em_order 80) is formed on its own.
+    At s = 1 the pole is replaced by its regular part -b log x; the poles
+    cancel when the weights add up to 0.
     """
     bern = np.array(_bernoulli_over_fact(cfg.em_order))
     j = 2.0 * np.arange(1, len(bern))  # 2k - 2 for k = 2..M
-    ratio = bern[1:] / bern[:-1] / (b * b)[:, None]
-    hi, lo = _log_parts(x)
+    offsets = np.asarray(offsets, dtype=float)
+    classes = len(offsets)
     out = np.empty(s.shape, dtype=np.complex128)
-    group = max(1, _TILE // (len(x) * len(bern)))
+    group = max(1, _TILE // (2 * classes * len(bern)))  # steps and their ratios per point
     for i in range(0, len(s), group):
         z = s[i : i + group, None]
+        x = step * ((counts[i : i + group, None] - np.arange(classes) + classes - 1) // classes) + offsets
+        b = x / step
+        hi, lo = _log_parts(x)
         pole = z == 1.0
-        steps = (z[..., None] + (j - 1.0)) * (z[..., None] + j) * ratio
+        steps = (z[..., None] + (j - 1.0)) * (z[..., None] + j) * (bern[1:] / bern[:-1] / (b * b)[..., None])
         first = bern[0] * z / b
         total = np.where(pole, -b * (hi + lo), b / np.where(pole, 2.0, z - 1.0)) + 0.5
         total += first * (1.0 + np.cumprod(steps, axis=-1).sum(axis=-1))
@@ -352,18 +434,26 @@ def _residues(chi: DirichletCharacter):
 def hurwitz_zeta(s, a: float, cfg: EvaluatorConfig = DEFAULT_CONFIG):
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s}, continued by Euler-Maclaurin.
 
-    `s` may be a complex scalar or ndarray; requires 0 < a <= 1 and s != 1.
+    `s` may be a complex scalar or ndarray; requires 0 < a <= 1, Re s >= 0
+    (DomainError otherwise: left of 0 the remainder bound no longer holds)
+    and s != 1.  Each point sums the head its own s needs (_head_counts,
+    with the bound's exponent at its own sigma where sigma < 1/2).
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"Hurwitz parameter must satisfy 0 < a <= 1, got {a}")
     flat, _, shape = _call_points(s)
+    if np.any(flat.real < 0.0):
+        raise DomainError("hurwitz_zeta supports only Re s >= 0")
     if np.any(flat == 1.0):
         raise PoleError("zeta(s, a) has a pole at s = 1")
-    imag_max = float(np.max(np.abs(flat.imag), initial=0.0))
-    _check_cap(imag_max)
-    n = _n_terms(imag_max, cfg)
-    x = np.array([n + a])
-    acc = _power_sum(flat, n, 1, (a,)) + _em_tail(flat, x, x, np.ones(1), cfg)
+    t_abs = np.abs(flat.imag)
+    _check_cap(float(np.max(t_abs, initial=0.0)))
+    sigma = np.minimum(flat.real, 0.5)
+    counts = np.zeros(flat.shape, dtype=np.int64)
+    for sg in set(sigma.tolist()):
+        at = sigma == sg
+        counts[at] = _head_counts(t_abs[at], 1, cfg, sg)
+    acc = _power_sum(flat, counts, 1, (a,)) + _em_tail(flat, counts, 1, (a,), np.ones(1), cfg)
     return _shaped(acc, shape)
 
 
@@ -372,18 +462,21 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
 
         L(s, chi) = sum_{m <= qN, (m, q) = 1} chi(m) m^{-s} + q^{-s} sum_r chi(r) T(s, N + r/q),
 
-    with N from the remainder bound at the largest |Im s| of the call
-    (_n_terms), so truncation adds at most sqrt(q) cfg.target_abs_error / 100,
-    and the phases t log m reduced mod 2 pi in double-double (_phase): the
-    error is float64 rounding, within the documented q * cfg.target_abs_error
-    over the whole supported range (README, "Evaluator limits").  Raises
-    PoleError for the principal character at s = 1; nonprincipal characters
-    are evaluated at s = 1 through the regularized (pole-cancelling) tail.
+    with the head length per point from the remainder bound at that point's
+    own |Im s| (_head_counts: at least N = _n_terms(|Im s|) terms in every
+    residue class), so truncation adds at most sqrt(q) cfg.target_abs_error
+    / 100 and a value depends on its own point alone, and the phases t log m
+    reduced mod 2 pi in double-double (_phase): the error is float64
+    rounding, within the documented q * cfg.target_abs_error over the whole
+    supported range (README, "Evaluator limits").  Raises PoleError for the
+    principal character at s = 1; nonprincipal characters are evaluated at
+    s = 1 through the regularized (pole-cancelling) tail.
 
     With `shifts` (real), returns L at s + i h for every shift h, with shape
     shifts.shape + np.shape(s).  The sum is then built once for s with one
     phase row per shift (see _power_sum), so a block of S shifts of P points
-    costs N (P + S) phase factors rather than N P S.
+    costs N (P + S) phase factors rather than N P S.  A shifted point landing
+    on s = 1 takes the unshifted value there.
     """
     flat, shifts, shape = _call_points(s, shifts)
     full = _shifted(flat, shifts)
@@ -391,20 +484,18 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
         return np.zeros(shape, dtype=np.complex128)
     if np.any(flat.real <= 0.5):
         raise DomainError("l_value supports only sigma > 1/2")
-    imag_max = float(np.max(np.abs(full.imag)))
-    _check_cap(imag_max)
+    t_abs = np.abs(full.imag)
+    _check_cap(float(np.max(t_abs)))
     q = chi.modulus
     at_pole = full == 1.0
     if chi.principal and bool(at_pole.any()):
         raise PoleError(f"L(s, chi_0 mod {q}) has a pole at s = 1")
-    if shifts is not None and bool(at_pole.any()):
-        # the regularized value at s = 1 comes from the unshifted path
-        return _shaped(l_value(full, chi, cfg), shape)
     r, weights = _residues(chi)
-    n = _n_terms(imag_max, cfg)
-    x = q * n + r.astype(float)
-    acc = _power_sum(flat, n * len(r), q, r, weights, shifts)
-    acc += _em_tail(full.ravel(), x, x / q, weights, cfg).reshape(full.shape)
+    counts = _head_counts(t_abs, len(r), cfg)
+    acc = _power_sum(flat, counts, q, r, weights, shifts)
+    acc += _em_tail(full.ravel(), counts.ravel(), q, r, weights, cfg).reshape(full.shape)
+    if shifts is not None and bool(at_pole.any()):
+        acc[at_pole] = l_value(full[at_pole], chi, cfg)
     return _shaped(acc, shape)
 
 

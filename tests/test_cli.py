@@ -192,6 +192,26 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_evaluator_commands_leave_numpy_ma_unloaded(tmp_path):
+    # importing numpy.ma (np.unique does, on its first call) costs a fresh
+    # process about 6 ms and 1.4 MB; the L evaluator has no need of it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selfapprox.__file__)))
+    region = ["--sigma-range=0.65,0.75", "--t-range=-0.5,0.5", "--grid=3x3"]
+    runs = [
+        ["scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--eps", "1.0", "--T", "200",
+         "--samples", "16", "--refine", "1", *region, "--output-dir", str(tmp_path / "density")],
+        ["mean-value", "--char", "60:1", "--sigma", "0.75", "--t", "0", "--y", "20", "--x", "1",
+         "--T", "500", "--samples", "16", "--output-dir", str(tmp_path / "carlson")],
+        ["b2", "--d", "1,2", "--chars", "4:1,4:1", "--N-ladder", "10,100", "--T", "200",
+         "--samples", "8", *region, "--output-dir", str(tmp_path / "b2")],
+    ]
+    code = f"import sys\nfrom selfapprox.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0\nprint('numpy.ma' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     forced = tmp_path / "forced"
     monkeypatch.setenv("SELFAPPROX_OUTPUT_DIR", str(forced))

@@ -354,8 +354,11 @@ def test_find_tau_lists_every_member_interval(magnitudes, a, delta, prime_bound,
     step = delta / (16.0 * np.max(np.abs(t.frequencies)))
     taus = np.arange(0.0, bound, step)
     member = kronecker_membership(taus, t)
-    i = np.maximum(np.searchsorted(lo, taus, side="right") - 1, 0)
     tol = 1e-9 * (1.0 + bound)
+    # the interval each tau is checked against is the last one starting below
+    # tau + tol, so a member within rounding below an interval's start is
+    # checked against that interval
+    i = np.maximum(np.searchsorted(lo, taus + tol, side="right") - 1, 0)
     assert not np.any(member & ~((lo[i] - tol < taus) & (taus < hi[i] + tol)))
     assert np.all(member[(lo[i] + tol < taus) & (taus < hi[i] - tol)])
 

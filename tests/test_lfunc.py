@@ -9,6 +9,7 @@ import pytest
 from oracles import l_oracle, zeta_series
 from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox import lfunc
+from selfapprox.density import ShiftFamily, g_values
 from selfapprox.errors import DomainError, PoleError, RangeError
 from selfapprox.lfunc import (
     DEFAULT_CONFIG,
@@ -58,6 +59,21 @@ def test_hurwitz_errors():
         hurwitz_zeta(2.0 + 0j, 1.5)
     with pytest.raises(RangeError):
         hurwitz_zeta(2.0 + 1e6j, 1.0)
+    # the remainder bound needs Re s >= 0; left of it the values were wrong
+    # by relative errors up to 4e35 (at -40 + 5i) with no error raised
+    for s in (-10 + 1j, -20 + 10j, -30 + 100j, -40 + 5j, -1e-12 + 0j, np.array([0.7 + 1j, -0.1 + 2j])):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(s, 0.5)
+
+
+@pytest.mark.parametrize("s, a", [
+    (0j, 0.5), (1j, 1.0), (0.1 + 1000j, 1.0), (0.25 - 4.9e4j, 0.5), (0.49 + 20j, 0.75),
+    (3e4j, 0.5), (0.2 + 5000j, 0.125), (-4.9999e4j, 1.0),
+])
+def test_hurwitz_between_zero_and_one_half_against_mpmath(s, a):
+    with mpmath.workdps(30):
+        want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
+    assert abs(hurwitz_zeta(s, a) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_hurwitz_array_shapes():
@@ -216,9 +232,11 @@ def test_shifted_shapes_and_pole():
     assert vals.shape == (2,)
     assert abs(vals[1] - l_value(0.8 + 2j, CHI4)) < 1e-13
     assert l_partial_sum([0.8 + 0j], CHI4, 10, shifts=[1.0, 2.0, 3.0]).shape == (3, 1)
-    # a shifted point landing on s = 1 takes the regularized value
-    vals = l_value(np.array([1.0 - 1j, 0.9 - 1j]), CHI4, shifts=[1.0])
+    # a shifted point landing on s = 1 takes the regularized value, and only
+    # it: its neighbour keeps the values it has without it
+    vals = l_value(np.array([1.0 - 1j, 0.9 - 1j]), CHI4, shifts=[1.0, 500.0])
     assert vals[0, 0] == l_value(1.0 + 0j, CHI4)
+    assert np.array_equal(vals[:, 1], l_value(np.array([0.9 - 1j]), CHI4, shifts=[1.0, 500.0])[:, 0])
     assert isinstance(l_value(1.0 - 1j, CHI4, shifts=1.0), complex)
     with pytest.raises(PoleError):
         l_value(1.0 - 1j, CHI1, shifts=[0.0, 1.0])
@@ -227,12 +245,69 @@ def test_shifted_shapes_and_pole():
 
 
 def test_values_do_not_depend_on_the_other_points_in_the_call():
-    # pts[[i, -1]] shares the largest |Im s| with pts, hence the series length
+    # every point sums the head its own |Im s| needs, so a value is the same
+    # alone, in any subset and in any order of its call
     pts = 0.7 + 1j * np.linspace(2500.0, 3000.0, 1000)
     whole_l, whole_h = l_value(pts, CHI4), hurwitz_zeta(pts, 0.5)
     for i in (0, 1, 500, 998):
         assert np.array_equal(l_value(pts[[i, -1]], CHI4), whole_l[[i, -1]])
         assert np.array_equal(hurwitz_zeta(pts[[i, -1]], 0.5), whole_h[[i, -1]])
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(0.55, 0.95, 40) + 1j * rng.uniform(-6000.0, 6000.0, 40)
+    pts[:3] = [0.7 + 0j, 0.6 + 0.5j, 0.9 - 5999.0j]
+    for chi in (CHI4, character_from_id("60:1")):
+        whole = l_value(pts, chi)
+        assert np.array_equal([l_value(p, chi) for p in pts], whole)
+        order = rng.permutation(len(pts))
+        assert np.array_equal(l_value(pts[order], chi), whole[order])
+    whole = hurwitz_zeta(pts - 0.5, 0.3)
+    assert np.array_equal([hurwitz_zeta(p - 0.5, 0.3) for p in pts], whole)
+    # shifted calls: each shift alone, and the shifts in another order
+    base = np.array([0.65 - 0.5j, 0.7 + 0j, 0.75 + 0.5j])
+    shifts = np.concatenate([[0.0, 4999.5], rng.uniform(-5000.0, 5000.0, 30)])
+    for chi in (CHI4, character_from_id("60:1")):
+        whole = l_value(base, chi, shifts=shifts)
+        for h, row in zip(shifts, whole):
+            assert np.array_equal(l_value(base, chi, shifts=[h])[0], row)
+        order = rng.permutation(len(shifts))
+        assert np.array_equal(l_value(base, chi, shifts=shifts[order]), whole[order])
+    # one tau through the sup-difference functional, alone and in a block
+    family = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
+    region = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3)
+    taus = rng.uniform(0.0, 600.0, 4096 + 17)
+    g, delta = g_values(taus, family, region)
+    for i in (0, 1, 4095, 4096, 4112):
+        alone = g_values(taus[i : i + 1], family, region)
+        assert np.array_equal(alone[0], g[i : i + 1]) and np.array_equal(alone[1], delta[i : i + 1])
+
+
+@pytest.mark.parametrize("classes", [1, 2, 16, 48, 300])
+def test_every_residue_class_sums_the_certified_length(classes):
+    # at tier edges (and one ulp either side) and at random |t| <= IM_CAP,
+    # each class j sums ceil((C - j) / classes) >= _n_terms(|t|) terms, and
+    # away from the edges C is the smallest multiple of _TERM_CHUNK that does
+    cfg = DEFAULT_CONFIG
+    top = -(-classes * (lfunc._n_terms(lfunc.IM_CAP, cfg) + 1) // lfunc._TERM_CHUNK)
+    edges = lfunc._tier_edges(1, top, classes, cfg)
+    assert np.all(np.diff(edges) >= 0.0)
+    edges = edges[edges >= 0.0][:: max(1, top // 150)]
+    rng = np.random.default_rng(classes)
+    random_t = rng.uniform(0.0, lfunc.IM_CAP, 200)
+    t = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), random_t, [0.0]])
+    t = t[(t >= 0.0) & (t <= lfunc.IM_CAP)]
+    counts = lfunc._head_counts(t, classes, cfg)
+    assert np.all(counts % lfunc._TERM_CHUNK == 0)
+    j = np.arange(classes)
+    for ti, c in zip(t, counts):
+        assert np.min(-(-(c - j) // classes)) >= lfunc._n_terms(float(ti), cfg)
+    counts = lfunc._head_counts(random_t, classes, cfg)
+    for ti, c in zip(random_t, counts):
+        assert (c - lfunc._TERM_CHUNK) // classes < lfunc._n_terms(float(ti), cfg)
+    # hurwitz_zeta left of sigma = 1/2 takes the bound's exponent at its own sigma
+    for sigma in (0.0, 0.3):
+        assert lfunc._n_terms(5000.0, cfg, sigma) > lfunc._n_terms(5000.0, cfg)
+        counts = lfunc._head_counts(t, 1, cfg, sigma)
+        assert all(c >= lfunc._n_terms(float(ti), cfg, sigma) for ti, c in zip(t, counts))
 
 
 def test_single_point_matches_the_same_point_in_a_large_call():

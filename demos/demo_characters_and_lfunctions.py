@@ -10,7 +10,6 @@ import numpy as np
 from selfapprox import (
     character_from_id,
     enumerate_characters,
-    hurwitz_zeta,
     l_partial_sum,
     l_truncated,
     l_value,
@@ -31,9 +30,9 @@ print(f"orthogonality sum for {chi.label}: |sum| = {abs(total):.2e}")
 
 # --- sanity anchors for the evaluator ---------------------------------------
 # The evaluator goes through Hurwitz zeta with Euler-Maclaurin tails; two
-# classical values pin it down.
+# classical values pin it down.  The principal character mod 1 gives zeta.
 
-print(f"\nzeta(2)      = {hurwitz_zeta(2.0 + 0j, 1.0).real:.15f}"
+print(f"\nzeta(2)      = {l_value(2.0 + 0j, character_from_id('1:0')).real:.15f}"
       f"  (pi^2/6 = {math.pi**2 / 6:.15f})")
 print(f"L(1, chi_4)  = {l_value(1.0 + 0j, chi).real:.15f}"
       f"  (pi/4   = {math.pi / 4:.15f})")

@@ -19,7 +19,6 @@ from .density import (
     estimate_density,
     g_value,
     g_values,
-    indicator,
     sample_g,
 )
 from .diophantine import (
@@ -36,17 +35,13 @@ from .lfunc import (
     DEFAULT_CONFIG,
     EvaluatorConfig,
     StripRegion,
-    hurwitz_zeta,
     l_partial_sum,
     l_truncated,
     l_value,
-    log_l_truncated_ratio,
 )
 from .meanvalue import (
     CarlsonResult,
     b2_ladder,
     carlson_mean_value,
     coprime_tail_sum,
-    max_modulus_bound,
-    truncation_tail_check,
 )

@@ -40,7 +40,7 @@ from .diophantine import (
     measure_kronecker_density,
 )
 from .errors import DomainError
-from .lfunc import StripRegion, hurwitz_zeta
+from .lfunc import StripRegion, l_value
 from .meanvalue import b2_ladder, carlson_mean_value
 
 def _finite_float(raw) -> float:
@@ -351,7 +351,7 @@ def _run_selfcheck(params, seed, threads):
     checks = {}
     cs = enumerate_characters(12)
     checks["characters_mod_12"] = len(cs) == 4
-    z2 = hurwitz_zeta(2.0 + 0j, 1.0)
+    z2 = l_value(2.0 + 0j, character_from_id("1:0"))
     checks["zeta_2"] = abs(z2 - 1.6449340668482264) < 1e-10
     rel = find_rational_relations([1, Fraction(1, 2)])
     checks["relation_half"] = rel.denominator == 2 and rel.coefficients == ((1,),)

@@ -30,7 +30,6 @@ __all__ = [
     "EmpiricalDistribution",
     "g_value",
     "g_values",
-    "indicator",
     "sample_g",
     "estimate_density",
     "density_from_samples",
@@ -156,18 +155,6 @@ def g_value(tau: float, family: ShiftFamily, region: StripRegion) -> float:
     """g at a single tau, on the base grid."""
     g, _ = g_values([tau], family, region, refine=False)
     return float(g[0])
-
-
-def indicator(
-    tau: float,
-    epsilon: float,
-    family: ShiftFamily,
-    region: StripRegion,
-) -> int:
-    """1 iff g(tau) < epsilon (strict, matching the defining inequality)."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    return int(g_value(tau, family, region) < epsilon)
 
 
 def sample_g(

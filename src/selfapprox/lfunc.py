@@ -1,11 +1,11 @@
-"""Numerical evaluation of L(s, chi) and its truncations in sigma > 1/2.
+"""Numerical evaluation of L(s, chi) in sigma > 1/2 and of its truncations.
 
-The analytic continuation route is the Hurwitz-zeta decomposition
+One evaluator, `l_value`, continues L through the Hurwitz-zeta decomposition
 
     L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q),
 
-with each Hurwitz zeta computed by Euler-Maclaurin summation to N terms.  The
-q heads merge into one Dirichlet sum over the integers m <= qN prime to q, and
+with each Hurwitz zeta summed by Euler-Maclaurin to N terms.  The q heads
+merge into one Dirichlet sum over the integers m <= qN prime to q, and
 each class keeps only its Euler-Maclaurin tail.  N comes from a rigorous bound
 on the remainder (Johansson, arXiv:1309.2877) at each point's own |Im s|, so
 it grows linearly with that |Im s| alone, and evaluation refuses (RangeError)
@@ -24,7 +24,7 @@ x_n^{-i h}, so a call costs N (P + S) phase factors plus an N P S
 contraction instead of N P S (N terms, P points, S shifts), with each
 (shift, point) pair contracted only over its own N.
 
-All evaluators accept numpy arrays of s values and broadcast; they are pure
+The evaluators accept numpy arrays of s values and broadcast; they are pure
 functions of immutable inputs and safe to call from worker threads.
 """
 
@@ -43,10 +43,8 @@ __all__ = [
     "StripRegion",
     "DEFAULT_CONFIG",
     "IM_CAP",
-    "hurwitz_zeta",
     "l_value",
     "l_truncated",
-    "log_l_truncated_ratio",
     "l_partial_sum",
 ]
 
@@ -76,8 +74,8 @@ class EvaluatorConfig:
         Euler-Maclaurin correction (even).
     shift_count: floor for N, the number of directly summed terms per
         residue class; above it N comes from the remainder bound (_n_terms).
-    target_abs_error: requested absolute accuracy per Hurwitz evaluation;
-        N makes the Euler-Maclaurin remainder of each one at most 1/100 of it.
+    target_abs_error: requested absolute accuracy per residue class; N makes
+        the Euler-Maclaurin remainder of each one at most 1/100 of it.
     """
 
     em_order: int = 60
@@ -127,12 +125,6 @@ class StripRegion:
             raise DomainError("grid resolutions must be >= 1")
 
     @property
-    def u_rect(self):
-        """(sigma_lo, sigma_hi, t_lo, t_hi) of the enclosing rectangle U."""
-        m = self.margin
-        return (self.sigma_lo - m, self.sigma_hi + m, self.t_lo - m, self.t_hi + m)
-
-    @property
     def t_abs_max(self) -> float:
         return max(abs(self.t_lo), abs(self.t_hi))
 
@@ -160,14 +152,6 @@ class StripRegion:
         coarse = (ci[:, None] * len(tg) + cj[None, :]).ravel()
         return pts, coarse
 
-    def u_grid(self, n_sigma: int = 6, n_t: int = 6):
-        """Midpoint-rule grid on U: (complex cell centers, cell area)."""
-        slo, shi, tlo, thi = self.u_rect
-        ds, dt = (shi - slo) / n_sigma, (thi - tlo) / n_t
-        sg = slo + ds * (np.arange(n_sigma) + 0.5)
-        tg = tlo + dt * (np.arange(n_t) + 0.5)
-        return (sg[:, None] + 1j * tg[None, :]).ravel(), ds * dt
-
 
 @lru_cache(maxsize=8)
 def _bernoulli_over_fact(em_order: int):
@@ -185,12 +169,7 @@ def _bernoulli_over_fact(em_order: int):
     )
 
 
-def _check_cap(imag_max: float):
-    if imag_max > IM_CAP:
-        raise RangeError(f"|Im s| = {imag_max:.6g} exceeds evaluator cap {IM_CAP:.6g}")
-
-
-def _n_terms(imag_max: float, cfg: EvaluatorConfig, sigma: float = 0.5) -> int:
+def _n_terms(imag_max: float, cfg: EvaluatorConfig) -> int:
     """N, the terms per residue class: the smallest N >= cfg.shift_count with
     Johansson's bound (arXiv:1309.2877, Thm. 1) on the Euler-Maclaurin
     remainder of zeta(s, a) after N terms and M = em_order/2 Bernoulli terms,
@@ -198,11 +177,10 @@ def _n_terms(imag_max: float, cfg: EvaluatorConfig, sigma: float = 0.5) -> int:
         |R| <= 4 |(s)_{2M}| / (2 pi)^{2M} (N + a)^{-(sigma + 2M - 1)} / (sigma + 2M - 1),
 
     at most cfg.target_abs_error / 100 for |Im s| = imag_max and a = 0, with
-    |(s)_{2M}| taken at sigma = 1/2 and the exponent at min(sigma, 1/2) (both
-    upper bounds for 0 <= sigma <= 1/2).  RangeError if that N exceeds _N_MAX
-    (small em_order).
+    |(s)_{2M}| and the exponent taken at sigma = 1/2.  RangeError if that N
+    exceeds _N_MAX (small em_order).
     """
-    e = min(sigma, 0.5) + cfg.em_order - 1
+    e = cfg.em_order - 0.5
     log_poch = 0.5 * sum(math.log((k + 0.5) ** 2 + imag_max**2) for k in range(cfg.em_order))
     log_r = math.log(4.0) + log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
     log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
@@ -211,7 +189,7 @@ def _n_terms(imag_max: float, cfg: EvaluatorConfig, sigma: float = 0.5) -> int:
     return max(cfg.shift_count, math.ceil(math.exp(log_n)))
 
 
-def _tier_edges(first: int, last: int, classes: int, cfg: EvaluatorConfig, sigma: float = 0.5) -> np.ndarray:
+def _tier_edges(first: int, last: int, classes: int, cfg: EvaluatorConfig) -> np.ndarray:
     """E_first <= ... <= E_last: a head of m _TERM_CHUNK terms over `classes`
     residue classes, hence at least n_m = m _TERM_CHUNK // classes terms per
     class, certifies every |Im s| <= E_m, that is _n_terms(|Im s|) <= n_m
@@ -225,7 +203,7 @@ def _tier_edges(first: int, last: int, classes: int, cfg: EvaluatorConfig, sigma
     certifies, and only |Im s| within about _EDGE_MARGIN / 2M (relative, for
     |Im s| well above 2M) of a tier edge get one tier more than they need.
     """
-    e = min(sigma, 0.5) + cfg.em_order - 1
+    e = cfg.em_order - 0.5
     n = np.arange(first, last + 1) * _TERM_CHUNK // classes
     with np.errstate(divide="ignore"):
         lam = e * np.log(n) + math.log(cfg.target_abs_error / 100.0) - math.log(4.0)
@@ -243,16 +221,16 @@ def _tier_edges(first: int, last: int, classes: int, cfg: EvaluatorConfig, sigma
     return np.where(ok, np.exp(u), -1.0)
 
 
-def _head_counts(t_abs: np.ndarray, classes: int, cfg: EvaluatorConfig, sigma: float = 0.5) -> np.ndarray:
+def _head_counts(t_abs: np.ndarray, classes: int, cfg: EvaluatorConfig) -> np.ndarray:
     """Head length C per point: the smallest multiple of _TERM_CHUNK with
     C >= classes * _n_terms(|Im s|) (up to _tier_edges' margin), from the
     point's own |Im s| = t_abs (nonempty) alone.  Residue class j < classes
     then sums ceil((C - j) / classes) >= _n_terms(|Im s|) terms.  Every tier
     below `first` certifies less than the smallest |Im s| needs, and E_last
     lies above the largest, so only the edges in between are computed."""
-    first = -(-classes * _n_terms(float(t_abs.min()), cfg, sigma) // _TERM_CHUNK)
-    last = -(-classes * (_n_terms(float(t_abs.max()), cfg, sigma) + 1) // _TERM_CHUNK)
-    return _TERM_CHUNK * (first + np.searchsorted(_tier_edges(first, last, classes, cfg, sigma), t_abs))
+    first = -(-classes * _n_terms(float(t_abs.min()), cfg) // _TERM_CHUNK)
+    last = -(-classes * (_n_terms(float(t_abs.max()), cfg) + 1) // _TERM_CHUNK)
+    return _TERM_CHUNK * (first + np.searchsorted(_tier_edges(first, last, classes, cfg), t_abs))
 
 
 def _split(x):
@@ -307,10 +285,10 @@ def _powers(s: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return z
 
 
-def _power_sum(s: np.ndarray, counts, step=1, offsets=(1,), weights=None, shifts=None) -> np.ndarray:
+def _power_sum(s: np.ndarray, counts, step, offsets, weights, shifts=None) -> np.ndarray:
     """sum_{k < count} w_k x_k^{-s} over the 1-d points s, for the nodes
     x_k = step (k // J) + offsets[k % J] and weights w_k = weights[k % J]
-    (J = len(offsets); weights=None means every w_k is 1).
+    (J = len(offsets)).
 
     `counts` holds one count per value (an int applies to all of them); every
     count is a multiple of _TERM_CHUNK unless they are all equal.  Nodes
@@ -349,8 +327,7 @@ def _power_sum(s: np.ndarray, counts, step=1, offsets=(1,), weights=None, shifts
             while end[live - 1] <= i:
                 live -= 1
             base = _powers(pts[:live], hi, lo)
-            if weights is not None:
-                base *= weights[r]
+            base *= weights[r]
             if shifts is None:
                 rows = live
                 for c in range(0, base.shape[1], _TERM_CHUNK):
@@ -375,8 +352,9 @@ def _em_tail(s: np.ndarray, counts: np.ndarray, step, offsets, weights, cfg: Eva
         E(s, b) = b / (s - 1) + 1/2 + sum_{k=1}^{M} B_2k/(2k)! (s)_{2k-1} b^{1-2k},
 
     the Euler-Maclaurin tail of residue class j after the point's head
-    _power_sum(s, count, step, offsets): the class's first node left out is
-    x_j = step b_j = step ceil((count - j) / J) + offsets[j] (J = len(offsets)).
+    _power_sum(s, count, step, offsets, weights): the class's first node left
+    out is x_j = step b_j = step ceil((count - j) / J) + offsets[j]
+    (J = len(offsets)).
     The Bernoulli terms are term_1 = B_2/2! s/b times the cumulative products
     of the ratios (s+2k-3)(s+2k-2)/b^2 B_2k/(2k)! / (B_{2k-2}/(2k-2)!), so no
     rising factorial (1e380 at |s| = 5e4, em_order 80) is formed on its own.
@@ -431,32 +409,6 @@ def _residues(chi: DirichletCharacter):
     return r, chi.values[r % chi.modulus]
 
 
-def hurwitz_zeta(s, a: float, cfg: EvaluatorConfig = DEFAULT_CONFIG):
-    """zeta(s, a) = sum_{n>=0} (n+a)^{-s}, continued by Euler-Maclaurin.
-
-    `s` may be a complex scalar or ndarray; requires 0 < a <= 1, Re s >= 0
-    (DomainError otherwise: left of 0 the remainder bound no longer holds)
-    and s != 1.  Each point sums the head its own s needs (_head_counts,
-    with the bound's exponent at its own sigma where sigma < 1/2).
-    """
-    if not 0.0 < a <= 1.0:
-        raise DomainError(f"Hurwitz parameter must satisfy 0 < a <= 1, got {a}")
-    flat, _, shape = _call_points(s)
-    if np.any(flat.real < 0.0):
-        raise DomainError("hurwitz_zeta supports only Re s >= 0")
-    if np.any(flat == 1.0):
-        raise PoleError("zeta(s, a) has a pole at s = 1")
-    t_abs = np.abs(flat.imag)
-    _check_cap(float(np.max(t_abs, initial=0.0)))
-    sigma = np.minimum(flat.real, 0.5)
-    counts = np.zeros(flat.shape, dtype=np.int64)
-    for sg in set(sigma.tolist()):
-        at = sigma == sg
-        counts[at] = _head_counts(t_abs[at], 1, cfg, sg)
-    acc = _power_sum(flat, counts, 1, (a,)) + _em_tail(flat, counts, 1, (a,), np.ones(1), cfg)
-    return _shaped(acc, shape)
-
-
 def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, shifts=None):
     """L(s, chi) for sigma > 1/2, as one Dirichlet sum plus Euler-Maclaurin tails,
 
@@ -485,7 +437,8 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
     if np.any(flat.real <= 0.5):
         raise DomainError("l_value supports only sigma > 1/2")
     t_abs = np.abs(full.imag)
-    _check_cap(float(np.max(t_abs)))
+    if np.max(t_abs) > IM_CAP:
+        raise RangeError(f"|Im s| = {np.max(t_abs):.6g} exceeds evaluator cap {IM_CAP:.6g}")
     q = chi.modulus
     at_pole = full == 1.0
     if chi.principal and bool(at_pole.any()):
@@ -499,53 +452,16 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
     return _shaped(acc, shape)
 
 
-def _prime_char_values(chi: DirichletCharacter, v: float):
-    out = []
-    for p in primes_upto(v):
-        c = char_value(chi, p)
-        if c != 0:
-            out.append((p, c))
-    return out
-
-
 def l_truncated(s, chi: DirichletCharacter, v: float):
     """Truncated Euler product prod_{p <= v} (1 - chi(p) p^{-s})^{-1}, sigma > 0."""
     flat, _, shape = _call_points(s)
     if np.any(flat.real <= 0.0):
         raise DomainError("l_truncated requires sigma > 0")
     acc = np.ones(flat.shape, dtype=np.complex128)
-    for p, cval in _prime_char_values(chi, v):
-        acc /= 1.0 - cval * np.exp(-flat * math.log(p))
-    return _shaped(acc, shape)
-
-
-def log_l_truncated_ratio(
-    s, chi: DirichletCharacter, v: float, y: float, cfg: EvaluatorConfig = DEFAULT_CONFIG
-):
-    """log(L_y/L_v)(s, chi) = sum_{v < p <= y} sum_{j>=1} chi(p)^j / (j p^{js}).
-
-    The inner sum stops once p^{-j*sigma_min}/j falls below both 1e-16 and
-    cfg.target_abs_error divided by the number of primes in range.
-    """
-    if y < v:
-        raise DomainError("log_l_truncated_ratio requires y >= v")
-    flat, _, shape = _call_points(s)
-    if np.any(flat.real <= 0.5):
-        raise DomainError("log_l_truncated_ratio supports only sigma > 1/2")
-    pairs = [(p, c) for p, c in _prime_char_values(chi, y) if p > v]
-    acc = np.zeros(flat.shape, dtype=np.complex128)
-    if not pairs or flat.size == 0:
-        return _shaped(acc, shape)
-    sigma_min = float(np.min(flat.real))
-    threshold = min(1e-16, cfg.target_abs_error / len(pairs))
-    for p, cval in pairs:
-        logp = math.log(p)
-        j = 1
-        cj = cval
-        while p ** (-j * sigma_min) / j >= threshold and j <= 60:
-            acc += cj / j * np.exp(-j * flat * logp)
-            j += 1
-            cj *= cval
+    for p in primes_upto(v):
+        cval = char_value(chi, p)
+        if cval != 0:
+            acc /= 1.0 - cval * np.exp(-flat * math.log(p))
     return _shaped(acc, shape)
 
 

@@ -1,12 +1,10 @@
-"""Quantitative mean-value checks: Carlson identity, truncation tails, and
-Besicovitch mean-square distances.
+"""Quantitative mean-value checks: the Carlson identity and Besicovitch
+mean-square distances.
 
-These operations make the proof's bookkeeping measurable at desk scale: the
+These operations make two mean values measurable at desk scale: the
 time-averaged square of a Dirichlet-series remainder against its coefficient
-sum, the Kronecker-restricted double integral against its prime-tail envelope
-(the implied constant is reported, never asserted), the area-to-sup bound for
-analytic functions, and the mean-square distance between the sup-difference
-functional built from L and the one built from partial sums.
+sum, and the mean-square distance between the sup-difference functional built
+from L and the one built from partial sums.
 """
 
 import functools
@@ -15,47 +13,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter
-from .diophantine import KroneckerTarget, kronecker_membership
+from .characters import DirichletCharacter, character_from_id
 from .density import ShiftFamily, _validate_cap, g_values
 from .errors import DomainError
-from .lfunc import StripRegion, hurwitz_zeta, l_partial_sum, l_value, log_l_truncated_ratio
-from .primes import prime_zeta_tail, primes_upto
-from .sampling import block_slices, map_blocks, uniform_samples
+from .lfunc import StripRegion, l_partial_sum, l_value
+from .sampling import map_blocks, uniform_samples
 
 __all__ = [
-    "max_modulus_bound",
     "coprime_tail_sum",
     "carlson_mean_value",
     "CarlsonResult",
-    "truncation_tail_check",
     "b2_ladder",
 ]
-
-
-def max_modulus_bound(area_integral: float, margin: float) -> float:
-    """sup bound sqrt(eps/pi)/d for an analytic f with integral_U |f|^2 <= eps,
-    K at distance d from the boundary of U."""
-    if area_integral < 0:
-        raise DomainError("area integral must be nonnegative")
-    if margin <= 0:
-        raise DomainError("margin must be positive")
-    return math.sqrt(area_integral / math.pi) / margin
 
 
 def coprime_tail_sum(chi: DirichletCharacter, y: float, exponent: float) -> float:
     """sum_{n > y} |chi(n)| / n^exponent, requires exponent > 1.
 
-    Computed as zeta(exponent) * prod_{p | q}(1 - p^-exponent) minus the head.
+    Computed as L(exponent, chi_0 mod q) minus the head, the head summed
+    exactly rounded (math.fsum): the tail is a small difference of two O(1)
+    numbers, so rounding in the head would dominate it.
     """
     if exponent <= 1.0:
         raise DomainError("tail sum needs exponent > 1")
     q = chi.modulus
-    total = hurwitz_zeta(complex(exponent), 1.0).real
-    for p in primes_upto(q):
-        if q % p == 0:
-            total *= 1.0 - p ** (-exponent)
-    head = sum(
+    total = l_value(complex(exponent), character_from_id(f"{q}:0")).real
+    head = math.fsum(
         n ** (-exponent) for n in range(1, int(math.floor(y)) + 1) if chi.numerators[n % q] >= 0
     )
     return total - head
@@ -110,70 +93,6 @@ def carlson_mean_value(
     stderr = float(np.std(sq, ddof=1) / math.sqrt(n_samples))
     theoretical = coprime_tail_sum(chi, y, 2.0 * s.real)
     return CarlsonResult(empirical, theoretical, stderr)
-
-
-def truncation_tail_check(
-    chi: DirichletCharacter,
-    target: KroneckerTarget,
-    region: StripRegion,
-    y: float,
-    T: float,
-    n_samples: int = 20000,
-    seed: int = 0,
-    threads: int = 1,
-) -> dict:
-    """Kronecker-restricted tail average against its prime-tail envelope.
-
-    empirical: (1/T) int over the Kronecker set of
-    int_U sum_k |log(L_y/L_v)(s + i d_k tau)|^2 dsigma dt, with the U integral
-    by midpoint rule; the shifts are the target's independent ones.
-    bound: meas R * sum_{p > v} p^{-2 sigma_1} with sigma_1 the left edge of U.
-    The ratio empirical/bound estimates the implied constant (reported only).
-    """
-    v = target.prime_bound
-    if y < v:
-        raise DomainError("truncation_tail_check requires y >= v")
-    if T <= 0 or n_samples < 1:
-        raise DomainError("T must be positive and n_samples >= 1")
-    taus = uniform_samples(seed, n_samples, 0.0, T)
-    mask = np.zeros(n_samples, dtype=bool)
-    for i0, i1 in block_slices(n_samples):
-        mask[i0:i1] = kronecker_membership(taus[i0:i1], target)
-    hit_taus = taus[mask]
-    centers, cell_area = region.u_grid()
-    sigma1 = region.u_rect[0]
-    tail = prime_zeta_tail(2.0 * sigma1, v)
-    bound = target.expected_density * tail
-    if y == v or len(hit_taus) == 0:
-        empirical = 0.0
-    else:
-        def work(i0, i1):
-            sub = hit_taus[i0:i1]
-            acc = np.zeros(len(sub))
-            for dk in target.shifts:
-                pts = centers[None, :] + 1j * dk * sub[:, None]
-                acc += (np.abs(log_l_truncated_ratio(pts, chi, v, y)) ** 2).sum(axis=1)
-            return acc * cell_area
-
-        integrals = np.concatenate(map_blocks(work, len(hit_taus), threads))
-        empirical = float(np.sum(integrals) / n_samples)
-    report = {
-        "empirical": empirical,
-        "bound": bound,
-        "ratio": empirical / bound if bound > 0 else 0.0,
-        "n_samples": n_samples,
-        "n_hits": int(len(hit_taus)),
-        "v": float(v),
-        "y": float(y),
-        "sigma1": sigma1,
-        "warning": None,
-    }
-    if len(hit_taus) < 30:
-        report["warning"] = (
-            f"only {len(hit_taus)} Kronecker hits out of {n_samples} samples; "
-            "empirical average is noisy"
-        )
-    return report
 
 
 def b2_ladder(

@@ -4,8 +4,6 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_SIEVE_BOUND = 10**6
-
 
 @lru_cache(maxsize=16)
 def _sieve(bound: int) -> tuple:
@@ -31,20 +29,3 @@ def primes_upto(bound) -> list:
             break
         out.append(p)
     return out
-
-
-def primes_between(lo, hi) -> list:
-    """Primes p with lo < p <= hi."""
-    return [p for p in primes_upto(hi) if p > lo]
-
-
-def prime_zeta_tail(exponent: float, v: float, cutoff: int = DEFAULT_SIEVE_BOUND) -> float:
-    """Sum_{p > v} p^{-exponent}, primes truncated at `cutoff`.
-
-    The omitted remainder is below cutoff^(1-exponent)/((exponent-1)*log(cutoff))
-    for exponent > 1, negligible at the exponents (> 1) used here.
-    """
-    if exponent <= 1:
-        raise ValueError("prime zeta tail requires exponent > 1")
-    ps = np.array(primes_between(v, cutoff), dtype=float)
-    return float(np.sum(ps ** (-exponent)))

@@ -30,7 +30,7 @@ from selfapprox.diophantine import (
     in_kronecker_set,
     measure_kronecker_density,
 )
-from selfapprox.lfunc import StripRegion, hurwitz_zeta, l_value
+from selfapprox.lfunc import StripRegion, l_value
 from selfapprox.meanvalue import carlson_mean_value
 from selfapprox.sampling import binomial_stderr
 
@@ -78,7 +78,7 @@ def test_01_character_suite():
 
 def test_02_evaluator_oracle_equivalence():
     t0 = time.time()
-    ok = abs(hurwitz_zeta(2.0 + 0j, 1.0) - 1.6449340668482264) < 1e-10
+    ok = abs(l_value(2.0 + 0j, character_from_id("1:0")) - 1.6449340668482264) < 1e-10
     rng = np.random.default_rng(2)
     chars = [c for q in range(1, 13) for c in enumerate_characters(q)]
     worst = 0.0

@@ -17,7 +17,6 @@ from selfapprox.density import (
     estimate_density,
     g_value,
     g_values,
-    indicator,
     sample_g,
 )
 from selfapprox.diophantine import KroneckerTarget, find_tau_in_set
@@ -114,9 +113,6 @@ def test_refine_delta_reported():
 
 
 def test_indicator_strictness():
-    assert indicator(0.0, 1e-12, DEGENERATE, REGION) == 1
-    with pytest.raises(DomainError):
-        indicator(0.0, -1.0, DEGENERATE, REGION)
     est = density_from_samples(np.array([0.3]), 0.3, 1.0)
     assert est.hits == 0  # g = eps does not count: strict "<"
 

@@ -15,75 +15,46 @@ from selfapprox.lfunc import (
     DEFAULT_CONFIG,
     EvaluatorConfig,
     StripRegion,
-    hurwitz_zeta,
     l_partial_sum,
     l_truncated,
     l_value,
-    log_l_truncated_ratio,
 )
-from selfapprox.primes import primes_between, primes_upto
+from selfapprox.primes import primes_upto
 
 CHI4 = character_from_id("4:1")
 CHI1 = enumerate_characters(1)[0]
 
 
-# ---------------------------------------------------------------- hurwitz
+# ---------------------------------------------------------------- l_value
 
 
-def test_zeta_two():
-    assert abs(hurwitz_zeta(2.0 + 0j, 1.0) - 1.6449340668482264) < 1e-12
-
-
-def test_hurwitz_at_a_one_is_zeta():
+def test_l_value_mod_one_is_zeta():
     rng = np.random.default_rng(5)
     for _ in range(10):
         s = complex(rng.uniform(1.5, 3.0), rng.uniform(-20, 20))
-        assert abs(hurwitz_zeta(s, 1.0) - zeta_series(s)) < 1e-10
+        assert abs(l_value(s, CHI1) - zeta_series(s)) < 1e-10
 
 
-def test_hurwitz_half_identity():
-    # zeta(s, 1/2) = (2^s - 1) zeta(s)
-    for s in (2.0 + 0j, 1.7 - 3.2j, 0.8 + 11.0j):
-        lhs = hurwitz_zeta(s, 0.5)
-        rhs = (2.0**s - 1.0) * hurwitz_zeta(s, 1.0)
-        assert abs(lhs - rhs) < 1e-10
-    assert abs(hurwitz_zeta(2.0 + 0j, 0.5) - 4.934802200544679) < 1e-10
-
-
-def test_hurwitz_errors():
-    with pytest.raises(PoleError):
-        hurwitz_zeta(1.0 + 0j, 1.0)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2.0 + 0j, 0.0)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2.0 + 0j, 1.5)
-    with pytest.raises(RangeError):
-        hurwitz_zeta(2.0 + 1e6j, 1.0)
-    # the remainder bound needs Re s >= 0; left of it the values were wrong
-    # by relative errors up to 4e35 (at -40 + 5i) with no error raised
-    for s in (-10 + 1j, -20 + 10j, -30 + 100j, -40 + 5j, -1e-12 + 0j, np.array([0.7 + 1j, -0.1 + 2j])):
-        with pytest.raises(DomainError):
-            hurwitz_zeta(s, 0.5)
-
-
-@pytest.mark.parametrize("s, a", [
-    (0j, 0.5), (1j, 1.0), (0.1 + 1000j, 1.0), (0.25 - 4.9e4j, 0.5), (0.49 + 20j, 0.75),
-    (3e4j, 0.5), (0.2 + 5000j, 0.125), (-4.9999e4j, 1.0),
-])
-def test_hurwitz_between_zero_and_one_half_against_mpmath(s, a):
+@pytest.mark.parametrize("q", [1, 4, 12, 60, 120])
+@pytest.mark.parametrize("e", [1.02, 1.1, 1.5, 2.0])
+def test_principal_l_value_against_mpmath(q, e):
+    # L(e, chi_0 mod q) = zeta(e) prod_{p | q} (1 - p^-e), the value Carlson's
+    # tail sum and selfcheck's zeta(2) rest on
     with mpmath.workdps(30):
-        want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
-    assert abs(hurwitz_zeta(s, a) - want) <= 1e-14 * max(1.0, abs(want))
+        want = mpmath.zeta(e)
+        for p in primes_upto(q):
+            if q % p == 0:
+                want *= 1 - mpmath.mpf(p) ** -e
+        want = float(want)
+    got = l_value(complex(e), character_from_id(f"{q}:0"))
+    assert abs(got - want) <= 1e-15 * want
 
 
-def test_hurwitz_array_shapes():
+def test_l_value_array_shapes():
     arr = np.array([[2.0 + 1j, 3.0 - 2j], [0.8 + 5j, 1.5 + 0j]])
-    out = hurwitz_zeta(arr, 1.0)
+    out = l_value(arr, CHI1)
     assert out.shape == arr.shape
-    assert abs(out[0, 0] - hurwitz_zeta(arr[0, 0], 1.0)) < 1e-13
-
-
-# ---------------------------------------------------------------- l_value
+    assert abs(out[0, 0] - l_value(arr[0, 0], CHI1)) < 1e-13
 
 
 def test_l_value_zeta_two():
@@ -138,7 +109,7 @@ def test_l_value_conjugation_symmetry():
 def test_power_sum_shifted_matches_pointwise(with_coeffs):
     # the nodes 7 n + r, r = 1..7, are 1, 2, ..., n with coefficient e^{2 pi i (m - 1)/7} at m
     n = 3 * lfunc._TERM_CHUNK + 17
-    nodes = (7, np.arange(1, 8), np.exp(2j * np.pi * np.arange(7) / 7.0) if with_coeffs else None)
+    nodes = (7, np.arange(1, 8), np.exp(2j * np.pi * np.arange(7) / 7.0) if with_coeffs else np.ones(7))
     s = np.array([0.6 - 0.5j, 0.75 + 0.25j, 0.9 + 0.0j])
     shifts = np.array([0.0, 3.5, -120.25, 999.5])
     got = lfunc._power_sum(s, n, *nodes, shifts)
@@ -248,10 +219,9 @@ def test_values_do_not_depend_on_the_other_points_in_the_call():
     # every point sums the head its own |Im s| needs, so a value is the same
     # alone, in any subset and in any order of its call
     pts = 0.7 + 1j * np.linspace(2500.0, 3000.0, 1000)
-    whole_l, whole_h = l_value(pts, CHI4), hurwitz_zeta(pts, 0.5)
+    whole = l_value(pts, CHI4)
     for i in (0, 1, 500, 998):
-        assert np.array_equal(l_value(pts[[i, -1]], CHI4), whole_l[[i, -1]])
-        assert np.array_equal(hurwitz_zeta(pts[[i, -1]], 0.5), whole_h[[i, -1]])
+        assert np.array_equal(l_value(pts[[i, -1]], CHI4), whole[[i, -1]])
     rng = np.random.default_rng(23)
     pts = rng.uniform(0.55, 0.95, 40) + 1j * rng.uniform(-6000.0, 6000.0, 40)
     pts[:3] = [0.7 + 0j, 0.6 + 0.5j, 0.9 - 5999.0j]
@@ -260,8 +230,6 @@ def test_values_do_not_depend_on_the_other_points_in_the_call():
         assert np.array_equal([l_value(p, chi) for p in pts], whole)
         order = rng.permutation(len(pts))
         assert np.array_equal(l_value(pts[order], chi), whole[order])
-    whole = hurwitz_zeta(pts - 0.5, 0.3)
-    assert np.array_equal([hurwitz_zeta(p - 0.5, 0.3) for p in pts], whole)
     # shifted calls: each shift alone, and the shifts in another order
     base = np.array([0.65 - 0.5j, 0.7 + 0j, 0.75 + 0.5j])
     shifts = np.concatenate([[0.0, 4999.5], rng.uniform(-5000.0, 5000.0, 30)])
@@ -303,11 +271,6 @@ def test_every_residue_class_sums_the_certified_length(classes):
     counts = lfunc._head_counts(random_t, classes, cfg)
     for ti, c in zip(random_t, counts):
         assert (c - lfunc._TERM_CHUNK) // classes < lfunc._n_terms(float(ti), cfg)
-    # hurwitz_zeta left of sigma = 1/2 takes the bound's exponent at its own sigma
-    for sigma in (0.0, 0.3):
-        assert lfunc._n_terms(5000.0, cfg, sigma) > lfunc._n_terms(5000.0, cfg)
-        counts = lfunc._head_counts(t, 1, cfg, sigma)
-        assert all(c >= lfunc._n_terms(float(ti), cfg, sigma) for ti, c in zip(t, counts))
 
 
 def test_single_point_matches_the_same_point_in_a_large_call():
@@ -319,7 +282,6 @@ def test_single_point_matches_the_same_point_in_a_large_call():
     assert lfunc._n_terms(10_000.0, DEFAULT_CONFIG) * 16 > lfunc._TILE
     assert l_value(pts[-1], chi) == whole[-1]
     assert np.array_equal(l_value(pts[[7, -1]], chi), whole[[7, -1]])
-    assert hurwitz_zeta(pts[-1], 0.25) == hurwitz_zeta(pts, 0.25)[-1]
 
 
 def test_unshifted_memory_stays_bounded():
@@ -364,7 +326,7 @@ def test_truncated_approaches_zeta_two():
     prev_gap = None
     for v in (10, 30, 100, 300):
         gap = abs(l_truncated(2.0 + 0j, CHI1, v) - target)
-        tail_envelope = 4.0 * sum(p**-2.0 for p in primes_between(v, 10**5))
+        tail_envelope = 4.0 * sum(p**-2.0 for p in primes_upto(10**5) if p > v)
         assert gap < tail_envelope + 1e-12
         if prev_gap is not None:
             assert gap <= prev_gap
@@ -375,28 +337,6 @@ def test_truncated_trivial_for_chi4_at_v2():
     # chi(2) = 0, so the only candidate factor drops out
     for s in (0.6 + 0j, 2.0 + 5j):
         assert l_truncated(s, CHI4, 2) == 1.0 + 0j
-
-
-def test_log_ratio_empty_range_is_zero():
-    assert log_l_truncated_ratio(2.0 + 0j, CHI1, 5, 5) == 0
-
-
-def test_log_ratio_single_prime_closed_form():
-    val = log_l_truncated_ratio(2.0 + 0j, CHI1, 2, 3)
-    assert abs(val - (-math.log(1.0 - 3.0**-2.0))) < 1e-14
-    assert abs(val - 0.11778303565638346) < 1e-12
-
-
-def test_log_exp_consistency_random():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        s = complex(rng.uniform(0.6, 2.5), rng.uniform(-30, 30))
-        v = float(rng.integers(2, 20))
-        y = v + float(rng.integers(1, 60))
-        chi = CHI4 if rng.integers(2) else CHI1
-        lhs = np.exp(log_l_truncated_ratio(s, chi, v, y)) * l_truncated(s, chi, v)
-        rhs = l_truncated(s, chi, y)
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
 # ---------------------------------------------------------------- partial sums
@@ -429,7 +369,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         EvaluatorConfig(target_abs_error=0.0)
     cfg = EvaluatorConfig(em_order=16, shift_count=80, target_abs_error=1e-10)
-    assert abs(hurwitz_zeta(2.0 + 0j, 1.0, cfg) - math.pi**2 / 6) < 1e-10
+    assert abs(l_value(2.0 + 0j, CHI1, cfg) - math.pi**2 / 6) < 1e-10
 
 
 def test_strip_region_validation():
@@ -453,15 +393,6 @@ def test_point_region_grids():
     assert len(pts) == 1 and pts[0] == 0.7 + 0j
 
 
-def test_u_grid_area():
-    reg = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02)
-    centers, cell = reg.u_grid(5, 4)
-    assert len(centers) == 20
-    slo, shi, tlo, thi = reg.u_rect
-    assert abs(cell * 20 - (shi - slo) * (thi - tlo)) < 1e-12
-
-
 def test_prime_tables():
     assert primes_upto(10) == [2, 3, 5, 7]
-    assert primes_between(3, 11) == [5, 7, 11]
     assert primes_upto(1) == []

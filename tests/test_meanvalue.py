@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 import mpmath
 
 from oracles import coprime_power_tail
-from selfapprox.characters import character_from_id, enumerate_characters
+from selfapprox.characters import character_from_id
 from selfapprox.density import ShiftFamily
-from selfapprox.diophantine import KroneckerTarget
 from selfapprox.errors import DomainError, RangeError
 from selfapprox.lfunc import StripRegion, l_partial_sum, l_value
 from selfapprox.meanvalue import (
@@ -18,30 +17,14 @@ from selfapprox.meanvalue import (
     b2_ladder,
     carlson_mean_value,
     coprime_tail_sum,
-    max_modulus_bound,
-    truncation_tail_check,
 )
 from selfapprox.sampling import uniform_samples
 
 CHI4 = character_from_id("4:1")
-CHI1 = enumerate_characters(1)[0]
 REGION = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3)
 
 
-# ---------------------------------------------------------------- lemma 1 bound
-
-
-def test_max_modulus_bound_instances():
-    assert max_modulus_bound(math.pi, 1.0) == pytest.approx(1.0)
-    assert max_modulus_bound(0.0, 0.7) == 0.0
-    assert max_modulus_bound(4 * math.pi, 2.0) == pytest.approx(1.0)
-
-
-def test_max_modulus_bound_errors():
-    with pytest.raises(DomainError):
-        max_modulus_bound(1.0, 0.0)
-    with pytest.raises(DomainError):
-        max_modulus_bound(-1.0, 1.0)
+# ---------------------------------------------------------------- max identity
 
 
 @settings(max_examples=300, deadline=None)
@@ -70,6 +53,22 @@ def test_coprime_tail_against_mpmath():
     head = sum(n**-1.5 for n in range(1, 21) if n % 2)
     ref = float((1 - mpmath.mpf(2) ** mpmath.mpf(-1.5)) * mpmath.zeta(1.5)) - head
     assert coprime_tail_sum(CHI4, 20, 1.5) == pytest.approx(ref, rel=1e-12)
+
+
+def test_coprime_tail_against_hurwitz_identity():
+    # the coprime n > y0 = q floor(y/q) split by residue class r mod q give
+    # q^-e sum_r zeta(e, (y0 + r)/q); the coprime n in (y0, y] are taken off.
+    # The tail is 1e-5 of the O(1) values it is the difference of, so a head
+    # summed in plain float64 already costs it 2e-9 relative
+    chi, y, e = character_from_id("60:1"), 10**5, 1.9
+    q = chi.modulus
+    y0 = q * (y // q)
+    with mpmath.workdps(30):
+        coprime = [r for r in range(1, q + 1) if math.gcd(r, q) == 1]
+        ref = mpmath.mpf(q) ** -e * mpmath.fsum(mpmath.zeta(e, mpmath.mpf(y0 + r) / q) for r in coprime)
+        ref -= mpmath.fsum(mpmath.mpf(n) ** -e for n in range(y0 + 1, y + 1) if math.gcd(n, q) == 1)
+        ref = float(ref)
+    assert abs(coprime_tail_sum(chi, y, e) - ref) <= 1e-10 * ref
 
 
 def test_coprime_tail_empty_limit():
@@ -109,46 +108,6 @@ def test_carlson_beyond_cap_reports_usable_horizon(t, T, usable):
     with pytest.raises(RangeError) as err:
         carlson_mean_value(CHI4, complex(0.75, t), 20, x=2.0, T=T, n_samples=4)
     assert f"largest usable T at this cap is {usable};" in str(err.value) + ";"
-
-
-# ---------------------------------------------------------------- tail check
-
-
-def test_truncation_tail_check_y_equals_v():
-    target = KroneckerTarget((1.0,), 1, 0.2, 5)
-    report = truncation_tail_check(CHI4, target, REGION, 5, 500.0, 4000, seed=1)
-    assert report["empirical"] == 0.0
-
-
-@pytest.mark.parametrize("T, n_samples", [(500.0, 0), (0.0, 100), (-500.0, 100)])
-def test_truncation_tail_check_validation(T, n_samples):
-    target = KroneckerTarget((1.0,), 1, 0.2, 5)
-    with pytest.raises(DomainError):
-        truncation_tail_check(CHI4, target, REGION, 5, T, n_samples)
-
-
-def test_truncation_tail_check_single_prime_gap():
-    target = KroneckerTarget((1.0,), 1, 0.3, 2)
-    report = truncation_tail_check(CHI1, target, REGION, 3, 500.0, 4000, seed=2)
-    assert report["empirical"] > 0.0
-    assert np.isfinite(report["ratio"]) and report["ratio"] > 0
-    assert report["n_hits"] > 0
-
-
-def test_truncation_tail_check_warns_on_few_hits():
-    target = KroneckerTarget((1.0,), 1, 0.02, 7)
-    report = truncation_tail_check(CHI4, target, REGION, 11, 200.0, 500, seed=3)
-    assert report["warning"] is not None or report["n_hits"] >= 30
-
-
-def test_truncation_tail_ratio_stable_across_v():
-    ratios = []
-    for v in (5, 10):
-        target = KroneckerTarget((1.0,), 1, 0.3, v)
-        report = truncation_tail_check(CHI4, target, REGION, 50, 500.0, 6000, seed=4)
-        if report["n_hits"] >= 30:
-            ratios.append(report["ratio"])
-    assert all(0 < r < 50 for r in ratios)
 
 
 # ---------------------------------------------------------------- B^2 distances

@@ -57,6 +57,10 @@ def test_l_value_array_shapes():
     assert abs(out[0, 0] - l_value(arr[0, 0], CHI1)) < 1e-13
 
 
+def test_zeta_two():
+    assert abs(l_value(2.0 + 0j, CHI1) - 1.6449340668482264) < 1e-12
+
+
 def test_l_value_zeta_two():
     assert abs(l_value(2.0 + 0j, CHI1) - math.pi**2 / 6) < 1e-10
 

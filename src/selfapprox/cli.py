@@ -78,7 +78,8 @@ _SCHEMAS = {
     "kronecker": {
         **_TARGET,
         "T": (_finite_float, None),
-        "samples": (_finite_float, None),
+        # accepted and ignored, see _run_kronecker
+        "samples": (_finite_float, 0),
         "stratified": (int, 0),
     },
     "find-tau": {
@@ -241,19 +242,25 @@ def _make_target(params) -> KroneckerTarget:
 
 
 def _run_kronecker(params, seed, threads):
+    # "samples" and "stratified" set the Monte Carlo estimate that the exact
+    # measure replaced; both stay accepted, and ignored, so that recorded
+    # manifests still run.
     target = _make_target(params)
-    density, (lo, hi) = measure_kronecker_density(
-        target, params["T"], int(params["samples"]), seed, stratified=bool(params["stratified"])
-    )
+    # the exact density on 41 log-spaced horizons over four decades up to T,
+    # from one sweep; the last is T itself
+    horizons = params["T"] * np.logspace(-4.0, 0.0, 41)
+    horizons = horizons[np.diff(horizons, prepend=0.0) > 0.0]  # T near underflow
+    densities, (lo, hi) = measure_kronecker_density(target, horizons)
     results = {
-        "density": density,
-        "ci_lo": lo,
-        "ci_hi": hi,
+        "density": float(densities[-1]),
+        "ci_lo": float(lo[-1]),
+        "ci_hi": float(hi[-1]),
         "expected_density": target.expected_density,
         "l": len(target.shifts),
         "M": target.n_primes,
     }
-    return results, None, None
+    plot = [(repr(float(h)), repr(float(d))) for h, d in zip(horizons, densities)]
+    return results, None, plot
 
 
 def _run_find_tau(params, seed, threads):
@@ -356,7 +363,7 @@ def _run_selfcheck(params, seed, threads):
     rel = find_rational_relations([1, Fraction(1, 2)])
     checks["relation_half"] = rel.denominator == 2 and rel.coefficients == ((1,),)
     target = KroneckerTarget((1.0,), 1, 0.25, 2)
-    density, _ = measure_kronecker_density(target, 1e4, 20000, seed)
+    density, _ = measure_kronecker_density(target, 1e4)
     checks["kronecker_volume"] = abs(density - 0.5) < 0.02
     results = {"checks": checks, "passed": all(checks.values())}
     return results, None, None

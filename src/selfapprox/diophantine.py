@@ -3,9 +3,11 @@
 Covers four jobs: discovering the decomposition a*d_k = sum_j a_{k,j} d_j over
 a maximal Q-independent subset of the shifts, membership testing for the sets
 of tau whose scaled coordinates tau*d_n*log(p)/(2*pi*a) all sit within delta of
-integers, Monte Carlo measurement of the density of those sets (whose limit is
-the box volume (2*delta)^(l*M)), and an exact sweep that lists one member
-per maximal member interval.
+integers, and one exact sweep over the maximal member intervals of those sets.
+The sweep lists one member per interval (find_tau_in_set) and sums the
+interval widths into the exact density of the set in [0, T]
+(measure_kronecker_density), whose limit is the box volume (2*delta)^(l*M).
+Its cost grows with T * max|alpha|, capped at SWEEP_CAP for the density.
 
 Float-mode relation detection is lattice based (PSLQ) and only ever claims a
 relation "at the stated precision"; Q-linear independence is not decidable
@@ -19,12 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .primes import primes_upto
-from .sampling import BLOCK_SIZE, block_rng, wilson_interval
 from .sampling import block_slices, uniform_samples  # noqa: F401  (perfbench/spans.py wraps these names)
 
 __all__ = [
+    "SWEEP_CAP",
     "LinearRelation",
     "KroneckerTarget",
     "find_rational_relations",
@@ -237,41 +239,18 @@ def in_kronecker_set(tau: float, target: KroneckerTarget) -> bool:
     return bool(kronecker_membership([tau], target)[0])
 
 
-def measure_kronecker_density(
-    target: KroneckerTarget,
-    T: float,
-    n_samples: int,
-    seed: int,
-    stratified: bool = False,
-):
-    """Monte Carlo estimate of (1/T) meas{tau in [0,T] in the set}.
-
-    Returns (density, (wilson_lo, wilson_hi)); reproducible per seed.  Each
-    block's tau values are drawn inside the loop, block b from block_rng(seed,
-    b) as in sampling.uniform_samples, so memory stays at one block however
-    large n_samples is.  stratified=True takes equally spaced points with one
-    common random offset, drawn from block 0's stream.
-    """
-    if T <= 0 or n_samples < 1:
-        raise DomainError("T must be positive and n_samples >= 1")
-    offset = block_rng(seed, 0).uniform(0.0, 1.0) if stratified else None
-    hits = 0
-    for b, i0 in enumerate(range(0, n_samples, BLOCK_SIZE)):
-        i1 = min(i0 + BLOCK_SIZE, n_samples)
-        if stratified:
-            taus = T * (np.arange(i0, i1) + offset) / n_samples
-        else:
-            taus = block_rng(seed, b).uniform(0.0, T, i1 - i0)
-        hits += int(np.count_nonzero(kronecker_membership(taus, target)))
-    return hits / n_samples, wilson_interval(hits, n_samples)
-
-
 # Periods of the fastest coordinate per sweep window.  Window edges sit where
 # that coordinate is a half-integer, so no member interval crosses one.  A
 # window meets at most about _SWEEP_WINDOW intervals of each coordinate, so the
 # sweep's memory is set by this constant and the number of coordinates, not
 # by the search bound or by how far apart the frequencies are.
 _SWEEP_WINDOW = 1 << 14
+
+# Most periods of the fastest coordinate, T * max|alpha|, that one density
+# measurement sweeps: 2**10 windows.  A window costs about 1 ms at one
+# coordinate and up to about 10 ms at a dozen, so the cap keeps a call to
+# seconds; it also keeps every k of the sweep far below 2**53.
+SWEEP_CAP = float(_SWEEP_WINDOW << 10)
 
 
 def _member_intervals(target: KroneckerTarget, search_bound: float):
@@ -304,6 +283,63 @@ def _member_intervals(target: KroneckerTarget, search_bound: float):
             lo, hi = lo[keep], hi[keep]
         keep = (hi > 0.0) & (lo < search_bound)
         yield lo[keep], hi[keep]
+
+
+def measure_kronecker_density(target: KroneckerTarget, T):
+    """Exact density (1/T) meas{tau in [0, T] in the Kronecker set}.
+
+    T is one horizon or an increasing 1-D array of them; every horizon is
+    measured by one sweep of _member_intervals up to the largest.  The
+    member intervals are clipped to [0, T] and their widths added: at the
+    largest horizon by math.fsum per window and across windows, at a smaller
+    horizon h by the cumulative sum of its own window up to h on top of the
+    windows before it.  Returns (density, (lo, hi)) with the shape of T.
+
+    (lo, hi) bounds the rounding a priori: each endpoint (k +- delta)/|alpha|
+    is off by at most 2 ulp(h), and each width and partial sum by ulp(h) more,
+    so density(h) is within (8 n + 4) ulp(h) / h of the exact measure of the
+    set that the float frequencies cut out, n the number of member intervals
+    meeting [0, h].  The cost grows with T * max|alpha|, the number of
+    periods of the fastest coordinate; past SWEEP_CAP periods it raises
+    RangeError, naming the largest usable T.
+    """
+    horizons = np.atleast_1d(np.asarray(T, dtype=float))
+    if horizons.ndim != 1 or not horizons.size or not np.all(np.diff(horizons, prepend=0.0) > 0):
+        raise DomainError("T must be positive, or an increasing array of positive horizons")
+    bound = float(horizons[-1])
+    fastest = float(np.max(np.abs(target.frequencies)))
+    if bound * fastest > SWEEP_CAP:
+        raise RangeError(
+            f"T = {bound:.6g} spans {bound * fastest:.6g} periods of the fastest coordinate "
+            f"> cap {SWEEP_CAP:.6g}; largest usable T at this cap is {SWEEP_CAP / fastest:.6g}"
+        )
+    last = horizons.size - 1  # the horizon that math.fsum measures
+    measure, count = np.empty(horizons.size), np.empty(horizons.size)
+    sums, n, j = [], 0, 0  # each window's fsum, intervals so far, next horizon
+    for lo, hi in _member_intervals(target, bound):
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, bound)
+        width = hi - lo
+        # horizons up to this window's last interval end take every interval
+        # starting below them from this window and the ones before
+        stop = j + int(np.searchsorted(horizons[j:last], hi[-1], side="right")) if hi.size else j
+        if stop > j:
+            h = horizons[j:stop]
+            k = np.searchsorted(lo, h)
+            prev = np.maximum(k - 1, 0)
+            inside = np.cumsum(width)[prev] - np.maximum(hi[prev] - h, 0.0)
+            measure[j:stop] = math.fsum(sums) + np.where(k > 0, inside, 0.0)
+            count[j:stop] = n + k
+            j = stop
+        sums.append(math.fsum(width))
+        n += width.size
+    measure[j:] = math.fsum(sums)
+    count[j:] = n
+    density = measure / horizons
+    half = (8.0 * count + 4.0) * np.spacing(horizons) / horizons
+    lo, hi = np.maximum(density - half, 0.0), np.minimum(density + half, 1.0)
+    if np.ndim(T) == 0:
+        return float(density[0]), (float(lo[0]), float(hi[0]))
+    return density, (lo, hi)
 
 
 def find_tau_in_set(

@@ -8,7 +8,6 @@ how many worker threads processed the blocks.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,6 +37,9 @@ def map_blocks(fn, n: int, threads: int = 1) -> list:
     slices = block_slices(n)
     if threads <= 1 or len(slices) <= 1:
         return [fn(i0, i1) for i0, i1 in slices]
+    # imported here: it pulls in logging, about 8 ms that serial runs skip
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, i0, i1) for i0, i1 in slices]
         return [f.result() for f in futures]

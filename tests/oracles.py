@@ -1,14 +1,20 @@
 """Independent reference computations used to freeze expected test values.
 
-Everything here deliberately avoids the package's Hurwitz/Euler-Maclaurin
-code path: plain truncated series with explicit tail corrections or bounds.
+Everything here deliberately avoids the package's Euler-Maclaurin and
+interval-sweep code paths: plain truncated series with explicit tail
+corrections or bounds, Monte Carlo membership counts, and exact rational
+interval arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from selfapprox.characters import char_value
+from selfapprox.diophantine import KroneckerTarget, kronecker_membership
+from selfapprox.errors import DomainError
+from selfapprox.sampling import BLOCK_SIZE, block_rng, wilson_interval
 
 
 def zeta_series(s, terms=10**5):
@@ -85,3 +91,54 @@ def coprime_power_tail(chi, y, exponent, terms=10**6):
     density = np.count_nonzero([math.gcd(r, q) == 1 for r in range(1, q + 1)]) / q
     tail = density * terms ** (1 - exponent) / (exponent - 1)
     return head + tail
+
+
+def monte_carlo_kronecker_density(
+    target: KroneckerTarget,
+    T: float,
+    n_samples: int,
+    seed: int,
+    stratified: bool = False,
+):
+    """Monte Carlo estimate of (1/T) meas{tau in [0,T] in the set}.
+
+    Returns (density, (wilson_lo, wilson_hi)); reproducible per seed.  Each
+    block's tau values are drawn inside the loop, block b from block_rng(seed,
+    b) as in sampling.uniform_samples, so memory stays at one block however
+    large n_samples is.  stratified=True takes equally spaced points with one
+    common random offset, drawn from block 0's stream.
+    """
+    if T <= 0 or n_samples < 1:
+        raise DomainError("T must be positive and n_samples >= 1")
+    offset = block_rng(seed, 0).uniform(0.0, 1.0) if stratified else None
+    hits = 0
+    for b, i0 in enumerate(range(0, n_samples, BLOCK_SIZE)):
+        i1 = min(i0 + BLOCK_SIZE, n_samples)
+        if stratified:
+            taus = T * (np.arange(i0, i1) + offset) / n_samples
+        else:
+            taus = block_rng(seed, b).uniform(0.0, T, i1 - i0)
+        hits += int(np.count_nonzero(kronecker_membership(taus, target)))
+    return hits / n_samples, wilson_interval(hits, n_samples)
+
+
+def exact_kronecker_measure(target, T) -> Fraction:
+    """meas{tau in [0, T]: ||tau * alpha|| < delta for every frequency} as a Fraction.
+
+    Takes the float frequencies and delta at their exact binary values and
+    intersects the periodic unions ((k - delta)/|alpha|, (k + delta)/|alpha|)
+    one coordinate at a time, every endpoint an exact rational.  For small
+    T * max|alpha| only: the lists hold every interval.
+    """
+    delta, T = Fraction(target.delta), Fraction(T)
+    current = [(Fraction(0), T)]
+    for alpha in np.abs(target.frequencies.ravel()):
+        a = Fraction(float(alpha))
+        nxt = []
+        for lo, hi in current:
+            for k in range(math.floor(lo * a - delta), math.ceil(hi * a + delta) + 1):
+                left, right = max(lo, (k - delta) / a), min(hi, (k + delta) / a)
+                if left < right:
+                    nxt.append((left, right))
+        current = nxt
+    return sum((hi - lo for lo, hi in current), Fraction(0))

@@ -96,8 +96,8 @@ def test_02_evaluator_oracle_equivalence():
 def test_03_kronecker_volume_law():
     t0 = time.time()
     target = KroneckerTarget((1.0,), 1, 0.1, 5)
-    n = 10**6
-    density, _ = measure_kronecker_density(target, 1e5, n, seed=7)
+    n = 10**6  # the sample size the binomial standard error is taken at
+    density, _ = measure_kronecker_density(target, 1e5)
     expected = target.expected_density
     se = binomial_stderr(int(round(density * n)), n)
     ok = abs(density - expected) / expected < 0.30

@@ -57,6 +57,44 @@ def test_kronecker_small(tmp_path):
     assert res["l"] == 1 and res["M"] == 1
 
 
+def test_kronecker_writes_the_exact_density_ladder(tmp_path):
+    argv = ["kronecker", "--d", "1,1.4142135623730951", "--delta", "0.1", "--primes-upto", "7",
+            "--T", "1e5"]
+    runs = {
+        "t1": argv + ["--threads", "1"],
+        "t2": argv + ["--threads", "2"],
+        # the Monte Carlo keys are accepted and change nothing
+        "mc": argv + ["--samples", "4e6", "--stratified", "1", "--seed", "9"],
+    }
+    for name, extra in runs.items():
+        assert main(extra + ["--output-dir", str(tmp_path / name)]) == 0
+    assert main(["rerun", str(tmp_path / "t1" / "manifest.json"),
+                 "--output-dir", str(tmp_path / "rerun")]) == 0
+    for name in ("results.json", "plotdata.csv"):
+        expected = (tmp_path / "t1" / name).read_bytes()
+        assert all((tmp_path / d / name).read_bytes() == expected for d in ("t2", "mc", "rerun"))
+    res = _results(tmp_path / "t1")
+    assert res["density"] == pytest.approx(4.04e-6, rel=1e-3)  # volume 2.56e-6
+    assert res["ci_lo"] <= res["density"] <= res["ci_hi"]
+    rows = [row.split(",") for row in _read(tmp_path / "t1", "plotdata.csv").splitlines()]
+    assert rows[0] == ["x", "y"] and len(rows) == 42
+    horizons = [float(x) for x, _ in rows[1:]]
+    assert horizons == sorted(horizons) and horizons[0] == pytest.approx(10.0)
+    assert rows[-1] == ["100000.0", repr(res["density"])]
+
+
+def test_kronecker_beyond_the_sweep_cap_names_the_largest_usable_T(tmp_path, capsys):
+    rc = main([
+        "kronecker", "--delta", "0.1", "--primes-upto", "2", "--T", "1e9",
+        "--output-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "largest usable T at this cap is 1.52081e+08" in json.loads(err)["error"]
+    assert not (tmp_path / "results.json").exists()
+
+
 def test_find_tau_writes_samples(tmp_path):
     rc = main([
         "find-tau", "--delta", "0.1", "--primes-upto", "2", "--bound", "100",
@@ -192,6 +230,16 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # only map_blocks with threads > 1 needs it, and it pulls in logging
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selfapprox.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, selfapprox.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_evaluator_commands_leave_numpy_ma_unloaded(tmp_path):
     # importing numpy.ma (np.unique does, on its first call) costs a fresh
     # process about 6 ms and 1.4 MB; the L evaluator has no need of it
@@ -286,6 +334,7 @@ def _write_bytes(path, data):
     "config_not_utf8", "manifest_not_utf8", "threads_zero", "threads_negative",
     "manifest_seed_bool", "manifest_threads_bool", "mean_value_beyond_cap",
     "seed_not_int", "unknown_flag", "no_subcommand", "rerun_without_manifest", "threads_not_int",
+    "kronecker_beyond_sweep_cap",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -337,6 +386,8 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
         "rerun_without_manifest": ["rerun"] + out,
         "threads_not_int": ["kronecker", "--delta", "0.25", "--primes-upto", "2", "--T", "10",
                             "--samples", "10", "--threads", "x"] + out,
+        "kronecker_beyond_sweep_cap": ["kronecker", "--delta", "0.25", "--primes-upto", "2",
+                                       "--T", "1e300"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -99,7 +99,7 @@ PARAMS = {
 # keys without a default; the rest are drawn or left to their defaults
 REQUIRED = {
     "relations": ("shifts",),
-    "kronecker": ("delta", "primes_upto", "T", "samples"),
+    "kronecker": ("delta", "primes_upto", "T"),
     "find-tau": ("delta", "primes_upto", "bound"),
     "scan-density": ("d", "chars", "eps", "T"),
 }

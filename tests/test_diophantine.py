@@ -1,14 +1,18 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_kronecker_measure, monte_carlo_kronecker_density
 from selfapprox.diophantine import (
+    SWEEP_CAP,
     KroneckerTarget,
+    _SWEEP_WINDOW,
     _member_intervals,
     find_rational_relations,
     find_tau_in_set,
@@ -18,7 +22,7 @@ from selfapprox.diophantine import (
     measure_kronecker_density,
     nearest_int_distance,
 )
-from selfapprox.errors import DomainError
+from selfapprox.errors import DomainError, RangeError
 from selfapprox.sampling import BLOCK_SIZE, binomial_stderr, uniform_samples, wilson_interval
 
 
@@ -203,7 +207,7 @@ def test_dependent_shift_bound():
 
 def test_volume_law_single_prime():
     t = KroneckerTarget((1.0,), 1, 0.25, 2)
-    density, (lo, hi) = measure_kronecker_density(t, 1e5, 200000, seed=1)
+    density, (lo, hi) = measure_kronecker_density(t, 1e5)
     assert abs(density - 0.5) < 0.01
     assert lo <= density <= hi
 
@@ -218,18 +222,18 @@ def test_volume_law_random_targets():
         t = KroneckerTarget(shifts, 1, delta, v)
         if len(shifts) * t.n_primes > 4:
             continue
-        n = 10**6
-        density, _ = measure_kronecker_density(t, 1e5, n, seed=1000 + trial)
+        n = 10**6  # the sample size the binomial standard error is taken at
+        density, _ = measure_kronecker_density(t, 1e5)
         se = binomial_stderr(int(round(density * n)), n)
         assert abs(density - t.expected_density) < 3 * se + 0.003
 
 
 def test_density_reproducible_and_stratified():
     t = KroneckerTarget((1.0,), 1, 0.1, 5)
-    a = measure_kronecker_density(t, 1e5, 50000, seed=9)
-    b = measure_kronecker_density(t, 1e5, 50000, seed=9)
+    a = monte_carlo_kronecker_density(t, 1e5, 50000, seed=9)
+    b = monte_carlo_kronecker_density(t, 1e5, 50000, seed=9)
     assert a == b
-    c, _ = measure_kronecker_density(t, 1e5, 50000, seed=9, stratified=True)
+    c, _ = monte_carlo_kronecker_density(t, 1e5, 50000, seed=9, stratified=True)
     assert abs(c - t.expected_density) < 0.002
 
 
@@ -239,11 +243,11 @@ def test_density_draws_the_same_taus_block_by_block():
     n, T = 3 * BLOCK_SIZE + 17, 1e5
     taus = uniform_samples(4, n, 0.0, T)
     hits = int(np.count_nonzero(kronecker_membership(taus, t)))
-    assert measure_kronecker_density(t, T, n, seed=4) == (hits / n, wilson_interval(hits, n))
+    assert monte_carlo_kronecker_density(t, T, n, seed=4) == (hits / n, wilson_interval(hits, n))
     offset = np.random.Generator(np.random.PCG64(np.random.SeedSequence((4, 0)))).uniform(0.0, 1.0)
     grid = 0.0 + (T - 0.0) * (np.arange(n) + offset) / n
     hits = int(np.count_nonzero(kronecker_membership(grid, t)))
-    assert measure_kronecker_density(t, T, n, seed=4, stratified=True)[0] == hits / n
+    assert monte_carlo_kronecker_density(t, T, n, seed=4, stratified=True)[0] == hits / n
 
 
 @pytest.mark.parametrize("stratified", [False, True])
@@ -252,7 +256,7 @@ def test_density_memory_does_not_grow_with_samples(stratified):
     n = 2_000_000  # 16 MB of tau values if held at once
     tracemalloc.start()
     try:
-        measure_kronecker_density(t, 1e5, n, seed=1, stratified=stratified)
+        monte_carlo_kronecker_density(t, 1e5, n, seed=1, stratified=stratified)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,8 +265,104 @@ def test_density_memory_does_not_grow_with_samples(stratified):
 
 def test_near_full_cube():
     t = KroneckerTarget((1.0,), 1, 0.499, 3)
-    density, _ = measure_kronecker_density(t, 1e4, 50000, seed=2)
+    density, _ = measure_kronecker_density(t, 1e4)
     assert density > 0.99 * (0.998) ** 2
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    shifts=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=2),
+    a=st.integers(1, 3),
+    delta=st.floats(0.1, 0.45),
+    prime_bound=st.sampled_from([2, 3, 5, 7]),
+    T=st.floats(10.0, 1e4),
+    seed=st.integers(0, 2**32),
+)
+def test_exact_density_matches_monte_carlo_oracle(shifts, a, delta, prime_bound, T, seed):
+    t = KroneckerTarget(tuple(shifts), a, delta, prime_bound)
+    assume(len(shifts) * t.n_primes <= 4)
+    n = 100_000
+    exact, _ = measure_kronecker_density(t, T)
+    estimate, _ = monte_carlo_kronecker_density(t, T, n, seed)
+    # 4 binomial standard errors at the exact value, plus 4 hits for the
+    # Poisson tail of sets with few expected hits
+    assert abs(estimate - exact) < 4 * math.sqrt(exact * (1 - exact) / n) + 4 / n
+
+
+@pytest.mark.parametrize("shift, a, delta, T", [
+    (1.0, 1, 0.1, 1e5),
+    (-2.5, 3, 0.25, 12345.6),
+    (0.001, 1, 0.4, 50.0),  # T inside the interval around 0
+    (7.0, 2, 0.3, 1e7),  # about 75 sweep windows
+])
+def test_exact_density_single_coordinate_closed_form(shift, a, delta, T):
+    # one prime: the set is the periodic union of (k - delta, k + delta)/|alpha|,
+    # so meas [0, T] = (2 delta floor(x) + min(r, delta) + max(r - 1 + delta, 0)) / |alpha|
+    # with x = T |alpha| = floor(x) + r, exact in rationals at the float alpha
+    t = KroneckerTarget((shift,), a, delta, 2)
+    alpha, d = Fraction(abs(float(t.frequencies[0, 0]))), Fraction(delta)
+    x = Fraction(T) * alpha
+    r = x - math.floor(x)
+    exact = (2 * d * math.floor(x) + min(r, d) + max(r - 1 + d, Fraction(0))) / alpha / Fraction(T)
+    density, (lo, hi) = measure_kronecker_density(t, T)
+    assert Fraction(lo) <= exact <= Fraction(hi)
+    assert lo <= density <= hi < lo + 1e-7
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    shifts=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=2),
+    a=st.integers(1, 3),
+    delta=st.floats(0.05, 0.45),
+    prime_bound=st.sampled_from([2, 3, 5, 7]),
+    T=st.floats(1.0, 300.0),
+)
+def test_exact_density_within_its_rounding_bound(shifts, a, delta, prime_bound, T):
+    t = KroneckerTarget(tuple(shifts[:-1]) + (-shifts[-1],), a, delta, prime_bound)
+    density, (lo, hi) = measure_kronecker_density(t, T)
+    exact = exact_kronecker_measure(t, T) / Fraction(T)
+    assert Fraction(lo) <= exact <= Fraction(hi)
+    assert 0.0 <= lo <= density <= hi <= 1.0
+
+
+def test_exact_density_is_monotone_and_lipschitz_across_a_window_edge():
+    t = KroneckerTarget((1.0,), 1, 0.1, 5)
+    edge = (_SWEEP_WINDOW - 0.5) / np.max(np.abs(t.frequencies))  # ~6.4e4
+    horizons = np.linspace(edge - 40.0, edge + 40.0, 4001)
+    density, (lo, hi) = measure_kronecker_density(t, horizons)
+    measure, slack = horizons * density, horizons * (hi - lo)
+    tol = slack[1:] + slack[:-1]
+    step = np.diff(measure)
+    assert np.all(step >= -tol) and np.all(step <= np.diff(horizons) + tol)
+    assert np.count_nonzero(step > 0) > 100  # the window holds member intervals
+    # each horizon of the ladder agrees with a sweep that stops there
+    for i in (0, 1000, 1999, 2000, 2001, 3000, 4000):
+        alone, (alone_lo, alone_hi) = measure_kronecker_density(t, float(horizons[i]))
+        assert abs(alone - density[i]) <= (hi[i] - lo[i]) + (alone_hi - alone_lo)
+    assert measure_kronecker_density(t, float(horizons[-1]))[0] == density[-1]
+
+
+def test_exact_density_memory_does_not_grow_with_T():
+    t = KroneckerTarget((1.0,), 1, 0.1, 5)
+    peaks = []
+    for T in (1e5, 1e7):  # 2 and 157 sweep windows
+        tracemalloc.start()
+        try:
+            measure_kronecker_density(t, T)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
+
+
+def test_exact_density_refuses_T_beyond_the_sweep_cap():
+    t = KroneckerTarget((1.0,), 1, 0.1, 2)
+    usable = SWEEP_CAP / np.max(np.abs(t.frequencies))
+    with pytest.raises(RangeError, match=re.escape(f"largest usable T at this cap is {usable:.6g}")):
+        measure_kronecker_density(t, 1.01 * usable)
+    for bad in (0.0, -1.0, [], [2.0, 1.0], [[1.0]]):
+        with pytest.raises(DomainError):
+            measure_kronecker_density(t, bad)
 
 
 def test_wilson_interval_sane():
@@ -310,10 +410,10 @@ def test_search_and_density_match_recorded_values():
     t1 = KroneckerTarget((1.0,), 1, 0.1, 5)
     t2 = KroneckerTarget((1.0, 2.5), 3, 0.2, 3)
     n = 70000
-    assert measure_kronecker_density(t1, 1e5, n, seed=11)[0] == 502 / n
-    assert measure_kronecker_density(t2, 1e4, n, seed=12)[0] == 1907 / n
-    assert measure_kronecker_density(t1, 1e5, n, seed=11, stratified=True)[0] == 560 / n
-    assert measure_kronecker_density(t2, 1e4, n, seed=12, stratified=True)[0] == 1791 / n
+    assert monte_carlo_kronecker_density(t1, 1e5, n, seed=11)[0] == 502 / n
+    assert monte_carlo_kronecker_density(t2, 1e4, n, seed=12)[0] == 1907 / n
+    assert monte_carlo_kronecker_density(t1, 1e5, n, seed=11, stratified=True)[0] == 560 / n
+    assert monte_carlo_kronecker_density(t2, 1e4, n, seed=12, stratified=True)[0] == 1791 / n
 
 
 def test_find_tau_bad_inputs():
@@ -383,8 +483,10 @@ def test_interval_measure_matches_monte_carlo_density():
     T, n = 1e5, 200000
     lo, hi = _intervals(t, T)
     measure = float(np.sum(np.clip(hi, 0.0, T) - np.clip(lo, 0.0, T))) / T
-    density, _ = measure_kronecker_density(t, T, n, seed=3)
+    density, _ = monte_carlo_kronecker_density(t, T, n, seed=3)
     assert abs(measure - density) < 4 * binomial_stderr(int(round(density * n)), n)
+    exact, (lo, hi) = measure_kronecker_density(t, T)
+    assert lo <= measure <= hi and abs(exact - measure) < 1e-12
 
 
 def test_find_tau_smaller_searches_are_prefixes():

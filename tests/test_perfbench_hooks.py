@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 
@@ -16,3 +17,22 @@ def test_benchmark_span_hooks_find_every_wrapped_name():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _benchmark_module(name):
+    # run_path compiles from source, so nothing is written under perfbench/
+    return runpy.run_path(os.path.join(ROOT, "perfbench", name))
+
+
+def test_arithmetic_workload_passes_the_benchmark_checks(tmp_path):
+    # the benchmark's own run and checks (seed 7), among them the Kronecker
+    # density within KRONECKER_MAX_Z binomial standard errors of the volume
+    # and every find-tau hit a member: a change that would fail the
+    # benchmark fails here first
+    workloads, spans = _benchmark_module("workloads.py"), _benchmark_module("spans.py")
+    ctx = workloads["arithmetic_setup"]()
+    ops = workloads["Ops"]()
+    workloads["arithmetic_run"](ctx, 7, 1, str(tmp_path), spans["NullTracer"](), ops)
+    found = workloads["arithmetic_check"](ctx, str(tmp_path), ops)
+    assert all(op["ok"] for op in ops.items), ops.items
+    assert abs(found["kronecker_z"]) <= workloads["KRONECKER_MAX_Z"]

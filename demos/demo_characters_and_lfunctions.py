@@ -21,16 +21,18 @@ from selfapprox import (
 
 print("characters mod 12 (phi(12) = 4):")
 for chi in enumerate_characters(12):
-    row = ["   . " if chi(n) is None else f"{chi(n).real:+.2f}" for n in range(1, 13)]
-    print(f"  {chi.label}  order {chi.order}  " + " ".join(row))
+    row = ["   . " if chi.angle(n) is None else f"{chi(n).real:+.2f}" for n in range(1, 13)]
+    print(f"  {chi.label}  order {chi.order}  conductor {chi.conductor:2d}  " + " ".join(row))
 
 chi = character_from_id("4:1")
 total = sum(chi(n) for n in range(1, 5) if chi(n) is not None)
 print(f"orthogonality sum for {chi.label}: |sum| = {abs(total):.2e}")
 
 # --- sanity anchors for the evaluator ---------------------------------------
-# The evaluator goes through Hurwitz zeta with Euler-Maclaurin tails; two
-# classical values pin it down.  The principal character mod 1 gives zeta.
+# The evaluator goes through Hurwitz zeta with Euler-Maclaurin tails, for the
+# primitive character mod the conductor (times the Euler factors of the
+# primes it drops); two classical values pin it down.  The principal
+# character mod 1 gives zeta.
 
 print(f"\nzeta(2)      = {l_value(2.0 + 0j, character_from_id('1:0')).real:.15f}"
       f"  (pi^2/6 = {math.pi**2 / 6:.15f})")

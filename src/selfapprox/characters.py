@@ -74,12 +74,31 @@ class DirichletCharacter:
     def __call__(self, n: int) -> complex:
         return char_value(self, n)
 
-    def conjugate(self) -> "DirichletCharacter":
-        # the conjugate sends generator j to -k_j mod m_j; read the k_j off
-        # the index as mixed-radix digits (last generator fastest)
-        rest, index, stride = self.index, 0, 1
-        for _, m in reversed(_component_generators(self.modulus)):
+    def _generator_exponents(self):
+        """(k_j, m_j, c_j) per generator of _component_generators, in reverse
+        order: chi sends generator j to e^{2 pi i k_j/m_j}, the k_j read off
+        the index as mixed-radix digits (last generator fastest)."""
+        rest = self.index
+        for _, m, c in reversed(_component_generators(self.modulus)):
             rest, k = divmod(rest, m)
+            yield k, m, c
+
+    @cached_property
+    def conductor(self) -> int:
+        """The conductor d | q: chi is induced by a primitive character mod d.
+
+        The local conductor of generator j is c_j / gcd(k_j, c_j), where c_j
+        is that of k_j = 1 (see _component_generators): for a cyclic factor
+        (Z/p^e Z)*, p odd, the image of g^((p-1) p^(f-1)), which generates the
+        units = 1 mod p^f, is 1 iff p^(e-f) | k; for 2^e the same holds for the
+        generator 5, and -1 (or 3 mod 4) only needs f = 2.  d is their lcm.
+        """
+        return math.lcm(*(c // math.gcd(k, c) for k, _, c in self._generator_exponents()))
+
+    def conjugate(self) -> "DirichletCharacter":
+        # the conjugate sends generator j to -k_j mod m_j
+        index, stride = 0, 1
+        for k, m, _ in self._generator_exponents():
             index += (-k % m) * stride
             stride *= m
         return _build_characters(self.modulus, index)[0]
@@ -119,7 +138,10 @@ def _factorize(q: int):
 
 
 def _component_generators(q: int):
-    """Generators of (Z/qZ)* as CRT-lifted residues, with their orders."""
+    """Generators of (Z/qZ)* as CRT-lifted residues (g, m, c): g has order m,
+    and c is the conductor of the character that sends g to e^{2 pi i/m} and
+    every other generator to 1 (p^e for a cyclic factor mod p^e and for the
+    generator 5 mod 2^e, 4 for -1 and for 3 mod 4)."""
     gens = []
     for p, e in _factorize(q):
         pk = p**e
@@ -127,16 +149,16 @@ def _component_generators(q: int):
         local = []
         if p == 2:
             if e == 2:
-                local = [(3, 2)]
+                local = [(3, 2, 4)]
             elif e >= 3:
-                local = [(pk - 1, 2), (5, 2 ** (e - 2))]
+                local = [(pk - 1, 2, 4), (5, 2 ** (e - 2), pk)]
             # e == 1: trivial unit group, no generator
         else:
-            local = [(_primitive_root(pk, p), pk - pk // p)]
-        for g, m in local:
+            local = [(_primitive_root(pk, p), pk - pk // p, pk)]
+        for g, m, c in local:
             # lift to the residue that is g mod p^e and 1 mod q/p^e (g itself
             # when q = p^e, where pow(pk, -1, 1) is 0)
-            gens.append(((g * rest * pow(rest, -1, pk) + pk * pow(pk, -1, rest)) % q, m))
+            gens.append(((g * rest * pow(rest, -1, pk) + pk * pow(pk, -1, rest)) % q, m, c))
     return gens
 
 
@@ -146,7 +168,7 @@ def _build_characters(q: int, index: Optional[int] = None) -> tuple:
     if q < 1:
         raise DomainError(f"modulus must be positive, got {q}")
     gens = _component_generators(q)
-    orders = [m for _, m in gens]
+    orders = [m for _, m, _ in gens]
     exponent, phi = math.lcm(*orders), math.prod(orders)
     if index is not None and not 0 <= index < phi:
         raise DomainError(f"character index {index} out of range for modulus {q} (phi={phi})")
@@ -161,7 +183,7 @@ def _build_characters(q: int, index: Optional[int] = None) -> tuple:
     # int64 for every q below 10^8.
     nums = (exps @ scaled.T) % exponent  # [unit, character]
     units = np.full(phi, 1 % q, dtype=np.int64)  # residue of unit u; 1 % q is 0 for q = 1
-    for (g, m), col in zip(gens, exps.T):
+    for (g, m, _), col in zip(gens, exps.T):
         powers = np.array([pow(g, x, q) for x in range(m)], dtype=np.int64)
         units = units * powers[col] % q
     table = np.full((len(picked), q), -1, dtype=np.int64)

@@ -412,7 +412,8 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def main(argv=None) -> int:
+def _parser(command=None) -> _ArgumentParser:
+    """The argument parser with every subcommand, or with `command`'s alone."""
     parser = _ArgumentParser(
         prog="selfapprox",
         description="Numerical experiments on self-approximation of Dirichlet L-functions",
@@ -424,16 +425,35 @@ def main(argv=None) -> int:
     common.add_argument("--output-dir", default="runs/out")
     common.add_argument("--threads", type=int, default=1)
     for name in _RUNNERS:
-        p = sub.add_parser(name, parents=[common])
-        for key in _SCHEMAS[name]:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-    rerun = sub.add_parser("rerun")
-    rerun.add_argument("manifest")
-    rerun.add_argument("--output-dir", default=None)
-    rerun.add_argument("--threads", type=int, default=None)
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common])
+            for key in _SCHEMAS[name]:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+    if command in (None, "rerun"):
+        rerun = sub.add_parser("rerun")
+        rerun.add_argument("manifest")
+        rerun.add_argument("--output-dir", default=None)
+        rerun.add_argument("--threads", type=int, default=None)
+    return parser
 
+
+def _parse_args(argv):
+    """Parsed argv.  Only the invoked subcommand's parser is built; help, an
+    unknown command and every usage error go to the full parser, so their
+    output and exit codes are the full parser's."""
+    command = argv[0] if argv else None
+    if (command in _RUNNERS or command == "rerun") and not any(a.startswith(("-h", "--h")) for a in argv):
+        try:
+            return _parser(command).parse_args(argv)
+        except DomainError:
+            pass
+    return _parser().parse_args(argv)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         if args.command == "rerun":
             manifest = json.loads(_read_text(args.manifest))
             outdir = args.output_dir or os.path.dirname(os.path.abspath(args.manifest))

@@ -7,7 +7,7 @@ integers, and one exact sweep over the maximal member intervals of those sets.
 The sweep lists one member per interval (find_tau_in_set) and sums the
 interval widths into the exact density of the set in [0, T]
 (measure_kronecker_density), whose limit is the box volume (2*delta)^(l*M).
-Its cost grows with T * max|alpha|, capped at SWEEP_CAP for the density.
+Its cost grows with T * max|alpha|, capped at SWEEP_CAP for both.
 
 Float-mode relation detection is lattice based (PSLQ) and only ever claims a
 relation "at the stated precision"; Q-linear independence is not decidable
@@ -247,10 +247,21 @@ def in_kronecker_set(tau: float, target: KroneckerTarget) -> bool:
 _SWEEP_WINDOW = 1 << 14
 
 # Most periods of the fastest coordinate, T * max|alpha|, that one density
-# measurement sweeps: 2**10 windows.  A window costs about 1 ms at one
-# coordinate and up to about 10 ms at a dozen, so the cap keeps a call to
-# seconds; it also keeps every k of the sweep far below 2**53.
+# measurement or find_tau_in_set search sweeps: 2**10 windows.  A window costs
+# about 1 ms at one coordinate and up to about 10 ms at a dozen, so the cap
+# keeps a call to seconds; it also keeps every k of the sweep far below 2**53.
 SWEEP_CAP = float(_SWEEP_WINDOW << 10)
+
+
+def _check_sweep_cap(target: KroneckerTarget, bound: float, name: str):
+    """RangeError, naming the largest usable bound, if [0, bound] spans more
+    than SWEEP_CAP periods of the fastest coordinate."""
+    fastest = float(np.max(np.abs(target.frequencies)))
+    if bound * fastest > SWEEP_CAP:
+        raise RangeError(
+            f"{name} = {bound:.6g} spans {bound * fastest:.6g} periods of the fastest coordinate "
+            f"> cap {SWEEP_CAP:.6g}; largest usable {name} at this cap is {SWEEP_CAP / fastest:.6g}"
+        )
 
 
 def _member_intervals(target: KroneckerTarget, search_bound: float):
@@ -307,12 +318,7 @@ def measure_kronecker_density(target: KroneckerTarget, T):
     if horizons.ndim != 1 or not horizons.size or not np.all(np.diff(horizons, prepend=0.0) > 0):
         raise DomainError("T must be positive, or an increasing array of positive horizons")
     bound = float(horizons[-1])
-    fastest = float(np.max(np.abs(target.frequencies)))
-    if bound * fastest > SWEEP_CAP:
-        raise RangeError(
-            f"T = {bound:.6g} spans {bound * fastest:.6g} periods of the fastest coordinate "
-            f"> cap {SWEEP_CAP:.6g}; largest usable T at this cap is {SWEEP_CAP / fastest:.6g}"
-        )
+    _check_sweep_cap(target, bound, "T")
     last = horizons.size - 1  # the horizon that math.fsum measures
     measure, count = np.empty(horizons.size), np.empty(horizons.size)
     sums, n, j = [], 0, 0  # each window's fsum, intervals so far, next horizon
@@ -355,12 +361,15 @@ def find_tau_in_set(
     midpoint is kept only if kronecker_membership, the strict float
     predicate, accepts it: an interval narrower than the rounding of its
     endpoints may be dropped, never a point outside the set returned.  The
-    sweep stops at the window where max_results is reached.
+    sweep stops at the window where max_results is reached; a search_bound
+    past SWEEP_CAP periods of the fastest coordinate raises RangeError up
+    front, naming the largest usable bound.
     """
     if search_bound <= 0:
         raise DomainError("search_bound must be positive")
     if max_results < 1:
         raise DomainError("max_results must be >= 1")
+    _check_sweep_cap(target, search_bound, "bound")
     hits = []
     for lo, hi in _member_intervals(target, search_bound):
         taus = np.clip(0.5 * (lo + hi), 0.0, search_bound)

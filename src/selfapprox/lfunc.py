@@ -1,15 +1,20 @@
 """Numerical evaluation of L(s, chi) in sigma > 1/2 and of its truncations.
 
-One evaluator, `l_value`, continues L through the Hurwitz-zeta decomposition
+One evaluator, `l_value`, goes through the primitive character chi* mod the
+conductor d of chi, which induces it, and its Hurwitz-zeta decomposition
 
-    L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q),
+    L(s, chi) = L(s, chi*) prod_{p | q, p not dividing d} (1 - chi*(p) p^{-s}),
+    L(s, chi*) = d^{-s} sum_{a=1}^{d} chi*(a) zeta(s, a/d),
 
-with each Hurwitz zeta summed by Euler-Maclaurin to N terms.  The q heads
-merge into one Dirichlet sum over the integers m <= qN prime to q, and
-each class keeps only its Euler-Maclaurin tail.  N comes from a rigorous bound
-on the remainder (Johansson, arXiv:1309.2877) at each point's own |Im s|, so
-it grows linearly with that |Im s| alone, and evaluation refuses (RangeError)
-beyond IM_CAP rather than silently degrading.
+with each Hurwitz zeta summed by Euler-Maclaurin to N terms, so an
+imprimitive chi sums phi(d) residue classes rather than phi(q) (4 rather
+than 16 for a character mod 60 of conductor 5).  The heads merge into one
+Dirichlet sum over the integers m <= dN prime to d, and each class keeps only
+its Euler-Maclaurin tail.  N comes from a rigorous bound on the remainder
+(Johansson, arXiv:1309.2877) at each point's own |Im s|, so it grows
+linearly with that |Im s| alone, and evaluation refuses (RangeError) beyond
+IM_CAP rather than silently degrading.  The partial sums `l_partial_sum` are
+chi's own truncations, so they stay on chi mod q.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
 of them summed by one kernel, `_power_sum`, in chunks of a constant number of
@@ -403,26 +408,66 @@ def _shifted(s: np.ndarray, shifts) -> np.ndarray:
     return s if shifts is None else s[None, :] + 1j * shifts[:, None]
 
 
+def _units(chi: DirichletCharacter) -> np.ndarray:
+    """The residues 1 <= n <= q prime to q, ascending."""
+    q = chi.modulus
+    return np.array([n for n in range(1, q + 1) if chi.numerators[n % q] >= 0])
+
+
 def _residues(chi: DirichletCharacter):
-    """(r, chi(r)) over the residues 1 <= r <= q prime to q, as two arrays."""
-    r = np.array([r for r in range(1, chi.modulus + 1) if chi.numerators[r % chi.modulus] >= 0])
-    return r, chi.values[r % chi.modulus]
+    """The primitive character chi* mod the conductor d of chi, as
+    (d, r, chi*(r), (p, chi*(p))): the residues 1 <= r <= d prime to d, and
+    the primes p | q that do not divide d, with chi* read from chi at the
+    least lift n = r (mod d) prime to q, so that
+
+        L(s, chi) = L(s, chi*) prod_p (1 - chi*(p) p^{-s}).
+
+    For primitive chi (d = q) these are the residues prime to q with chi(r),
+    and no primes."""
+    q, d = chi.modulus, chi.conductor
+    n = _units(chi)
+    r, lift = np.unique((n - 1) % d + 1, return_index=True)
+    weights = chi.values[n[lift] % q]
+    primes = np.array([p for p in primes_upto(q) if q % p == 0 and d % p], dtype=np.int64)
+    return d, r, weights, (primes, weights[np.searchsorted(r, (primes - 1) % d + 1)])
+
+
+def _times_euler_factors(acc: np.ndarray, s: np.ndarray, primes: np.ndarray, values: np.ndarray):
+    """acc prod_p (1 - values_p p^{-s}), for the points s of acc's shape: the
+    phases reduced in double-double (_powers), and each product written out
+    in float64 real and imaginary parts, so that a value does not depend on
+    the other points in the call."""
+    z = _powers(s.ravel(), *_log_parts(primes.astype(float))).reshape(s.shape + primes.shape)
+    re, im = acc.real, acc.imag
+    for c, zp in zip(values, np.moveaxis(z, -1, 0)):
+        f_re = 1.0 - (c.real * zp.real - c.imag * zp.imag)
+        f_im = -(c.real * zp.imag + c.imag * zp.real)
+        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+    out = np.empty_like(acc)
+    out.real, out.imag = re, im
+    return out
 
 
 def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, shifts=None):
-    """L(s, chi) for sigma > 1/2, as one Dirichlet sum plus Euler-Maclaurin tails,
+    """L(s, chi) for sigma > 1/2, through the primitive character chi* mod the
+    conductor d of chi (_residues), as one Dirichlet sum plus Euler-Maclaurin
+    tails times the Euler factors of the primes p | q that do not divide d,
 
-        L(s, chi) = sum_{m <= qN, (m, q) = 1} chi(m) m^{-s} + q^{-s} sum_r chi(r) T(s, N + r/q),
+        L(s, chi) = (sum_{m <= dN, (m, d) = 1} chi*(m) m^{-s} + d^{-s} sum_r chi*(r) T(s, N + r/d))
+                    prod_p (1 - chi*(p) p^{-s}),
 
     with the head length per point from the remainder bound at that point's
     own |Im s| (_head_counts: at least N = _n_terms(|Im s|) terms in every
-    residue class), so truncation adds at most sqrt(q) cfg.target_abs_error
-    / 100 and a value depends on its own point alone, and the phases t log m
-    reduced mod 2 pi in double-double (_phase): the error is float64
-    rounding, within the documented q * cfg.target_abs_error over the whole
-    supported range (README, "Evaluator limits").  Raises PoleError for the
-    principal character at s = 1; nonprincipal characters are evaluated at
-    s = 1 through the regularized (pole-cancelling) tail.
+    residue class), so truncation adds at most sqrt(d) cfg.target_abs_error
+    / 100 before the Euler factors, whose product is at most
+    prod_p (1 + p^{-1/2}) <= q/d, and a value depends on its own point alone;
+    the phases t log m and t log p are reduced mod 2 pi in double-double
+    (_phase): the error is float64 rounding, within the documented
+    q * cfg.target_abs_error over the whole supported range (README,
+    "Evaluator limits").  For primitive chi (d = q) there are no Euler
+    factors.  Raises PoleError for the principal character at s = 1;
+    nonprincipal characters are evaluated at s = 1 through the regularized
+    (pole-cancelling) tail.
 
     With `shifts` (real), returns L at s + i h for every shift h, with shape
     shifts.shape + np.shape(s).  The sum is then built once for s with one
@@ -443,10 +488,12 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
     at_pole = full == 1.0
     if chi.principal and bool(at_pole.any()):
         raise PoleError(f"L(s, chi_0 mod {q}) has a pole at s = 1")
-    r, weights = _residues(chi)
+    d, r, weights, (primes, chi_p) = _residues(chi)
     counts = _head_counts(t_abs, len(r), cfg)
-    acc = _power_sum(flat, counts, q, r, weights, shifts)
-    acc += _em_tail(full.ravel(), counts.ravel(), q, r, weights, cfg).reshape(full.shape)
+    acc = _power_sum(flat, counts, d, r, weights, shifts)
+    acc += _em_tail(full.ravel(), counts.ravel(), d, r, weights, cfg).reshape(full.shape)
+    if primes.size:
+        acc = _times_euler_factors(acc, full, primes, chi_p)
     if shifts is not None and bool(at_pole.any()):
         acc[at_pole] = l_value(full[at_pole], chi, cfg)
     return _shaped(acc, shape)
@@ -466,7 +513,8 @@ def l_truncated(s, chi: DirichletCharacter, v: float):
 
 
 def l_partial_sum(s, chi: DirichletCharacter, n_max: int, shifts=None):
-    """Dirichlet partial sum L_N(s, chi) = sum_{n <= N} chi(n) n^{-s}.
+    """Dirichlet partial sum L_N(s, chi) = sum_{n <= N} chi(n) n^{-s}, over
+    chi mod q itself (not the primitive chi* that l_value sums).
 
     `shifts` works as in l_value: values at s + i h, shape shifts.shape + np.shape(s).
     """
@@ -474,6 +522,7 @@ def l_partial_sum(s, chi: DirichletCharacter, n_max: int, shifts=None):
         raise DomainError("partial sum length must be >= 1")
     flat, shifts, shape = _call_points(s, shifts)
     q = chi.modulus
-    r, weights = _residues(chi)
+    r = _units(chi)
+    weights = chi.values[r % q]
     count = n_max // q * len(r) + int(np.count_nonzero(r <= n_max % q))
     return _shaped(_power_sum(flat, count, q, r, weights, shifts), shape)

@@ -200,3 +200,28 @@ def test_is_real_and_order_against_angles():
             assert chi.is_real == all(a.denominator <= 2 for a in angles)
             assert chi.order == math.lcm(*(a.denominator for a in angles))
             assert chi.principal == (chi.index == 0) == (chi.order == 1)
+
+
+def _conductor_oracle(chi):
+    # the smallest d | q with chi(n) = 1 for every unit n = 1 (mod d)
+    q = chi.modulus
+    return min(
+        d for d in range(1, q + 1)
+        if q % d == 0 and all(chi.numerators[n % q] == 0 for n in range(1, q + 1, d) if math.gcd(n, q) == 1)
+    )
+
+
+def test_conductor_matches_the_brute_force_oracle():
+    for q in range(1, 121):
+        for chi in enumerate_characters(q):
+            assert chi.conductor == _conductor_oracle(chi), chi.label
+            assert chi.conjugate().conductor == chi.conductor
+    assert [character_from_id(c).conductor for c in ("1:0", "4:1", "60:0", "60:1", "12:1", "120:8")] == [
+        1, 4, 1, 5, 3, 8]
+    assert character_from_id("2003:1").conductor == 2003
+
+
+def test_enumerate_characters_leaves_the_conductor_uncomputed():
+    # the conductor is computed on first use, not for every character built
+    chars = enumerate_characters.__wrapped__(120)
+    assert not any("conductor" in vars(chi) for chi in chars)

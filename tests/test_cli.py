@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import selfapprox
+from selfapprox import cli
 from selfapprox.cli import main
 from selfapprox.sampling import BLOCK_SIZE
 
@@ -334,7 +335,7 @@ def _write_bytes(path, data):
     "config_not_utf8", "manifest_not_utf8", "threads_zero", "threads_negative",
     "manifest_seed_bool", "manifest_threads_bool", "mean_value_beyond_cap",
     "seed_not_int", "unknown_flag", "no_subcommand", "rerun_without_manifest", "threads_not_int",
-    "kronecker_beyond_sweep_cap",
+    "kronecker_beyond_sweep_cap", "find_tau_beyond_sweep_cap",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -388,12 +389,25 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
                             "--samples", "10", "--threads", "x"] + out,
         "kronecker_beyond_sweep_cap": ["kronecker", "--delta", "0.25", "--primes-upto", "2",
                                        "--T", "1e300"] + out,
+        "find_tau_beyond_sweep_cap": ["find-tau", "--delta", "0.002", "--primes-upto", "7",
+                                      "--bound", "1e12"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert set(json.loads(err)) == {"error"}
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_the_invoked_subcommand_parses_as_in_the_full_parser():
+    # main builds only the invoked subcommand's parser
+    for argv in (
+        ["scan-density", "--d=1,2", "--chars", "4:1,4:1", "--eps", "1", "--T", "10", "--threads", "2"],
+        ["kronecker", "--delta", "0.1", "--primes-upto", "5", "--T", "1e5", "--seed", "7", "--out", "x"],
+        ["rerun", "manifest.json", "--threads", "2"],
+        ["selfcheck"],
+    ):
+        assert cli._parse_args(argv) == cli._parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["b2", "--help"]], ids=["top", "b2"])

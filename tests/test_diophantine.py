@@ -504,7 +504,8 @@ def test_find_tau_smaller_searches_are_prefixes():
 def test_find_tau_memory_does_not_grow_with_bound():
     t = KroneckerTarget((1.0,), 1, 0.01, 7)  # a few members per window
     peaks = []
-    for bound in (1e6, 1e8):
+    # 5e7 is 1.55e7 periods of log(7)/(2 pi), just inside SWEEP_CAP
+    for bound in (1e6, 5e7):
         tracemalloc.start()
         try:
             find_tau_in_set(t, bound, max_results=10**6)
@@ -512,6 +513,17 @@ def test_find_tau_memory_does_not_grow_with_bound():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0]
+
+
+def test_find_tau_refuses_a_bound_beyond_the_sweep_cap():
+    # this search ran for over 10 s with no output before the cap
+    t = KroneckerTarget((1.0,), 1, 0.002, 7)
+    usable = SWEEP_CAP / np.max(np.abs(t.frequencies))
+    with pytest.raises(RangeError, match=re.escape(f"largest usable bound at this cap is {usable:.6g}")):
+        find_tau_in_set(t, 1e12)
+    with pytest.raises(RangeError):
+        find_tau_in_set(t, 1.01 * usable, max_results=1)
+    assert find_tau_in_set(t, 0.99 * usable, max_results=1) == [0.0]
 
 
 # ---------------------------------------------------------------- independence

@@ -36,7 +36,7 @@ def test_l_value_mod_one_is_zeta():
 
 
 @pytest.mark.parametrize("q", [1, 4, 12, 60, 120])
-@pytest.mark.parametrize("e", [1.02, 1.1, 1.5, 2.0])
+@pytest.mark.parametrize("e", [1.02, 1.1, 1.5, 2.0, math.e])
 def test_principal_l_value_against_mpmath(q, e):
     # L(e, chi_0 mod q) = zeta(e) prod_{p | q} (1 - p^-e), the value Carlson's
     # tail sum and selfcheck's zeta(2) rest on
@@ -137,6 +137,9 @@ def _mp_dirichlet(s, chi):
     pytest.param("1:0", [0.55 + 0.0j], [3999.5], id="q1-sigma0.55"),
     pytest.param("4:1", [0.55 + 0.0j, 0.95 - 0.5j], [10.0, 4000.0], id="q4"),
     pytest.param("60:1", [0.55 + 0.5j, 0.7 + 0.0j], [3999.75], id="q60"),
+    # imprimitive: conductor 3, and conductor 8 with the Euler factors of 3 and 5
+    pytest.param("12:1", [0.6 + 1.0j], [0.0], id="q12-conductor3"),
+    pytest.param("120:8", [0.6 + 2.0j, 0.8 + 0.5j], [0.0, 499.5], id="q120-conductor8"),
 ])
 def test_shifted_l_value_against_mpmath_in_strip(label, base, shifts):
     chi = character_from_id(label)
@@ -149,12 +152,54 @@ def test_shifted_l_value_against_mpmath_in_strip(label, base, shifts):
             assert abs(value - _mp_dirichlet(s + 1j * h, chi)) <= bound
 
 
-@pytest.mark.parametrize("label, t", [("1:0", 1e4), ("1:0", 4.9e4), ("4:1", 4.9e4)])
+@pytest.mark.parametrize("label, t", [
+    ("1:0", 1e4), ("1:0", 4.9e4), ("4:1", 4.9e4), ("60:1", 1000.0), ("12:1", 3000.0), ("120:8", 500.0),
+])
 def test_l_value_against_mpmath_at_large_height(label, t):
     # rows that broke the documented bound while the phase t log n was rounded in float64
     chi = character_from_id(label)
     s = complex(0.7, t)
     assert abs(l_value(s, chi) - _mp_dirichlet(s, chi)) <= chi.modulus * DEFAULT_CONFIG.target_abs_error
+
+
+# L(0.7 + 49000i, chi) for chi = 60:1, by mpmath.dirichlet over the whole table
+# mod 60 at 30 digits; recorded because that takes 16 s
+L60_1_AT_49000 = complex(1.089633315707340490754857, -0.3298076975307164682767027)
+
+
+def test_imprimitive_l_value_at_the_cap_against_recorded_mpmath():
+    # 60:1 has conductor 5: l_value sums 4 residue classes mod 5 and the
+    # Euler factors of 2 and 3, mpmath the whole table mod 60
+    chi = character_from_id("60:1")
+    assert abs(l_value(0.7 + 49_000j, chi) - L60_1_AT_49000) <= chi.modulus * DEFAULT_CONFIG.target_abs_error
+
+
+def test_residues_are_those_of_the_primitive_character():
+    # chi(n) = chi*(n mod d) at every unit n mod q, and the Euler primes are
+    # the primes dividing q but not d, with chi* read at p mod d
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            d, r, weights, (primes, chi_p) = lfunc._residues(chi)
+            assert d == chi.conductor and len(r) == sum(math.gcd(n, d) == 1 for n in range(1, d + 1))
+            star = dict(zip(r.tolist(), weights))
+            units = [n for n in range(1, q + 1) if math.gcd(n, q) == 1]
+            assert all(star[(n - 1) % d + 1] == chi.values[n % q] for n in units)
+            assert primes.tolist() == [p for p in primes_upto(q) if q % p == 0 and d % p]
+            assert [star[(p - 1) % d + 1] for p in primes.tolist()] == chi_p.tolist()
+
+
+def test_shifted_imprimitive_values_do_not_depend_on_the_other_points():
+    # the Euler factors of 60:1 (conductor 5) are formed per (shift, point)
+    # pair: each pair alone gives the same bits as the whole call, and the
+    # shifted kernel agrees with the unshifted one at the same points
+    chi = character_from_id("60:1")
+    base = np.array([0.65 - 0.5j, 0.7 + 0j, 0.75 + 0.5j])
+    shifts = np.array([0.0, 12.5, 730.0, 1999.875, 4999.5])
+    whole = l_value(base, chi, shifts=shifts)
+    for i, h in enumerate(shifts):
+        for j, s in enumerate(base):
+            assert l_value(s, chi, shifts=h) == whole[i, j]
+    assert np.max(np.abs(whole - l_value(base[None, :] + 1j * shifts[:, None], chi))) <= 1e-14
 
 
 def test_phase_is_exact_to_rounding():
@@ -278,14 +323,18 @@ def test_every_residue_class_sums_the_certified_length(classes):
 
 
 def test_single_point_matches_the_same_point_in_a_large_call():
-    # one point sums many chunks per numpy call (two tiles here), a large
-    # call one or two chunks per call; the chunk sums are added in the same order
-    chi = character_from_id("60:1")
+    # one point sums many chunks per numpy call (two tiles here for the 16
+    # classes of the primitive 60:13; one for the 4 of 60:1, conductor 5), a
+    # large call one or two chunks per call; the chunk sums are added in the
+    # same order
     pts = 0.7 + 1j * np.linspace(9000.0, 10_000.0, 300)
-    whole = l_value(pts, chi)
     assert lfunc._n_terms(10_000.0, DEFAULT_CONFIG) * 16 > lfunc._TILE
-    assert l_value(pts[-1], chi) == whole[-1]
-    assert np.array_equal(l_value(pts[[7, -1]], chi), whole[[7, -1]])
+    assert character_from_id("60:13").conductor == 60
+    for label in ("60:1", "60:13"):
+        chi = character_from_id(label)
+        whole = l_value(pts, chi)
+        assert l_value(pts[-1], chi) == whole[-1]
+        assert np.array_equal(l_value(pts[[7, -1]], chi), whole[[7, -1]])
 
 
 def test_unshifted_memory_stays_bounded():

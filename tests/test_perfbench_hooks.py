@@ -36,3 +36,17 @@ def test_arithmetic_workload_passes_the_benchmark_checks(tmp_path):
     found = workloads["arithmetic_check"](ctx, str(tmp_path), ops)
     assert all(op["ok"] for op in ops.items), ops.items
     assert abs(found["kronecker_z"]) <= workloads["KRONECKER_MAX_Z"]
+
+
+def test_meanvalue_workload_passes_the_benchmark_checks(tmp_path):
+    # the benchmark's own Carlson and b2 runs and checks (seed 7): Carlson's
+    # empirical mean within CARLSON_MAX_Z standard errors and CARLSON_MAX_GAP
+    # of the tail sum, and the b2 estimates decreasing along the N ladder
+    workloads, spans = _benchmark_module("workloads.py"), _benchmark_module("spans.py")
+    ctx = workloads["meanvalue_setup"]()
+    ops = workloads["Ops"]()
+    workloads["meanvalue_run"](ctx, 7, 1, str(tmp_path), spans["NullTracer"](), ops)
+    found = workloads["meanvalue_check"](ctx, str(tmp_path), ops)
+    assert len(ops.items) == 4 and all(op["ok"] for op in ops.items), ops.items
+    assert abs(found["carlson_z"]) <= workloads["CARLSON_MAX_Z"]
+    assert found["carlson_relative_gap"] <= workloads["CARLSON_MAX_GAP"]

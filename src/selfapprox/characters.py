@@ -103,10 +103,6 @@ class DirichletCharacter:
             stride *= m
         return _build_characters(self.modulus, index)[0]
 
-    @property
-    def is_real(self) -> bool:
-        return all(2 * k % self.exponent == 0 for k in self.numerators if k >= 0)
-
 
 def _primitive_root(pk: int, p: int) -> int:
     """A generator of (Z/p^k Z)* for odd prime p."""

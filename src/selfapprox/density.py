@@ -128,8 +128,10 @@ def g_values(
     (see lfunc.l_value).  The default is l_value at DEFAULT_CONFIG, looked up
     when called; another configuration enters as
     functools.partial(l_value, cfg=...), and partial sums (the B^2 distances)
-    and truncated Euler products (the Kronecker-enrichment checks) enter the
-    same way.
+    as functools.partial(l_partial_sum, n_max=N).  l_truncated takes no
+    shifts, so a truncated Euler product enters through a wrapper that forms
+    the points, lambda s, chi, shifts: l_truncated(s[None, :] + 1j *
+    shifts[:, None], chi, v).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     grid, coarse_idx = region.grid_points(refine)

@@ -10,10 +10,12 @@ with each Hurwitz zeta summed by Euler-Maclaurin to N terms, so an
 imprimitive chi sums phi(d) residue classes rather than phi(q) (4 rather
 than 16 for a character mod 60 of conductor 5).  The heads merge into one
 Dirichlet sum over the integers m <= dN prime to d, and each class keeps only
-its Euler-Maclaurin tail.  N comes from a rigorous bound on the remainder
-(Johansson, arXiv:1309.2877) at each point's own |Im s|, so it grows
-linearly with that |Im s| alone, and evaluation refuses (RangeError) beyond
-IM_CAP rather than silently degrading.  The partial sums `l_partial_sum` are
+its Euler-Maclaurin tail.  One function, `_n_terms`, holds the series-length
+rule: N per point from a rigorous bound on the remainder (Johansson,
+arXiv:1309.2877) at that point's own |Im s|, so it grows linearly with that
+|Im s| alone; the point's head is then the fewest whole chunks of terms that
+give every class N.  Evaluation refuses (RangeError) beyond IM_CAP rather
+than silently degrading.  The partial sums `l_partial_sum` are
 chi's own truncations, so they stay on chi mod q.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
@@ -63,8 +65,6 @@ _TILE = 1 << 15
 _TERM_CHUNK = 256
 # largest series length per residue class
 _N_MAX = 10**7
-# slack in log|(s)_{2M}| between a tier edge and the bound (see _tier_edges)
-_EDGE_MARGIN = 1e-9
 # 2 pi = _C1 + _C2 to 7e-26, _C1 with 30 significant bits (Cody-Waite)
 _C1, _C2 = 6.283185303211212, 3.968374318722162e-09
 # log 2 = _LN2_A + _LN2_B to 4e-31, _LN2_A with 47 significant bits
@@ -174,68 +174,32 @@ def _bernoulli_over_fact(em_order: int):
     )
 
 
-def _n_terms(imag_max: float, cfg: EvaluatorConfig) -> int:
-    """N, the terms per residue class: the smallest N >= cfg.shift_count with
-    Johansson's bound (arXiv:1309.2877, Thm. 1) on the Euler-Maclaurin
+def _n_terms(t_abs, cfg: EvaluatorConfig) -> np.ndarray:
+    """N per point, the terms per residue class: the smallest N >= cfg.shift_count
+    with Johansson's bound (arXiv:1309.2877, Thm. 1) on the Euler-Maclaurin
     remainder of zeta(s, a) after N terms and M = em_order/2 Bernoulli terms,
 
         |R| <= 4 |(s)_{2M}| / (2 pi)^{2M} (N + a)^{-(sigma + 2M - 1)} / (sigma + 2M - 1),
 
-    at most cfg.target_abs_error / 100 for |Im s| = imag_max and a = 0, with
-    |(s)_{2M}| and the exponent taken at sigma = 1/2.  RangeError if that N
-    exceeds _N_MAX (small em_order).
+    at most cfg.target_abs_error / 100 for |Im s| = t_abs (any shape) and
+    a = 0, with |(s)_{2M}| and the exponent taken at sigma = 1/2.  The logs of
+    the 2M factors of |(s)_{2M}| lie in one contiguous row per point, in tiles
+    of _TILE elements, and each row is summed on its own, so each N depends on
+    its own |Im s| alone.  RangeError if an N exceeds _N_MAX (small em_order).
     """
-    e = cfg.em_order - 0.5
-    log_poch = 0.5 * sum(math.log((k + 0.5) ** 2 + imag_max**2) for k in range(cfg.em_order))
-    log_r = math.log(4.0) + log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
-    log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
-    if log_n > math.log(_N_MAX):
-        raise RangeError(f"em_order {cfg.em_order} needs over {_N_MAX:.0e} terms at |Im s| = {imag_max:.6g}")
-    return max(cfg.shift_count, math.ceil(math.exp(log_n)))
-
-
-def _tier_edges(first: int, last: int, classes: int, cfg: EvaluatorConfig) -> np.ndarray:
-    """E_first <= ... <= E_last: a head of m _TERM_CHUNK terms over `classes`
-    residue classes, hence at least n_m = m _TERM_CHUNK // classes terms per
-    class, certifies every |Im s| <= E_m, that is _n_terms(|Im s|) <= n_m
-    (E_m = -1 where n_m certifies no |Im s|).
-
-    E_m solves log|(1/2 + iE)_{2M}| = Lambda_m - _EDGE_MARGIN, Lambda_m being
-    the log_poch at which _n_terms reaches n_m, by Newton's method in u = log E
-    from above (the left side is increasing and convex in u, and at least 2M u).
-    Each E_m stops once it is within _EDGE_MARGIN / 2 of its target, so it
-    depends on m alone, and the margin covers the rounding of _n_terms: E_m
-    certifies, and only |Im s| within about _EDGE_MARGIN / 2M (relative, for
-    |Im s| well above 2M) of a tier edge get one tier more than they need.
-    """
-    e = cfg.em_order - 0.5
-    n = np.arange(first, last + 1) * _TERM_CHUNK // classes
-    with np.errstate(divide="ignore"):
-        lam = e * np.log(n) + math.log(cfg.target_abs_error / 100.0) - math.log(4.0)
-    lam += cfg.em_order * math.log(2.0 * math.pi) + math.log(e) - _EDGE_MARGIN
+    t = np.ravel(t_abs)
     a2 = (np.arange(cfg.em_order) + 0.5) ** 2
-    ok = (n >= cfg.shift_count) & (lam > 0.5 * np.log(a2).sum() + _EDGE_MARGIN)
-    u = np.where(ok, lam / cfg.em_order, 0.0)
-    live = ok.copy()
-    while live.any():
-        t2 = np.exp(2.0 * u[live])[:, None]
-        f = 0.5 * np.log(a2 + t2).sum(axis=-1) - lam[live]
-        step = np.where(f > 0.5 * _EDGE_MARGIN, f / (t2 / (a2 + t2)).sum(axis=-1), 0.0)
-        u[live] -= step
-        live[live] = step > 0.0
-    return np.where(ok, np.exp(u), -1.0)
-
-
-def _head_counts(t_abs: np.ndarray, classes: int, cfg: EvaluatorConfig) -> np.ndarray:
-    """Head length C per point: the smallest multiple of _TERM_CHUNK with
-    C >= classes * _n_terms(|Im s|) (up to _tier_edges' margin), from the
-    point's own |Im s| = t_abs (nonempty) alone.  Residue class j < classes
-    then sums ceil((C - j) / classes) >= _n_terms(|Im s|) terms.  Every tier
-    below `first` certifies less than the smallest |Im s| needs, and E_last
-    lies above the largest, so only the edges in between are computed."""
-    first = -(-classes * _n_terms(float(t_abs.min()), cfg) // _TERM_CHUNK)
-    last = -(-classes * (_n_terms(float(t_abs.max()), cfg) + 1) // _TERM_CHUNK)
-    return _TERM_CHUNK * (first + np.searchsorted(_tier_edges(first, last, classes, cfg), t_abs))
+    log_poch = np.empty(t.shape)
+    tile = max(1, _TILE // cfg.em_order)
+    for i in range(0, t.size, tile):
+        f = a2 + np.square(t[i : i + tile, None])
+        log_poch[i : i + tile] = np.log(f, out=f).sum(axis=-1)
+    e = cfg.em_order - 0.5
+    log_r = math.log(4.0) + 0.5 * log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
+    log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
+    if log_n.max() > math.log(_N_MAX):
+        raise RangeError(f"em_order {cfg.em_order} needs over {_N_MAX:.0e} terms at |Im s| = {t.max():.6g}")
+    return np.maximum(cfg.shift_count, np.ceil(np.exp(log_n))).astype(np.int64).reshape(np.shape(t_abs))
 
 
 def _split(x):
@@ -456,11 +420,13 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
         L(s, chi) = (sum_{m <= dN, (m, d) = 1} chi*(m) m^{-s} + d^{-s} sum_r chi*(r) T(s, N + r/d))
                     prod_p (1 - chi*(p) p^{-s}),
 
-    with the head length per point from the remainder bound at that point's
-    own |Im s| (_head_counts: at least N = _n_terms(|Im s|) terms in every
-    residue class), so truncation adds at most sqrt(d) cfg.target_abs_error
-    / 100 before the Euler factors, whose product is at most
-    prod_p (1 + p^{-1/2}) <= q/d, and a value depends on its own point alone;
+    with each point's head the first C integers prime to d, C the smallest
+    multiple of _TERM_CHUNK with C >= phi(d) N and N = _n_terms(|Im s|) from
+    the remainder bound at that point's own |Im s|, so residue class j sums
+    ceil((C - j) / phi(d)) >= N terms, truncation adds at most
+    sqrt(d) cfg.target_abs_error / 100 before the Euler factors, whose
+    product is at most prod_p (1 + p^{-1/2}) <= q/d, and a value depends on
+    its own point alone;
     the phases t log m and t log p are reduced mod 2 pi in double-double
     (_phase): the error is float64 rounding, within the documented
     q * cfg.target_abs_error over the whole supported range (README,
@@ -489,7 +455,7 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
     if chi.principal and bool(at_pole.any()):
         raise PoleError(f"L(s, chi_0 mod {q}) has a pole at s = 1")
     d, r, weights, (primes, chi_p) = _residues(chi)
-    counts = _head_counts(t_abs, len(r), cfg)
+    counts = _TERM_CHUNK * -(-len(r) * _n_terms(t_abs, cfg) // _TERM_CHUNK)
     acc = _power_sum(flat, counts, d, r, weights, shifts)
     acc += _em_tail(full.ravel(), counts.ravel(), d, r, weights, cfg).reshape(full.shape)
     if primes.size:
@@ -500,7 +466,8 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
 
 
 def l_truncated(s, chi: DirichletCharacter, v: float):
-    """Truncated Euler product prod_{p <= v} (1 - chi(p) p^{-s})^{-1}, sigma > 0."""
+    """Truncated Euler product prod_{p <= v} (1 - chi(p) p^{-s})^{-1}, sigma > 0,
+    with each phase t log p reduced mod 2 pi in double-double (_powers)."""
     flat, _, shape = _call_points(s)
     if np.any(flat.real <= 0.0):
         raise DomainError("l_truncated requires sigma > 0")
@@ -508,7 +475,7 @@ def l_truncated(s, chi: DirichletCharacter, v: float):
     for p in primes_upto(v):
         cval = char_value(chi, p)
         if cval != 0:
-            acc /= 1.0 - cval * np.exp(-flat * math.log(p))
+            acc /= 1.0 - cval * _powers(flat, *_log_parts(np.array([float(p)])))[:, 0]
     return _shaped(acc, shape)
 
 

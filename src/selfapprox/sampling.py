@@ -58,11 +58,6 @@ def wilson_interval(hits: int, n: int, z: float = Z95):
     return lo, hi
 
 
-def binomial_stderr(hits: int, n: int) -> float:
-    p = hits / n
-    return math.sqrt(max(p * (1 - p), 1.0 / n) / n)
-
-
 def ks_two_sample_threshold(n1: int, n2: int, alpha: float = 0.05) -> float:
     """Asymptotic two-sample Kolmogorov-Smirnov rejection threshold."""
     c = math.sqrt(-0.5 * math.log(alpha / 2.0))

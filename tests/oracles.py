@@ -82,6 +82,25 @@ def l_oracle(s, chi, tol=5e-9):
     return dirichlet_series(s, chi, terms)
 
 
+def johansson_terms(t, cfg):
+    """N per residue class at |Im s| = t, one point in plain math.log: the
+    smallest N >= cfg.shift_count with Johansson's bound (arXiv:1309.2877,
+    Thm. 1) on the Euler-Maclaurin remainder after N terms and em_order
+    Bernoulli terms at most cfg.target_abs_error / 100, taken at sigma = 1/2
+    and a = 0, as lfunc._n_terms states it."""
+    e = cfg.em_order - 0.5
+    log_poch = 0.5 * sum(math.log((k + 0.5) ** 2 + t * t) for k in range(cfg.em_order))
+    log_r = math.log(4.0) + log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
+    log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
+    return max(cfg.shift_count, math.ceil(math.exp(log_n)))
+
+
+def binomial_stderr(hits: int, n: int) -> float:
+    """Standard error of a binomial proportion, floored at one hit in n."""
+    p = hits / n
+    return math.sqrt(max(p * (1 - p), 1.0 / n) / n)
+
+
 def coprime_power_tail(chi, y, exponent, terms=10**6):
     """sum_{n>y} |chi(n)| n^{-exponent} by direct summation plus integral tail."""
     q = chi.modulus

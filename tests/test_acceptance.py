@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import coprime_power_tail, l_oracle
+from oracles import binomial_stderr, coprime_power_tail, l_oracle
 from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox.cli import main as cli_main
 from selfapprox.density import (
@@ -32,7 +32,6 @@ from selfapprox.diophantine import (
 )
 from selfapprox.lfunc import StripRegion, l_value
 from selfapprox.meanvalue import carlson_mean_value
-from selfapprox.sampling import binomial_stderr
 
 CHI4 = character_from_id("4:1")
 REGION = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3)

@@ -193,11 +193,10 @@ def test_complex_table_matches_float_of_exact_angle():
                 assert char_value(chi, n) == expected and chi.values[n] == expected
 
 
-def test_is_real_and_order_against_angles():
+def test_order_against_angles():
     for q in range(1, 61):
         for chi in enumerate_characters(q):
             angles = [a for a in chi.value_table if a is not None]
-            assert chi.is_real == all(a.denominator <= 2 for a in angles)
             assert chi.order == math.lcm(*(a.denominator for a in angles))
             assert chi.principal == (chi.index == 0) == (chi.order == 1)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_kronecker_measure, monte_carlo_kronecker_density
+from oracles import binomial_stderr, exact_kronecker_measure, monte_carlo_kronecker_density
 from selfapprox.diophantine import (
     SWEEP_CAP,
     KroneckerTarget,
@@ -23,7 +23,7 @@ from selfapprox.diophantine import (
     nearest_int_distance,
 )
 from selfapprox.errors import DomainError, RangeError
-from selfapprox.sampling import BLOCK_SIZE, binomial_stderr, uniform_samples, wilson_interval
+from selfapprox.sampling import BLOCK_SIZE, uniform_samples, wilson_interval
 
 
 # ---------------------------------------------------------------- relations

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -6,8 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import l_oracle, zeta_series
-from selfapprox.characters import character_from_id, enumerate_characters
+from oracles import johansson_terms, l_oracle, zeta_series
+from selfapprox.characters import char_value, character_from_id, enumerate_characters
 from selfapprox import lfunc
 from selfapprox.density import ShiftFamily, g_values
 from selfapprox.errors import DomainError, PoleError, RangeError
@@ -21,6 +23,7 @@ from selfapprox.lfunc import (
 )
 from selfapprox.primes import primes_upto
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHI4 = character_from_id("4:1")
 CHI1 = enumerate_characters(1)[0]
 
@@ -99,7 +102,7 @@ def test_l_value_errors():
 
 def test_l_value_conjugation_symmetry():
     for chi in (CHI1, CHI4, character_from_id("3:1")):
-        assert chi.is_real
+        assert chi.order <= 2  # real
         for s in (0.8 + 3j, 2.0 - 7j):
             lhs = l_value(np.conj(s), chi)
             rhs = np.conj(l_value(s, chi))
@@ -172,6 +175,25 @@ def test_imprimitive_l_value_at_the_cap_against_recorded_mpmath():
     # Euler factors of 2 and 3, mpmath the whole table mod 60
     chi = character_from_id("60:1")
     assert abs(l_value(0.7 + 49_000j, chi) - L60_1_AT_49000) <= chi.modulus * DEFAULT_CONFIG.target_abs_error
+
+
+@pytest.mark.parametrize("name", ["density", "carlson", "b2", "baseline"])
+def test_shifted_path_at_the_benchmark_reference_points(name):
+    # each reference set the way the workloads evaluate it, through shifts=:
+    # a grid row is the base grid moved up by the Im s of its middle point (the
+    # grids are symmetric about t = 0), a single point is Re s moved up by Im s
+    ref = json.loads((ROOT / "perfbench" / "data" / "reference.json").read_text(encoding="utf-8"))
+    for group in ref["sets"][name]:
+        chi = character_from_id(group["chi"])
+        pts = np.array([[complex(*p) for p in row] for row in group["points"]])
+        want = np.array([[complex(float(re), float(im)) for re, im in row] for row in group["values"]])
+        if name in ("carlson", "baseline"):
+            pts, want = pts.reshape(-1, 1), want.reshape(-1, 1)
+        shifts = pts[:, pts.shape[1] // 2].imag
+        base = pts - 1j * shifts[:, None]
+        assert np.all(base == base[0])
+        got = l_value(base[0], chi, shifts=shifts)
+        assert np.max(np.abs(got - want)) <= chi.modulus * DEFAULT_CONFIG.target_abs_error
 
 
 def test_residues_are_those_of_the_primitive_character():
@@ -298,28 +320,67 @@ def test_values_do_not_depend_on_the_other_points_in_the_call():
         assert np.array_equal(alone[0], g[i : i + 1]) and np.array_equal(alone[1], delta[i : i + 1])
 
 
+# a primitive character with phi(q) = key residue classes
+_PRIMITIVE = {1: "1:0", 2: "4:1", 16: "60:13", 48: "65:13", 300: "341:31"}
+
+
+def _last_t_within(budget, classes, cfg):
+    """The largest float |t| in [0, IM_CAP] with classes * N(|t|) <= budget
+    under the scalar oracle, by bisection down to adjacent floats."""
+    lo, hi = 0.0, lfunc.IM_CAP
+    while np.nextafter(lo, hi) < hi:
+        mid = max(0.5 * (lo + hi), np.nextafter(lo, hi))
+        if classes * johansson_terms(mid, cfg) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @pytest.mark.parametrize("classes", [1, 2, 16, 48, 300])
-def test_every_residue_class_sums_the_certified_length(classes):
-    # at tier edges (and one ulp either side) and at random |t| <= IM_CAP,
-    # each class j sums ceil((C - j) / classes) >= _n_terms(|t|) terms, and
-    # away from the edges C is the smallest multiple of _TERM_CHUNK that does
-    cfg = DEFAULT_CONFIG
-    top = -(-classes * (lfunc._n_terms(lfunc.IM_CAP, cfg) + 1) // lfunc._TERM_CHUNK)
-    edges = lfunc._tier_edges(1, top, classes, cfg)
-    assert np.all(np.diff(edges) >= 0.0)
-    edges = edges[edges >= 0.0][:: max(1, top // 150)]
-    rng = np.random.default_rng(classes)
-    random_t = rng.uniform(0.0, lfunc.IM_CAP, 200)
+def test_every_residue_class_sums_the_certified_length(classes, monkeypatch):
+    # the head counts C that l_value hands the power sum for a primitive chi
+    # of `classes` residue classes, at |t| where classes * N crosses a
+    # multiple of _TERM_CHUNK under the scalar math.log oracle, one ulp either
+    # side, and at random |t| <= IM_CAP: class j sums ceil((C - j) / classes)
+    # terms, at least N and fewer for C - _TERM_CHUNK.  The evaluator adds
+    # the oracle's logs in another rounding, so where N steps up the two may
+    # split by a few ulps of |t|; there N is checked against the oracle 1e-13
+    # (relative) either side, which moves the remainder bound by about 6e-12
+    # relative.
+    chi = character_from_id(_PRIMITIVE[classes])
+    assert chi.conductor == chi.modulus and len(lfunc._residues(chi)[1]) == classes
+    cfg, chunk = DEFAULT_CONFIG, lfunc._TERM_CHUNK
+    top = -(-classes * johansson_terms(lfunc.IM_CAP, cfg) // chunk)
+    first = -(-classes * cfg.shift_count // chunk)
+    edges = np.array([_last_t_within(m * chunk, classes, cfg) for m in range(first, top, max(1, top // 150))])
+    edges = edges[edges > 0.0]
+    random_t = np.random.default_rng(classes).uniform(0.0, lfunc.IM_CAP, 200)
     t = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), random_t, [0.0]])
-    t = t[(t >= 0.0) & (t <= lfunc.IM_CAP)]
-    counts = lfunc._head_counts(t, classes, cfg)
-    assert np.all(counts % lfunc._TERM_CHUNK == 0)
-    j = np.arange(classes)
-    for ti, c in zip(t, counts):
-        assert np.min(-(-(c - j) // classes)) >= lfunc._n_terms(float(ti), cfg)
-    counts = lfunc._head_counts(random_t, classes, cfg)
-    for ti, c in zip(random_t, counts):
-        assert (c - lfunc._TERM_CHUNK) // classes < lfunc._n_terms(float(ti), cfg)
+    seen = []
+
+    def power_sum(s, counts, *rest):
+        seen.append(counts)
+        return np.zeros(s.shape, complex)
+
+    monkeypatch.setattr(lfunc, "_power_sum", power_sum)
+    monkeypatch.setattr(lfunc, "_em_tail", lambda s, *rest: np.zeros(s.shape, complex))
+    l_value(0.75 + 1j * t, chi)
+    (counts,) = seen
+    assert np.all(counts % chunk == 0)
+    fewest = -(-(counts - (classes - 1)) // classes)  # the last class's terms
+    short = -(-(counts - chunk - (classes - 1)) // classes)  # and with C - _TERM_CHUNK
+    exact = slice(3 * len(edges), None)  # the random |t| and 0
+    n = np.array([johansson_terms(float(x), cfg) for x in t[exact]])
+    assert np.all(fewest[exact] >= n) and np.all(short[exact] < n)
+    n_lo = np.array([johansson_terms(x * (1.0 - 1e-13), cfg) for x in t])
+    n_hi = np.array([johansson_terms(x * (1.0 + 1e-13), cfg) for x in t])
+    assert np.all(fewest >= n_lo) and np.all(short < n_hi)
+    # each point alone gets the count it got in the call of all of them
+    seen.clear()
+    for x in t[: 3 * len(edges)]:
+        l_value(0.75 + 1j * x, chi)
+    assert np.array_equal(np.concatenate(seen), counts[: 3 * len(edges)])
 
 
 def test_single_point_matches_the_same_point_in_a_large_call():
@@ -384,6 +445,20 @@ def test_truncated_approaches_zeta_two():
         if prev_gap is not None:
             assert gap <= prev_gap
         prev_gap = gap
+
+
+@pytest.mark.parametrize("label, s", [("1:0", 0.7 + 1000j), ("4:1", 0.7 + 4.9e4j)])
+def test_truncated_against_mpmath(label, s):
+    # the phases t log p are reduced in double-double, as in l_value's Euler
+    # factors; rounded in float64 they were off by 1e-13 and 5e-12 here
+    chi = character_from_id(label)
+    with mpmath.workdps(30):
+        want = mpmath.mpf(1)
+        for p in primes_upto(13):
+            c = char_value(chi, p)
+            want /= 1 - mpmath.mpc(c.real, c.imag) * mpmath.power(p, -mpmath.mpc(s.real, s.imag))
+        want = complex(want)
+    assert abs(l_truncated(s, chi, 13) - want) <= 1e-14
 
 
 def test_truncated_trivial_for_chi4_at_v2():

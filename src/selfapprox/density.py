@@ -123,9 +123,11 @@ def g_values(
     the relative increase observed on the nested double-resolution grid
     (zeros when refine=False).  F comes from evaluator(grid, chi, shifts=h), a
     callable returning F at grid + i h for every shift h as a (len(h),
-    len(grid)) array; it is called once per family member with h = d_k * taus,
-    so the grid's power sums are built once and each tau costs one phase row
-    (see lfunc.l_value).  The default is l_value at DEFAULT_CONFIG, looked up
+    len(grid)) array; it is called once per distinct character, in order of
+    first appearance, with the shifts d_k * taus of that character's members
+    concatenated in member order, so the grid's power sums are built once per
+    character and each (member, tau) pair costs one phase row (see
+    lfunc.l_value).  The default is l_value at DEFAULT_CONFIG, looked up
     when called; another configuration enters as
     functools.partial(l_value, cfg=...), and partial sums (the B^2 distances)
     as functools.partial(l_partial_sum, n_max=N).  l_truncated takes no
@@ -136,9 +138,13 @@ def g_values(
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     grid, coarse_idx = region.grid_points(refine)
     evaluator = l_value if evaluator is None else evaluator
+    members = {}
+    for k, chik in enumerate(family.characters):
+        members.setdefault(chik, []).append(k)
     vals = np.empty((family.m, len(taus), len(grid)), dtype=np.complex128)
-    for k, (dk, chik) in enumerate(zip(family.shifts, family.characters)):
-        vals[k] = evaluator(grid, chik, shifts=dk * taus)
+    for chik, ks in members.items():
+        shifts = np.concatenate([family.shifts[k] * taus for k in ks])
+        vals[ks] = evaluator(grid, chik, shifts=shifts).reshape(len(ks), len(taus), len(grid))
     g_fine = np.zeros(len(taus))
     g_base = np.zeros(len(taus))
     for j in range(family.m):

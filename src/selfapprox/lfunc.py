@@ -29,7 +29,9 @@ vertical shifts (the grid on K at s + i d tau, one row per sampled tau) pass
 built once for the base points and each shift adds only one phase row
 x_n^{-i h}, so a call costs N (P + S) phase factors plus an N P S
 contraction instead of N P S (N terms, P points, S shifts), with each
-(shift, point) pair contracted only over its own N.
+(shift, point) pair contracted only over its own N: one BLAS dot (zdotc) per
+pair and chunk of _TERM_CHUNK = 256 terms, too short for the BLAS to split
+across threads, so the values do not depend on the BLAS thread count.
 
 The evaluators accept numpy arrays of s values and broadcast; they are pure
 functions of immutable inputs and safe to call from worker threads.
@@ -182,12 +184,16 @@ def _n_terms(t_abs, cfg: EvaluatorConfig) -> np.ndarray:
         |R| <= 4 |(s)_{2M}| / (2 pi)^{2M} (N + a)^{-(sigma + 2M - 1)} / (sigma + 2M - 1),
 
     at most cfg.target_abs_error / 100 for |Im s| = t_abs (any shape) and
-    a = 0, with |(s)_{2M}| and the exponent taken at sigma = 1/2.  The logs of
-    the 2M factors of |(s)_{2M}| lie in one contiguous row per point, in tiles
-    of _TILE elements, and each row is summed on its own, so each N depends on
-    its own |Im s| alone.  RangeError if an N exceeds _N_MAX (small em_order).
+    a = 0, with |(s)_{2M}| and the exponent taken at sigma = 1/2.  N is
+    computed once per distinct |Im s| (a shifted grid repeats each one across
+    its sigma-columns).  The logs of the 2M factors of |(s)_{2M}| lie in one
+    contiguous row per value, in tiles of _TILE elements, and each row is
+    summed on its own, so each N depends on its own |Im s| alone.  RangeError
+    if an N exceeds _N_MAX (small em_order).
     """
-    t = np.ravel(t_abs)
+    # return_index makes numpy sort with the stable argsort that _power_sum
+    # uses anyway; its default quicksort would map about 0.4 MB more code
+    t, _, inverse = np.unique(np.ravel(t_abs), return_index=True, return_inverse=True)
     a2 = (np.arange(cfg.em_order) + 0.5) ** 2
     log_poch = np.empty(t.shape)
     tile = max(1, _TILE // cfg.em_order)
@@ -199,7 +205,8 @@ def _n_terms(t_abs, cfg: EvaluatorConfig) -> np.ndarray:
     log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
     if log_n.max() > math.log(_N_MAX):
         raise RangeError(f"em_order {cfg.em_order} needs over {_N_MAX:.0e} terms at |Im s| = {t.max():.6g}")
-    return np.maximum(cfg.shift_count, np.ceil(np.exp(log_n))).astype(np.int64).reshape(np.shape(t_abs))
+    n = np.maximum(cfg.shift_count, np.ceil(np.exp(log_n))).astype(np.int64)
+    return n[inverse].reshape(np.shape(t_abs))
 
 
 def _split(x):
@@ -270,9 +277,13 @@ def _power_sum(s: np.ndarray, counts, step, offsets, weights, shifts=None) -> np
     `shifts` (1-d, real) the result has shape (len(shifts), len(s)) and holds
     the sums at s[None, :] + i shifts[:, None]: per chunk, x^{-s} is built
     once, one phase row x^{-i h} per shift h still summing (the shifts are
-    sorted by count too), and the two are contracted by a fixed-order
-    (non-BLAS) einsum, so values do not depend on the number of BLAS threads;
-    a (shift, point) pair whose count has ended is left out of the add.
+    sorted by count too), and each (shift, point) pair is contracted by one
+    np.vecdot, a BLAS zdotc of at most _TERM_CHUNK terms: the phase row is
+    built at -h, since vecdot conjugates its first argument and the row for -h
+    is the conjugate of the row for h.  OpenBLAS splits a dot across threads
+    only far above _TERM_CHUNK terms, so values do not depend on the number of
+    BLAS threads; a (shift, point) pair whose count has ended is left out of
+    the add.
     """
     offsets = np.asarray(offsets, dtype=float)
     shape = s.shape if shifts is None else (len(shifts), len(s))
@@ -308,7 +319,7 @@ def _power_sum(s: np.ndarray, counts, step, offsets, weights, shifts=None) -> np
             for h0 in range(0, rows, group):
                 h1 = min(h0 + group, rows)
                 block = out[h0:h1, :live]
-                terms = np.einsum("pn,hn->hp", base, _powers(1j * shifts[h0:h1], hi, lo))
+                terms = np.vecdot(_powers(-1j * shifts[h0:h1], hi, lo)[:, None, :], base)
                 np.add(block, terms, out=block, where=counts[h0:h1, j : j + live] > i)
     result = np.empty_like(acc)
     result[(p,) if shifts is None else np.ix_(h, p)] = acc

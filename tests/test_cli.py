@@ -202,23 +202,43 @@ def test_rerun_reproduces_results_across_threads(tmp_path):
         assert (out2 / "samples.csv").read_bytes() == (out1 / "samples.csv").read_bytes()
 
 
-def test_scan_density_identical_across_blas_and_worker_threads(tmp_path):
-    # two blocks, refined grid; each run in its own process so that the BLAS
-    # thread count takes effect
+def _outputs_across_blas_and_worker_threads(tmp_path, args):
+    """The set of (results.json, samples.csv) bytes of one command at
+    OPENBLAS_NUM_THREADS 1 and 2 times --threads 1 and 2, each run in its own
+    process so that the BLAS thread count takes effect."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(selfapprox.__file__)))
-    argv = [
-        sys.executable, "-m", "selfapprox.cli", "scan-density", "--d", "1,2",
-        "--chars", "4:1,4:1", "--eps", "1.0", "--T", "300",
-        "--samples", str(BLOCK_SIZE + 4), "--seed", "3", "--refine", "1",
-    ]
     outputs = set()
     for blas in ("1", "2"):
         for threads in ("1", "2"):
             out = tmp_path / f"blas{blas}-threads{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=src)
-            subprocess.run(argv + ["--threads", threads, "--output-dir", str(out)], env=env, check=True)
-            outputs.add(((out / "results.json").read_bytes(), (out / "samples.csv").read_bytes()))
-    assert len(outputs) == 1
+            argv = [sys.executable, "-m", "selfapprox.cli", *args, "--threads", threads, "--output-dir", str(out)]
+            subprocess.run(argv, env=env, check=True)
+            samples = out / "samples.csv"
+            outputs.add(((out / "results.json").read_bytes(), samples.read_bytes() if samples.exists() else None))
+    return outputs
+
+
+def test_scan_density_identical_across_blas_and_worker_threads(tmp_path):
+    # two blocks, refined grid
+    args = [
+        "scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--eps", "1.0", "--T", "300",
+        "--samples", str(BLOCK_SIZE + 4), "--seed", "3", "--refine", "1",
+    ]
+    assert len(_outputs_across_blas_and_worker_threads(tmp_path, args)) == 1
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["mean-value", "--char", "60:1", "--sigma", "0.75", "--t", "0", "--y", "20", "--x", "1",
+                  "--T", "500"], id="mean-value"),
+    pytest.param(["b2", "--d", "1,2", "--chars", "4:1,4:1", "--N-ladder", "10,100", "--T", "200",
+                  "--sigma-range=0.65,0.75", "--t-range=-0.5,0.5", "--grid=3x3"], id="b2"),
+])
+def test_shifted_commands_identical_across_blas_and_worker_threads(tmp_path, args):
+    # two blocks each; Carlson contracts one point per shift, b2 the grid
+    # through both l_value and the partial sums
+    args = [*args, "--samples", str(BLOCK_SIZE + 4), "--seed", "3"]
+    assert len(_outputs_across_blas_and_worker_threads(tmp_path, args)) == 1
 
 
 def test_cli_import_leaves_mpmath_unloaded():

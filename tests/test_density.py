@@ -21,7 +21,7 @@ from selfapprox.density import (
 )
 from selfapprox.diophantine import KroneckerTarget, find_tau_in_set
 from selfapprox.errors import DomainError, RangeError
-from selfapprox.lfunc import EvaluatorConfig, StripRegion, l_truncated, l_value
+from selfapprox.lfunc import EvaluatorConfig, StripRegion, l_partial_sum, l_truncated, l_value
 from selfapprox.sampling import ks_two_sample_threshold
 
 CHI4 = character_from_id("4:1")
@@ -30,6 +30,7 @@ REGION = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3)
 POINT = StripRegion(0.7, 0.7, 0.0, 0.0, margin=0.05, grid_sigma=1, grid_t=1)
 FAMILY = ShiftFamily((1.0, 2.0), (CHI4, CHI4))
 DEGENERATE = ShiftFamily((1.0, 1.0), (CHI4, CHI4))
+MIXED = ShiftFamily((1.0, 2.0, 0.5), (CHI4, CHI4, CHI3))
 
 
 def test_family_validation():
@@ -77,7 +78,42 @@ def test_g_values_looks_up_l_value_when_called(monkeypatch):
 
     monkeypatch.setattr(density_module, "l_value", counting)
     g_values([1.0], FAMILY, POINT)
-    assert calls == ["4:1", "4:1"]
+    assert calls == ["4:1"]  # one call per distinct character
+    calls.clear()
+    g_values([1.0], MIXED, POINT)
+    assert calls == ["4:1", "3:1"]
+
+
+def _member_by_member(taus, family, region, refine, evaluator):
+    """g_values as an oracle: one evaluator call per family member."""
+    grid, coarse_idx = region.grid_points(refine)
+    vals = [evaluator(grid, chi, shifts=d * taus) for d, chi in zip(family.shifts, family.characters)]
+    g_fine = np.zeros(len(taus))
+    g_base = np.zeros(len(taus))
+    for j in range(family.m):
+        for k in range(j + 1, family.m):
+            diff = np.abs(vals[j] - vals[k])
+            g_fine = np.maximum(g_fine, diff.max(axis=1))
+            g_base = np.maximum(g_base, diff[:, coarse_idx].max(axis=1))
+    delta = (g_fine - g_base) / np.maximum(g_fine, 1e-300) if refine else np.zeros(len(taus))
+    return g_base, delta
+
+
+@pytest.mark.parametrize("family", [FAMILY, MIXED], ids=["chi4-chi4", "chi4-chi4-chi3"])
+@pytest.mark.parametrize("evaluator", [
+    l_value,
+    functools.partial(l_partial_sum, n_max=100),
+    lambda s, chi, shifts: l_truncated(s[None, :] + 1j * shifts[:, None], chi, 5.0),
+], ids=["l_value", "partial-sum", "truncated"])
+def test_g_values_matches_one_call_per_member(family, evaluator):
+    # members that share a character share one evaluator call, their shifts
+    # concatenated; each value depends on its own (shift, point) pair alone,
+    # so the merge changes no bit
+    taus = np.random.default_rng(5).uniform(0.0, 2000.0, 70)
+    for refine in (False, True):
+        got = g_values(taus, family, REGION, refine=refine, evaluator=evaluator)
+        want = _member_by_member(taus, family, REGION, refine, evaluator)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_pairwise_symmetry_of_max():

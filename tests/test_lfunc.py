@@ -320,6 +320,40 @@ def test_values_do_not_depend_on_the_other_points_in_the_call():
         assert np.array_equal(alone[0], g[i : i + 1]) and np.array_equal(alone[1], delta[i : i + 1])
 
 
+def test_concatenated_shifts_equal_the_calls_stacked():
+    # density.g_values merges the members of one character into one call;
+    # 100 + 60 shifts cross a group of _TILE // _TERM_CHUNK = 128 shift rows
+    assert lfunc._TILE // lfunc._TERM_CHUNK == 128
+    grid, _ = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3).grid_points(refine=True)
+    rng = np.random.default_rng(31)
+    a, b = rng.uniform(0.0, 2000.0, 100), rng.uniform(0.0, 4000.0, 60)
+    for chi in (CHI4, character_from_id("60:1")):
+        for evaluator in (l_value, lambda s, chi, shifts: l_partial_sum(s, chi, 1000, shifts=shifts)):
+            whole = evaluator(grid, chi, shifts=np.concatenate([a, b]))
+            stacked = np.concatenate([evaluator(grid, chi, shifts=a), evaluator(grid, chi, shifts=b)])
+            assert np.array_equal(whole, stacked)
+
+
+def test_shifted_contractions_stay_within_one_chunk(monkeypatch):
+    # each (shift, point) pair is one dot product of at most _TERM_CHUNK terms,
+    # far below the length at which OpenBLAS splits a dot across threads, so
+    # the values do not depend on the BLAS thread count
+    lengths = []
+    vecdot = np.vecdot
+
+    def spy(x1, x2, **kwargs):
+        lengths.append(np.shape(x1)[-1])
+        return vecdot(x1, x2, **kwargs)
+
+    monkeypatch.setattr(lfunc.np, "vecdot", spy)
+    grid, _ = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3).grid_points(refine=True)
+    taus = np.random.default_rng(32).uniform(0.0, 2000.0, 32)
+    l_value(grid, CHI4, shifts=np.concatenate([taus, 2.0 * taus]))
+    l_partial_sum(grid, CHI4, 1000, shifts=taus)
+    l_value(0.75 + 0j, character_from_id("60:1"), shifts=taus)
+    assert lengths and max(lengths) <= lfunc._TERM_CHUNK
+
+
 # a primitive character with phi(q) = key residue classes
 _PRIMITIVE = {1: "1:0", 2: "4:1", 16: "60:13", 48: "65:13", 300: "341:31"}
 

@@ -10,13 +10,15 @@ with each Hurwitz zeta summed by Euler-Maclaurin to N terms, so an
 imprimitive chi sums phi(d) residue classes rather than phi(q) (4 rather
 than 16 for a character mod 60 of conductor 5).  The heads merge into one
 Dirichlet sum over the integers m <= dN prime to d, and each class keeps only
-its Euler-Maclaurin tail.  One function, `_n_terms`, holds the series-length
-rule: N per point from a rigorous bound on the remainder (Johansson,
-arXiv:1309.2877) at that point's own |Im s|, so it grows linearly with that
-|Im s| alone; the point's head is then the fewest whole chunks of terms that
-give every class N.  Evaluation refuses (RangeError) beyond IM_CAP rather
-than silently degrading.  The partial sums `l_partial_sum` are
-chi's own truncations, so they stay on chi mod q.
+its Euler-Maclaurin tail, whose M Bernoulli terms `_em_tail` adds by Horner's
+rule, in M elementwise passes over one value per (class, point).  One
+function, `_n_terms`, holds the series-length rule: N per point from a
+rigorous bound on the remainder (Johansson, arXiv:1309.2877) at that point's
+own |Im s|, so it grows linearly with that |Im s| alone; the point's head is
+then the fewest whole chunks of terms that give every class N.  Evaluation
+refuses (RangeError) beyond IM_CAP rather than silently degrading.  The
+partial sums `l_partial_sum` are chi's own truncations, so they stay on chi
+mod q.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
 of them summed by one kernel, `_power_sum`, in chunks of a constant number of
@@ -335,29 +337,41 @@ def _em_tail(s: np.ndarray, counts: np.ndarray, step, offsets, weights, cfg: Eva
     _power_sum(s, count, step, offsets, weights): the class's first node left
     out is x_j = step b_j = step ceil((count - j) / J) + offsets[j]
     (J = len(offsets)).
-    The Bernoulli terms are term_1 = B_2/2! s/b times the cumulative products
-    of the ratios (s+2k-3)(s+2k-2)/b^2 B_2k/(2k)! / (B_{2k-2}/(2k-2)!), so no
-    rising factorial (1e380 at |s| = 5e4, em_order 80) is formed on its own.
-    At s = 1 the pole is replaced by its regular part -b log x; the poles
-    cancel when the weights add up to 0.
+    The Bernoulli terms add up to B_2/2! s/b (1 + sum_{k=1}^{M-1} prod_{i<=k} r_i),
+    r_k = (s+2k-1)(s+2k)/b^2 (B_{2k+2}/(2k+2)!) / (B_2k/(2k)!) the ratio of
+    consecutive terms, summed by Horner's rule in place, acc <- 1 + r_k acc
+    for k = M-1 down to 1: no rising factorial (1e380 at |s| = 5e4, em_order
+    80) is formed on its own, and no array holds more than one value per
+    (class, point), so a tile takes _TILE // J points, as (J, points) arrays
+    whose inner loops run over the points.  Every step is elementwise and a
+    point's classes are added along one contiguous row, so a value depends on
+    its own point alone.  At s = 1 the pole is replaced by its regular part
+    -b log x; the poles cancel when the weights add up to 0.
     """
     bern = np.array(_bernoulli_over_fact(cfg.em_order))
-    j = 2.0 * np.arange(1, len(bern))  # 2k - 2 for k = 2..M
-    offsets = np.asarray(offsets, dtype=float)
+    ratios = bern[1:] / bern[:-1]
+    offsets = np.asarray(offsets, dtype=float)[:, None]
     classes = len(offsets)
     out = np.empty(s.shape, dtype=np.complex128)
-    group = max(1, _TILE // (2 * classes * len(bern)))  # steps and their ratios per point
+    group = max(1, _TILE // classes)
     for i in range(0, len(s), group):
-        z = s[i : i + group, None]
-        x = step * ((counts[i : i + group, None] - np.arange(classes) + classes - 1) // classes) + offsets
+        z = s[i : i + group]
+        x = step * ((counts[i : i + group] + classes - 1 - np.arange(classes)[:, None]) // classes) + offsets
         b = x / step
         hi, lo = _log_parts(x)
+        inv_b2 = 1.0 / (b * b)
+        acc = np.ones(x.shape, dtype=np.complex128)
+        for k in range(len(ratios), 0, -1):
+            acc *= (z + (2 * k - 1)) * (z + 2 * k) * ratios[k - 1]
+            acc *= inv_b2
+            acc += 1.0
+        acc *= bern[0] * z / b
         pole = z == 1.0
-        steps = (z[..., None] + (j - 1.0)) * (z[..., None] + j) * (bern[1:] / bern[:-1] / (b * b)[..., None])
-        first = bern[0] * z / b
-        total = np.where(pole, -b * (hi + lo), b / np.where(pole, 2.0, z - 1.0)) + 0.5
-        total += first * (1.0 + np.cumprod(steps, axis=-1).sum(axis=-1))
-        out[i : i + group] = (_powers(z[:, 0], hi, lo) * total * weights).sum(axis=-1)
+        acc += np.where(pole, -b * (hi + lo), b / np.where(pole, 2.0, z - 1.0)) + 0.5
+        terms = _powers(z, hi.T, lo.T)
+        terms *= acc.T
+        terms *= weights
+        out[i : i + group] = terms.sum(axis=-1)
     return out
 
 

@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the package's Euler-Maclaurin and
 interval-sweep code paths: plain truncated series with explicit tail
-corrections or bounds, Monte Carlo membership counts, and exact rational
-interval arithmetic.
+corrections or bounds, the Euler-Maclaurin tail term by term in mpmath,
+Monte Carlo membership counts, and exact rational interval arithmetic.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from selfapprox.characters import char_value
@@ -93,6 +94,34 @@ def johansson_terms(t, cfg):
     log_r = math.log(4.0) + log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
     log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
     return max(cfg.shift_count, math.ceil(math.exp(log_n)))
+
+
+def em_tail_oracle(s, count, step, offsets, weights, em_order, dps=40):
+    """sum_j weights[j] x_j^{-s} E(s, b_j) in mpmath at dps digits, with the
+    Euler-Maclaurin tail after M = em_order/2 Bernoulli terms
+
+        E(s, b) = b / (s - 1) + 1/2 + sum_{k=1}^{M} B_2k/(2k)! (s)_{2k-1} b^{1-2k},
+
+    each B_2k/(2k)! and rising factorial (s)_{2k-1} formed on its own, and
+    b_j = ceil((count - j) / J) + offsets[j] / step the index of the first
+    node x_j = step b_j that a head of `count` terms leaves out of residue
+    class j (J = len(offsets)), as lfunc._em_tail states it.  At s = 1 each
+    class's pole 1 / (step (s - 1)) is taken out, which changes nothing when
+    the weights add up to 0, and the sum is the limit s -> 1, taken at
+    s = 1 + 10^-dps with 3 dps digits.
+    """
+    classes = len(offsets)
+    with mpmath.workdps(3 * dps if s == 1 else dps):
+        z = mpmath.mpf(1) + mpmath.mpf(10) ** -dps if s == 1 else mpmath.mpc(s)
+        pole = 1 / (step * (z - 1)) if s == 1 else 0
+        total = mpmath.mpc(0)
+        for j, (a, w) in enumerate(zip(offsets, weights)):
+            b = -(-(int(count) - j) // classes) + mpmath.mpf(int(a)) / step
+            e = b / (z - 1) + mpmath.mpf(1) / 2
+            for k in range(1, em_order // 2 + 1):
+                e += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.rf(z, 2 * k - 1) * b ** (1 - 2 * k)
+            total += mpmath.mpc(complex(w)) * ((step * b) ** -z * e - pole)
+        return complex(total)
 
 
 def binomial_stderr(hits: int, n: int) -> float:

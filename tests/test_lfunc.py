@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import johansson_terms, l_oracle, zeta_series
+from oracles import em_tail_oracle, johansson_terms, l_oracle, zeta_series
 from selfapprox.characters import char_value, character_from_id, enumerate_characters
 from selfapprox import lfunc
 from selfapprox.density import ShiftFamily, g_values
@@ -253,6 +253,67 @@ def test_high_em_order_stays_finite(em_order):
         got = l_value(s, CHI4, EvaluatorConfig(em_order=em_order))
     assert np.isfinite(got.real) and np.isfinite(got.imag)
     assert abs(got - l_value(s, CHI4)) <= 1e-13
+
+
+def _tail_inputs(label, s):
+    """_em_tail's arguments after s for the points s under chi = label: the
+    head counts l_value gives them at DEFAULT_CONFIG, and chi*'s residue classes."""
+    d, r, weights, _ = lfunc._residues(character_from_id(label))
+    n = lfunc._n_terms(np.abs(s.imag), DEFAULT_CONFIG)
+    return lfunc._TERM_CHUNK * -(-len(r) * n // lfunc._TERM_CHUNK), d, r, weights
+
+
+def _tail_scale(s, counts, step, offsets):
+    """sum_j |x_j^{-s}| (|b_j / (s - 1)| + 1), with b_j log x_j for the pole
+    part at s = 1: the size of the largest terms that each tail adds up."""
+    classes = len(offsets)
+    b = -(-(counts[:, None] - np.arange(classes)) // classes) + np.asarray(offsets) / step
+    x = step * b
+    pole = (s == 1.0)[:, None]
+    big = np.where(pole, b * np.log(x), b / np.where(pole, 1.0, np.abs(s[:, None] - 1.0)))
+    return (x ** -s.real[:, None] * (big + 1.0)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("em_order", [2, 16, 60, 160])
+def test_em_tail_against_mpmath(em_order):
+    # the Horner-form tail against the tail summed term by term at 40 digits,
+    # at density-shaped points (chi_4, the refined grid on K shifted by
+    # d tau <= 4000) and Carlson-shaped ones (60:1, conductor 5, sigma 0.75,
+    # |t| <= 5000), each with the head l_value gives it, and at s = 1 for
+    # nonprincipal weights, where the pole is replaced by its regular part.
+    # The error is at most 4.6e-16 of the largest terms summed (this numpy
+    # build, x86-64), as it was with the steps' cumulative products.
+    rng = np.random.default_rng(16)
+    cfg = EvaluatorConfig(em_order=em_order)
+    for label, s in (
+        ("4:1", rng.uniform(0.63, 0.77, 8) + 1j * rng.uniform(-4000.5, 4000.5, 8)),
+        ("60:1", 0.75 + 1j * np.concatenate([[5000.0, 0.0], rng.uniform(-5000.0, 5000.0, 6)])),
+    ):
+        counts, step, offsets, weights = _tail_inputs(label, s)
+        s, counts = np.append(s, [1.0, 1.0]), np.append(counts, [256, 4096])
+        got = lfunc._em_tail(s, counts, step, offsets, weights, cfg)
+        want = [em_tail_oracle(z, c, step, offsets, weights, em_order) for z, c in zip(s, counts)]
+        assert np.all(np.abs(got - want) <= 2e-15 * _tail_scale(s, counts, step, offsets)), label
+
+
+def test_em_tail_of_one_pair_does_not_depend_on_its_call():
+    # a (shift, point) pair's tail alone, with its neighbours, and inside a
+    # call of over 10^5 pairs that spans several tiles of _TILE // classes
+    # points: every step of the Horner sum is elementwise
+    grid, _ = StripRegion(0.65, 0.75, -0.5, 0.5, margin=0.02, grid_sigma=3, grid_t=3).grid_points(refine=True)
+    taus = np.random.default_rng(17).uniform(0.0, 2000.0, 2100)
+    s = (grid[None, :] + 1j * np.concatenate([taus, 2.0 * taus])[:, None]).ravel()
+    assert s.size >= 10**5
+    for label in ("4:1", "60:1", "60:13"):
+        counts, step, offsets, weights = _tail_inputs(label, s)
+        group = lfunc._TILE // len(offsets)
+        assert s.size > 3 * group
+        whole = lfunc._em_tail(s, counts, step, offsets, weights, DEFAULT_CONFIG)
+        for i in (0, 1, group - 1, group, group + 1, 3 * group, s.size - 1):
+            alone = lfunc._em_tail(s[i : i + 1], counts[i : i + 1], step, offsets, weights, DEFAULT_CONFIG)
+            assert alone[0] == whole[i], (label, i)
+            near = slice(max(i - 2, 0), i + 3)
+            assert np.array_equal(lfunc._em_tail(s[near], counts[near], step, offsets, weights, DEFAULT_CONFIG), whole[near])
 
 
 def test_shifted_values_do_not_depend_on_the_other_grid_points():

@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 import subprocess
@@ -50,3 +51,22 @@ def test_meanvalue_workload_passes_the_benchmark_checks(tmp_path):
     assert len(ops.items) == 4 and all(op["ok"] for op in ops.items), ops.items
     assert abs(found["carlson_z"]) <= workloads["CARLSON_MAX_Z"]
     assert found["carlson_relative_gap"] <= workloads["CARLSON_MAX_GAP"]
+
+
+def test_density_workload_passes_the_benchmark_checks(tmp_path):
+    # the benchmark's own scan-density run and checks for seeds 0-4, and its
+    # hit counts against the table the benchmark checks every density run
+    # against (perfbench/data/density_hits.json, read only): a last-digit
+    # change in g that flips a hit fails here first
+    workloads, spans = _benchmark_module("workloads.py"), _benchmark_module("spans.py")
+    with open(os.path.join(ROOT, "perfbench", "data", "density_hits.json")) as fh:
+        table = json.load(fh)
+    assert table["argv"] == workloads["density_argv"]("<seed>", "<threads>", "<outdir>")
+    ctx = workloads["density_setup"]()
+    for seed in range(5):
+        ops = workloads["Ops"]()
+        outdir = str(tmp_path / str(seed))
+        workloads["density_run"](ctx, seed, 1, outdir, spans["NullTracer"](), ops)
+        found = workloads["density_check"](ctx, outdir, ops)
+        assert len(ops.items) == 3 and all(op["ok"] for op in ops.items), ops.items
+        assert found["hits"] == table["hits"][str(seed)], seed

@@ -21,19 +21,18 @@ partial sums `l_partial_sum` are chi's own truncations, so they stay on chi
 mod q.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
-of them summed by one kernel, `_power_sum`, in chunks of a constant number of
-terms, each point's head a whole number of chunks, so no value depends on the
-other points in its call.  Each phase Im(s) log x_n is reduced mod 2 pi in
+of them summed by one kernel, `_power_sum`, over rows of shifts times points
+(one row without shifts), one chunk of _TERM_CHUNK = 256 terms at a time with
+the chunk sums added in order, so no value depends on the other points or
+shifts in its call.  Each phase Im(s) log x_n is reduced mod 2 pi in
 double-double arithmetic (`_phase`), so the error is float64 rounding, not
 the phase.  Callers that evaluate one base set of points moved up by many
 vertical shifts (the grid on K at s + i d tau, one row per sampled tau) pass
-`shifts`: since x^{-(s + i h)} = x^{-s} x^{-i h}, the matrix x_n^{-s} is
-built once for the base points and each shift adds only one phase row
-x_n^{-i h}, so a call costs N (P + S) phase factors plus an N P S
-contraction instead of N P S (N terms, P points, S shifts), with each
-(shift, point) pair contracted only over its own N: one BLAS dot (zdotc) per
-pair and chunk of _TERM_CHUNK = 256 terms, too short for the BLAS to split
-across threads, so the values do not depend on the BLAS thread count.
+`shifts`: x^{-(s + i h)} = x^{-s} x^{-i h}, so x_n^{-s} is built once and
+each shift adds one phase row, N (P + S) phase factors rather than N P S
+(N terms, P points, S shifts).  A chunk is reduced by one BLAS dot (zdotc)
+per (shift, point) pair, too short for the BLAS to split across threads, or
+without shifts by numpy's more accurate pairwise sum.
 
 The evaluators accept numpy arrays of s values and broadcast; they are pure
 functions of immutable inputs and safe to call from worker threads.
@@ -266,65 +265,52 @@ def _powers(s: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 def _power_sum(s: np.ndarray, counts, step, offsets, weights, shifts=None) -> np.ndarray:
     """sum_{k < count} w_k x_k^{-s} over the 1-d points s, for the nodes
     x_k = step (k // J) + offsets[k % J] and weights w_k = weights[k % J]
-    (J = len(offsets)).
+    (J = len(offsets)), as (rows, points): one row per shift h of `shifts`
+    (1-d, real), the sums at s + i h, or one row without shifts.
 
-    `counts` holds one count per value (an int applies to all of them); every
-    count is a multiple of _TERM_CHUNK unless they are all equal.  Nodes
-    (float64, exact for integers) and their logs are built per tile, never for
-    the whole series.  The points are sorted by count, longest first, so each
-    tile builds x^{-s} only for the leading points that still sum.  Without
-    `shifts`, a group of G points takes _TILE // G terms per tile, each
-    _TERM_CHUNK-term chunk is summed on its own and the chunk sums are added
-    in order, so a value depends on its own point and count alone.  With
-    `shifts` (1-d, real) the result has shape (len(shifts), len(s)) and holds
-    the sums at s[None, :] + i shifts[:, None]: per chunk, x^{-s} is built
-    once, one phase row x^{-i h} per shift h still summing (the shifts are
-    sorted by count too), and each (shift, point) pair is contracted by one
-    np.vecdot, a BLAS zdotc of at most _TERM_CHUNK terms: the phase row is
-    built at -h, since vecdot conjugates its first argument and the row for -h
-    is the conjugate of the row for h.  OpenBLAS splits a dot across threads
-    only far above _TERM_CHUNK terms, so values do not depend on the number of
-    BLAS threads; a (shift, point) pair whose count has ended is left out of
-    the add.
+    `counts` holds one count per (row, point) (an int applies to all); every
+    count is a multiple of _TERM_CHUNK unless they are all equal.  Points and
+    rows are sorted by count, longest first.  Every call is summed one
+    _TERM_CHUNK-term chunk at a time: the nodes (float64, exact for integers),
+    their logs and x^{-s} for the leading points still summing, then one sum
+    per pair whose count has not ended, added in order, so a value depends on
+    its own point, shift and count alone.  Only the chunk sum differs.  With
+    shifts, np.vecdot, one BLAS zdotc per (shift, point) pair, of x^{-s} and the
+    phase row built at -h (vecdot conjugates its first argument): OpenBLAS
+    splits a dot only far above _TERM_CHUNK terms, so values do not depend on
+    the BLAS thread count.  Without, numpy's pairwise sum, kept as the more
+    accurate: zdotc against a row of ones raises the benchmark's largest
+    reference error from 9.2e-16 to 1.4e-15 (density) and 1.6e-15 (Carlson).
     """
     offsets = np.asarray(offsets, dtype=float)
-    shape = s.shape if shifts is None else (len(shifts), len(s))
-    counts = np.broadcast_to(counts, shape)
-    ends = counts if shifts is None else counts.max(axis=0, initial=0)
-    p = np.argsort(-ends, kind="stable")
-    s, counts, ends = s[p], counts[..., p], ends[p]
-    if shifts is not None:
-        h = np.argsort(-counts.max(axis=1, initial=0), kind="stable")
-        shifts, counts = shifts[h], counts[h]
-        row_ends = counts.max(axis=1, initial=0)
-    acc = np.zeros(shape, dtype=np.complex128)
+    counts = np.broadcast_to(counts, (1 if shifts is None else len(shifts), len(s)))
+    h = np.argsort(-counts.max(axis=1, initial=0), kind="stable")
+    p = np.argsort(-counts.max(axis=0, initial=0), kind="stable")
+    s, counts = s[p], counts[np.ix_(h, p)]
+    ends, row_ends = counts.max(axis=0, initial=0), counts.max(axis=1, initial=0)
+    acc = np.zeros(counts.shape, dtype=np.complex128)
     group = _TILE // _TERM_CHUNK
     for j in range(0, len(s), group):
-        pts, out, end = s[j : j + group], acc[..., j : j + group], ends[j : j + group].tolist()
-        span = _TERM_CHUNK * (1 if shifts is not None else group // len(pts))
+        pts, out, end = s[j : j + group], acc[:, j : j + group], ends[j : j + group].tolist()
         live = len(pts)
-        for i in range(0, end[0], span):
-            n, r = np.divmod(np.arange(i, min(i + span, end[0])), len(offsets))
+        for i in range(0, end[0], _TERM_CHUNK):
+            n, r = np.divmod(np.arange(i, min(i + _TERM_CHUNK, end[0])), len(offsets))
             hi, lo = _log_parts(offsets[r] + step * n)
             while end[live - 1] <= i:
                 live -= 1
             base = _powers(pts[:live], hi, lo)
             base *= weights[r]
-            if shifts is None:
-                rows = live
-                for c in range(0, base.shape[1], _TERM_CHUNK):
-                    while end[rows - 1] <= i + c:
-                        rows -= 1
-                    out[:rows] += base[:rows, c : c + _TERM_CHUNK].sum(axis=-1)
-                continue
             rows = np.count_nonzero(row_ends > i)
             for h0 in range(0, rows, group):
                 h1 = min(h0 + group, rows)
                 block = out[h0:h1, :live]
-                terms = np.vecdot(_powers(-1j * shifts[h0:h1], hi, lo)[:, None, :], base)
+                if shifts is None:
+                    terms = base.sum(axis=-1)
+                else:
+                    terms = np.vecdot(_powers(-1j * shifts[h[h0:h1]], hi, lo)[:, None, :], base)
                 np.add(block, terms, out=block, where=counts[h0:h1, j : j + live] > i)
     result = np.empty_like(acc)
-    result[(p,) if shifts is None else np.ix_(h, p)] = acc
+    result[np.ix_(h, p)] = acc
     return result
 
 
@@ -393,8 +379,8 @@ def _shaped(values: np.ndarray, shape):
 
 
 def _shifted(s: np.ndarray, shifts) -> np.ndarray:
-    """The full point set s[None, :] + i shifts[:, None], or s if shifts is None."""
-    return s if shifts is None else s[None, :] + 1j * shifts[:, None]
+    """The (rows, points) point set s[None, :] + i shifts[:, None], one row s[None, :] without shifts."""
+    return s[None, :] if shifts is None else s[None, :] + 1j * shifts[:, None]
 
 
 def _units(chi: DirichletCharacter) -> np.ndarray:
@@ -504,14 +490,22 @@ def l_truncated(s, chi: DirichletCharacter, v: float):
     return _shaped(acc, shape)
 
 
+def _validate_partial_length(n_max: int, q: int, name: str = "n_max"):
+    """RangeError, naming the largest usable n_max, if n_max terms mod q exceed _N_MAX per residue class."""
+    if n_max > q * _N_MAX:
+        usable = f"largest usable {name} at this cap is {q * _N_MAX}"
+        raise RangeError(f"{name} = {n_max:.6g} needs over {_N_MAX:.0e} terms per residue class mod {q}; {usable}")
+
+
 def l_partial_sum(s, chi: DirichletCharacter, n_max: int, shifts=None):
     """Dirichlet partial sum L_N(s, chi) = sum_{n <= N} chi(n) n^{-s}, over
-    chi mod q itself (not the primitive chi* that l_value sums).
+    chi mod q itself (not the primitive chi* that l_value sums), N <= q _N_MAX.
 
     `shifts` works as in l_value: values at s + i h, shape shifts.shape + np.shape(s).
     """
     if n_max < 1:
         raise DomainError("partial sum length must be >= 1")
+    _validate_partial_length(n_max, chi.modulus)
     flat, shifts, shape = _call_points(s, shifts)
     q = chi.modulus
     r = _units(chi)

@@ -16,7 +16,7 @@ import numpy as np
 from .characters import DirichletCharacter, character_from_id
 from .density import ShiftFamily, _validate_cap, g_values
 from .errors import DomainError
-from .lfunc import StripRegion, l_partial_sum, l_value
+from .lfunc import StripRegion, _validate_partial_length, l_partial_sum, l_value
 from .sampling import map_blocks, uniform_samples
 
 __all__ = [
@@ -80,8 +80,9 @@ def carlson_mean_value(
     if T <= 0 or n_samples < 2:
         raise DomainError("T must be positive and n_samples >= 2")
     _validate_cap(T, abs(x), abs(s.imag))
-    taus = uniform_samples(seed, n_samples, 0.0, T)
     n_trunc = int(math.floor(y))
+    _validate_partial_length(n_trunc, chi.modulus, "y")
+    taus = uniform_samples(seed, n_samples, 0.0, T)
 
     def work(i0, i1):
         shifts = x * taus[i0:i1]
@@ -116,6 +117,7 @@ def b2_ladder(
     if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2 or T <= 0:
         raise DomainError("b2 needs a nonempty N ladder, every N >= 1, n_samples >= 2 and T > 0")
     _validate_cap(T, family.max_abs_shift, region.t_abs_max)
+    _validate_partial_length(max(n_ladder), min(chi.modulus for chi in family.characters), "N")
     taus = uniform_samples(seed, n_samples, -T, T)
 
     def work(i0, i1):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -436,6 +437,22 @@ def test_help_exits_zero(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert "usage: selfapprox" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["mean-value", "--char=4:1", "--y=1e9", "--samples=4", "--T=100"],
+    ["b2", "--d=1,2", "--chars=4:1,4:1", "--N-ladder=10000000000", "--samples=2", "--T=10"],
+], ids=["mean_value_y", "b2_N"])
+def test_partial_sums_beyond_their_cap_are_refused_at_once(argv, tmp_path, capsys):
+    # more than _N_MAX terms per residue class in L_N: uncapped, each of
+    # these ran on for more than 20 s, one 256-term chunk after another
+    start = time.perf_counter()
+    rc = main(argv + ["--output-dir", str(tmp_path)])
+    assert rc == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "largest usable" in json.loads(err)["error"]
+    assert not (tmp_path / "results.json").exists()
 
 
 def test_mean_value_beyond_cap_names_the_largest_usable_T(tmp_path, capsys):

@@ -455,8 +455,8 @@ def test_every_residue_class_sums_the_certified_length(classes, monkeypatch):
     seen = []
 
     def power_sum(s, counts, *rest):
-        seen.append(counts)
-        return np.zeros(s.shape, complex)
+        seen.append(counts.ravel())
+        return np.zeros(counts.shape, complex)
 
     monkeypatch.setattr(lfunc, "_power_sum", power_sum)
     monkeypatch.setattr(lfunc, "_em_tail", lambda s, *rest: np.zeros(s.shape, complex))
@@ -479,10 +479,11 @@ def test_every_residue_class_sums_the_certified_length(classes, monkeypatch):
 
 
 def test_single_point_matches_the_same_point_in_a_large_call():
-    # one point sums many chunks per numpy call (two tiles here for the 16
-    # classes of the primitive 60:13; one for the 4 of 60:1, conductor 5), a
-    # large call one or two chunks per call; the chunk sums are added in the
-    # same order
+    # a point alone, with one other point and among 300 points (three tiles
+    # of _TILE // _TERM_CHUNK points) sums the same _TERM_CHUNK-term chunks
+    # and adds their sums in the same order; the 16 classes of the primitive
+    # 60:13 give a head of more than _TILE terms, the 4 of 60:1 (conductor 5)
+    # a quarter of that
     pts = 0.7 + 1j * np.linspace(9000.0, 10_000.0, 300)
     assert lfunc._n_terms(10_000.0, DEFAULT_CONFIG) * 16 > lfunc._TILE
     assert character_from_id("60:13").conductor == 60
@@ -494,10 +495,10 @@ def test_single_point_matches_the_same_point_in_a_large_call():
 
 
 def test_unshifted_memory_stays_bounded():
-    # 20 000 points over three chunks of terms, in tiles of lfunc._TILE
-    # elements.  The bound is the peak of an earlier, size-dependent chunk
-    # rule; keeping one chunk's terms alive while the next was built raised
-    # that peak to 83 MB.
+    # 20 000 points over three chunks of terms.  The head is summed one
+    # _TERM_CHUNK-term chunk of _TILE // _TERM_CHUNK points at a time and the
+    # Euler-Maclaurin tail in tiles of _TILE values, so the peak (4.3 MB)
+    # does not grow with the number of terms.
     pts = 0.7 + 1j * np.linspace(0.0, 1000.0, 20_000)
     assert math.ceil(2 * lfunc._n_terms(1000.0, DEFAULT_CONFIG) / lfunc._TERM_CHUNK) == 3
     tracemalloc.start()
@@ -506,7 +507,22 @@ def test_unshifted_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 65.3e6
+    assert peak <= 8e6
+
+
+def test_one_long_point_is_summed_chunk_by_chunk():
+    # one point at the top of the supported range: 4 classes of 13 814 terms
+    # for 60:1 (conductor 5), 216 chunks, summed one chunk at a time like any
+    # other call.  A tiling that gave a lone point _TILE terms per numpy call
+    # peaked at 2.86 MB here.
+    chi = character_from_id("60:1")
+    tracemalloc.start()
+    try:
+        l_value(0.7 + 49_000j, chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
 
 
 def test_shifted_memory_stays_bounded():
@@ -568,6 +584,16 @@ def test_truncated_trivial_for_chi4_at_v2():
 def test_partial_sum_first_term():
     for s in (0.1 + 90j, 2.0 + 0j):
         assert l_partial_sum(s, CHI4, 1) == 1.0 + 0j
+
+
+def test_partial_sum_length_is_capped_per_residue_class():
+    # as l_value caps its series at _N_MAX terms per class, so does the
+    # partial sum: 2 classes mod 4 allow n_max up to 4 _N_MAX
+    usable = 4 * lfunc._N_MAX
+    for n_max in (usable + 1, 10**10):
+        with pytest.raises(RangeError) as err:
+            l_partial_sum(0.75 + 0j, CHI4, n_max, shifts=[1.0, 2.0])
+        assert f"largest usable n_max at this cap is {usable}" in str(err.value)
 
 
 def test_partial_sum_ten_terms():

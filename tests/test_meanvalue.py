@@ -110,6 +110,31 @@ def test_carlson_beyond_cap_reports_usable_horizon(t, T, usable):
     assert f"largest usable T at this cap is {usable};" in str(err.value) + ";"
 
 
+def _no_draws(monkeypatch):
+    def draw(*args):
+        raise AssertionError("tau drawn before the partial-sum length was checked")
+
+    monkeypatch.setattr("selfapprox.meanvalue.uniform_samples", draw)
+
+
+def test_carlson_beyond_the_partial_sum_cap_names_the_largest_usable_y(monkeypatch):
+    # L_y sums about y / q terms per residue class; beyond _N_MAX of them the
+    # run is refused before any tau is drawn
+    _no_draws(monkeypatch)
+    with pytest.raises(RangeError) as err:
+        carlson_mean_value(CHI4, 0.75 + 0j, 1e9, T=100.0, n_samples=4)
+    assert "largest usable y at this cap is 40000000" in str(err.value)
+
+
+def test_b2_beyond_the_partial_sum_cap_names_the_largest_usable_n(monkeypatch):
+    # every rung is checked against the smallest modulus of the family
+    _no_draws(monkeypatch)
+    fam = ShiftFamily((1.0, 2.0), (CHI4, character_from_id("3:1")))
+    with pytest.raises(RangeError) as err:
+        b2_ladder(fam, [10, 35_000_000], 10.0, REGION, n_samples=2)
+    assert "largest usable N at this cap is 30000000" in str(err.value)
+
+
 # ---------------------------------------------------------------- B^2 distances
 
 

@@ -70,3 +70,23 @@ def test_density_workload_passes_the_benchmark_checks(tmp_path):
         found = workloads["density_check"](ctx, outdir, ops)
         assert len(ops.items) == 3 and all(op["ok"] for op in ops.items), ops.items
         assert found["hits"] == table["hits"][str(seed)], seed
+
+
+# max_abs_err that BENCH_16.json recorded on every workload; a change that
+# moves it on purpose updates this constant and says so in CHANGES.md
+RECORDED_MAX_ABS_ERR = 9.155134e-16
+
+
+def test_max_abs_err_stays_within_the_benchmark_bound():
+    # each workload's max_abs_err as perfbench/worker.py's `accuracy` computes
+    # it, over the workload's own reference point sets, against BENCHMARK.json's
+    # own bound on how much worse it may get: shift-free sums contracted by
+    # zdotc instead of numpy's pairwise sum read 1.351e-15 and 1.570e-15 here
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        (metric,) = [m for m in json.load(fh)["end_to_end"] if m["name"] == "max_abs_err"]
+    workloads, reference = _benchmark_module("workloads.py"), _benchmark_module("reference.py")
+    ref = reference["load"]()
+    for name, spec in workloads["WORKLOADS"].items():
+        rows = [row for s in spec["accuracy_sets"] for row in reference["errors"](ref, s)]
+        err = max(err for _, _, err, _ in rows)
+        assert err <= RECORDED_MAX_ABS_ERR * (1.0 + metric["bound"]), (name, err)

@@ -25,7 +25,7 @@ for chi in enumerate_characters(12):
     print(f"  {chi.label}  order {chi.order}  conductor {chi.conductor:2d}  " + " ".join(row))
 
 chi = character_from_id("4:1")
-total = sum(chi(n) for n in range(1, 5) if chi(n) is not None)
+total = sum(chi(n) for n in range(1, 5))  # chi(n) = 0 off the units
 print(f"orthogonality sum for {chi.label}: |sum| = {abs(total):.2e}")
 
 # --- sanity anchors for the evaluator ---------------------------------------

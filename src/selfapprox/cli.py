@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .characters import character_from_id, enumerate_characters
 from .density import (
+    EmpiricalDistribution,
     ShiftFamily,
     convergence_diagnostic,
     density_from_samples,
@@ -43,6 +44,7 @@ from .errors import DomainError
 from .lfunc import StripRegion, l_value
 from .meanvalue import b2_ladder, carlson_mean_value
 
+
 def _finite_float(raw) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -50,8 +52,8 @@ def _finite_float(raw) -> float:
     return value
 
 
-# Key groups shared by several commands, spliced into the schemas below in
-# the order the manifests record them.
+# Key groups shared by several commands, spliced into the schemas of
+# _COMMANDS in the order the manifests record them.
 _FAMILY = {"d": (str, None), "chars": (str, None)}
 _REGION = {
     "sigma_range": (str, "0.65,0.75"),
@@ -64,61 +66,6 @@ _TARGET = {
     "a": (int, 1),
     "delta": (_finite_float, None),
     "primes_upto": (_finite_float, None),
-}
-
-# command -> ordered parameter schema: name -> (parser, default); default None
-# with no entry in the config means the parameter is required.
-_SCHEMAS = {
-    "relations": {
-        "shifts": (str, None),
-        "mode": (str, "exact"),
-        "tolerance": (_finite_float, 1e-10),
-        "coeff_cap": (int, 10**6),
-    },
-    "kronecker": {
-        **_TARGET,
-        "T": (_finite_float, None),
-        # accepted and ignored, see _run_kronecker
-        "samples": (_finite_float, 0),
-        "stratified": (int, 0),
-    },
-    "find-tau": {
-        **_TARGET,
-        "bound": (_finite_float, None),
-        "strategy": (str, "grid"),
-        "max_results": (int, 10000),
-    },
-    "scan-density": {
-        **_FAMILY,
-        "eps": (_finite_float, None),
-        "T": (_finite_float, None),
-        "samples": (_finite_float, 256),
-        **_REGION,
-        "refine": (int, 1),
-    },
-    "dist-fn": {
-        **_FAMILY,
-        "T_ladder": (str, None),
-        "samples": (_finite_float, 256),
-        **_REGION,
-    },
-    "mean-value": {
-        "char": (str, None),
-        "sigma": (_finite_float, 0.75),
-        "t": (_finite_float, 0.0),
-        "y": (_finite_float, 20),
-        "x": (_finite_float, 1.0),
-        "T": (_finite_float, 5000),
-        "samples": (_finite_float, 50000),
-    },
-    "b2": {
-        **_FAMILY,
-        "N_ladder": (str, "10,100,1000"),
-        "T": (_finite_float, 2000),
-        "samples": (_finite_float, 1000),
-        **_REGION,
-    },
-    "selfcheck": {},
 }
 
 
@@ -171,7 +118,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve_params(command: str, file_params: dict, overrides: dict) -> dict:
-    schema = _SCHEMAS[command]
+    schema = _COMMANDS[command][1]
     unknown = set(file_params) - set(schema)
     if unknown:
         raise DomainError(f"unknown config keys for {command}: {sorted(unknown)}")
@@ -192,27 +139,23 @@ def _resolve_params(command: str, file_params: dict, overrides: dict) -> dict:
     return params
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
-
-
-def _write_artifacts(outdir, manifest, results, samples=None, plotdata=None):
+def _write_artifacts(outdir, manifest, results, samples=None, plot=None):
+    """Write the two JSON files, then each CSV table given as (header,
+    columns of numbers), streamed row by row, every cell repr(float(v))."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "manifest.json"), "wb") as fh:
-        fh.write(_json_bytes(manifest))
-    with open(os.path.join(outdir, "results.json"), "wb") as fh:
-        fh.write(_json_bytes(results))
-    if samples is not None:
-        header, rows = samples
-        with open(os.path.join(outdir, "samples.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    if plotdata is not None:
-        with open(os.path.join(outdir, "plotdata.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            writer.writerows(plotdata)
+    for name, obj in (("manifest.json", manifest), ("results.json", results)):
+        with open(os.path.join(outdir, name), "wb") as fh:
+            fh.write((json.dumps(obj, indent=2, allow_nan=False) + "\n").encode())
+    if plot is not None:
+        plot = (("x", "y"), plot)
+    for name, table in (("samples.csv", samples), ("plotdata.csv", plot)):
+        if table is not None:
+            header, columns = table
+            cells = ((repr(float(v)) for v in column) for column in columns)
+            with open(os.path.join(outdir, name), "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(zip(*cells))
 
 
 def _run_relations(params, seed, threads):
@@ -259,8 +202,7 @@ def _run_kronecker(params, seed, threads):
         "l": len(target.shifts),
         "M": target.n_primes,
     }
-    plot = [(repr(float(h)), repr(float(d))) for h, d in zip(horizons, densities)]
-    return results, None, plot
+    return results, None, (horizons, densities)
 
 
 def _run_find_tau(params, seed, threads):
@@ -275,12 +217,12 @@ def _run_find_tau(params, seed, threads):
         "expected_density": target.expected_density,
         "note": "" if hits else "no hits found; try a larger bound",
     }
-    plot = [(repr(float(t)), repr(i / max(len(hits), 1))) for i, t in enumerate(hits)]
-    samples = (["tau"], [[repr(float(t))] for t in hits])
-    return results, samples, plot
+    return results, (["tau"], [hits]), (hits, np.arange(len(hits)) / max(len(hits), 1))
 
 
 def _run_scan_density(params, seed, threads):
+    if params["eps"] <= 0:
+        raise DomainError("epsilon must be positive")
     family = _parse_family(params)
     region = _parse_region(params)
     taus, g, deltas = sample_g(
@@ -294,17 +236,10 @@ def _run_scan_density(params, seed, threads):
         "characters": [c.label for c in family.characters],
         "region": asdict(region),
     }
-    samples = (
-        ["tau", "g_value", "refine_delta"],
-        [[repr(float(a)), repr(float(b)), repr(float(c))] for a, b, c in zip(taus, g, deltas)],
-    )
-    # density as a function of eps, from the same sample set
-    sorted_g = np.sort(g)
-    plot = [
-        (repr(float(x)), repr(float(np.count_nonzero(sorted_g < x) / len(g))))
-        for x in np.linspace(0, float(sorted_g[-1]) * 1.05 + 1e-9, 101)
-    ]
-    return results, samples, plot
+    # density as a function of eps, F_T(x) from the same sample set
+    f_T = EmpiricalDistribution(np.sort(g), params["T"])
+    xs = np.linspace(0, float(f_T.sample_values[-1]) * 1.05 + 1e-9, 101)
+    return results, (["tau", "g_value", "refine_delta"], [taus, g, deltas]), (xs, f_T.cdf(xs))
 
 
 def _run_dist_fn(params, seed, threads):
@@ -315,11 +250,7 @@ def _run_dist_fn(params, seed, threads):
         family, region, ladder, int(params["samples"]), seed, threads=threads
     )
     # plot data: consecutive sup-distance against the larger horizon
-    plot = [
-        (repr(float(T)), repr(float(dist)))
-        for T, dist in zip(report["T_ladder"][1:], report["distances"])
-    ]
-    return report, None, plot
+    return report, None, (report["T_ladder"][1:], report["distances"])
 
 
 def _run_mean_value(params, seed, threads):
@@ -350,8 +281,7 @@ def _run_b2(params, seed, threads):
         "estimates": [est for est, _ in out],
         "stderrs": [se for _, se in out],
     }
-    plot = [(repr(float(n)), repr(float(est))) for n, (est, _) in zip(ladder, out)]
-    return results, None, plot
+    return results, None, (ladder, results["estimates"])
 
 
 def _run_selfcheck(params, seed, threads):
@@ -369,15 +299,61 @@ def _run_selfcheck(params, seed, threads):
     return results, None, None
 
 
-_RUNNERS = {
-    "relations": _run_relations,
-    "kronecker": _run_kronecker,
-    "find-tau": _run_find_tau,
-    "scan-density": _run_scan_density,
-    "dist-fn": _run_dist_fn,
-    "mean-value": _run_mean_value,
-    "b2": _run_b2,
-    "selfcheck": _run_selfcheck,
+# command -> (runner, ordered parameter schema: name -> (parser, default));
+# default None with no entry in the config means the parameter is required.
+# A runner returns (results, samples, plot): samples as (header, columns) and
+# plot as (xs, ys), columns of numbers, or None.
+_COMMANDS = {
+    "relations": (_run_relations, {
+        "shifts": (str, None),
+        "mode": (str, "exact"),
+        "tolerance": (_finite_float, 1e-10),
+        "coeff_cap": (int, 10**6),
+    }),
+    "kronecker": (_run_kronecker, {
+        **_TARGET,
+        "T": (_finite_float, None),
+        # accepted and ignored, see _run_kronecker
+        "samples": (_finite_float, 0),
+        "stratified": (int, 0),
+    }),
+    "find-tau": (_run_find_tau, {
+        **_TARGET,
+        "bound": (_finite_float, None),
+        "strategy": (str, "grid"),
+        "max_results": (int, 10000),
+    }),
+    "scan-density": (_run_scan_density, {
+        **_FAMILY,
+        "eps": (_finite_float, None),
+        "T": (_finite_float, None),
+        "samples": (_finite_float, 256),
+        **_REGION,
+        "refine": (int, 1),
+    }),
+    "dist-fn": (_run_dist_fn, {
+        **_FAMILY,
+        "T_ladder": (str, None),
+        "samples": (_finite_float, 256),
+        **_REGION,
+    }),
+    "mean-value": (_run_mean_value, {
+        "char": (str, None),
+        "sigma": (_finite_float, 0.75),
+        "t": (_finite_float, 0.0),
+        "y": (_finite_float, 20),
+        "x": (_finite_float, 1.0),
+        "T": (_finite_float, 5000),
+        "samples": (_finite_float, 50000),
+    }),
+    "b2": (_run_b2, {
+        **_FAMILY,
+        "N_ladder": (str, "10,100,1000"),
+        "T": (_finite_float, 2000),
+        "samples": (_finite_float, 1000),
+        **_REGION,
+    }),
+    "selfcheck": (_run_selfcheck, {}),
 }
 
 
@@ -393,7 +369,7 @@ def run(command: str, params: dict, seed: int, output_dir: str, threads: int = 1
         "params": params,
         "version": __version__,
     }
-    results, samples, plot = _RUNNERS[command](params, seed, threads)
+    results, samples, plot = _COMMANDS[command][0](params, seed, threads)
     _write_artifacts(output_dir, manifest, results, samples, plot)
     return 0
 
@@ -424,10 +400,10 @@ def _parser(command=None) -> _ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output-dir", default="runs/out")
     common.add_argument("--threads", type=int, default=1)
-    for name in _RUNNERS:
+    for name, (_, schema) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, parents=[common])
-            for key in _SCHEMAS[name]:
+            for key in schema:
                 p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     if command in (None, "rerun"):
         rerun = sub.add_parser("rerun")
@@ -442,7 +418,7 @@ def _parse_args(argv):
     unknown command and every usage error go to the full parser, so their
     output and exit codes are the full parser's."""
     command = argv[0] if argv else None
-    if (command in _RUNNERS or command == "rerun") and not any(a.startswith(("-h", "--h")) for a in argv):
+    if (command in _COMMANDS or command == "rerun") and not any(a.startswith(("-h", "--h")) for a in argv):
         try:
             return _parser(command).parse_args(argv)
         except DomainError:
@@ -456,23 +432,23 @@ def main(argv=None) -> int:
         args = _parse_args(argv)
         if args.command == "rerun":
             manifest = json.loads(_read_text(args.manifest))
-            outdir = args.output_dir or os.path.dirname(os.path.abspath(args.manifest))
-            outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", outdir)
             if not (
                 isinstance(manifest, dict)
-                and manifest.get("command") in _RUNNERS
+                and manifest.get("command") in _COMMANDS
                 and isinstance(manifest.get("params"), dict)
             ):
                 raise DomainError(f"{args.manifest}: needs a known command and a params object")
-            command = manifest["command"]
-            params = _resolve_params(command, manifest["params"], {})
+            command, file_params, overrides = manifest["command"], manifest["params"], {}
+            seed = manifest.get("seed")
+            outdir = args.output_dir or os.path.dirname(os.path.abspath(args.manifest))
             threads = args.threads if args.threads is not None else manifest.get("threads", 1)
-            return run(command, params, manifest.get("seed"), outdir, threads)
-        file_params = _read_config_file(args.config) if args.config else {}
-        overrides = {key: getattr(args, key) for key in _SCHEMAS[args.command]}
-        params = _resolve_params(args.command, file_params, overrides)
-        outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", args.output_dir)
-        return run(args.command, params, args.seed, outdir, args.threads)
+        else:
+            command, overrides = args.command, vars(args)
+            file_params = _read_config_file(args.config) if args.config else {}
+            seed, outdir, threads = args.seed, args.output_dir, args.threads
+        params = _resolve_params(command, file_params, overrides)
+        outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", outdir)
+        return run(command, params, seed, outdir, threads)
     except DomainError as exc:
         return _fail(str(exc))
     except MemoryError as exc:

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, char_value
+from .characters import DirichletCharacter, _factorize, char_value
 from .errors import DomainError, PoleError, RangeError
 from .primes import primes_upto
 
@@ -403,7 +403,7 @@ def _residues(chi: DirichletCharacter):
     n = _units(chi)
     r, lift = np.unique((n - 1) % d + 1, return_index=True)
     weights = chi.values[n[lift] % q]
-    primes = np.array([p for p in primes_upto(q) if q % p == 0 and d % p], dtype=np.int64)
+    primes = np.array([p for p, _ in _factorize(q) if d % p], dtype=np.int64)
     return d, r, weights, (primes, weights[np.searchsorted(r, (primes - 1) % d + 1)])
 
 

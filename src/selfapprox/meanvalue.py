@@ -79,6 +79,8 @@ def carlson_mean_value(
         raise DomainError("shift scale x must be nonzero")
     if T <= 0 or n_samples < 2:
         raise DomainError("T must be positive and n_samples >= 2")
+    if y < 1:
+        raise DomainError(f"partial sum length y = {y!r} must be >= 1")
     _validate_cap(T, abs(x), abs(s.imag))
     n_trunc = int(math.floor(y))
     _validate_partial_length(n_trunc, chi.modulus, "y")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -357,6 +358,7 @@ def _write_bytes(path, data):
     "manifest_seed_bool", "manifest_threads_bool", "mean_value_beyond_cap",
     "seed_not_int", "unknown_flag", "no_subcommand", "rerun_without_manifest", "threads_not_int",
     "kronecker_beyond_sweep_cap", "find_tau_beyond_sweep_cap",
+    "eps_zero", "mean_value_y_below_one", "sieve_beyond_cap",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -412,6 +414,9 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
                                        "--T", "1e300"] + out,
         "find_tau_beyond_sweep_cap": ["find-tau", "--delta", "0.002", "--primes-upto", "7",
                                       "--bound", "1e12"] + out,
+        "eps_zero": scan + ["--eps", "0"] + out,
+        "mean_value_y_below_one": ["mean-value", "--char", "60:1", "--y", "0.5", "--samples", "4"] + out,
+        "sieve_beyond_cap": ["kronecker", "--delta", "0.25", "--primes-upto", "1e8", "--T", "100"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -453,6 +458,54 @@ def test_partial_sums_beyond_their_cap_are_refused_at_once(argv, tmp_path, capsy
     assert len(err.splitlines()) == 1
     assert "largest usable" in json.loads(err)["error"]
     assert not (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["scan-density", "--d=1,2", "--chars=4:1,4:1", "--T=100", "--eps=0", "--samples=8000"], "epsilon"),
+    (["mean-value", "--char=60:1", "--y=0.5", "--samples=4096"], "y"),
+], ids=["eps_zero", "y_below_one"])
+def test_bad_eps_and_y_are_refused_before_any_tau_is_drawn(argv, name, tmp_path, capsys):
+    # checked after the sampling, each of these took as long as a valid run
+    # (0.6 and 0.4 s); checked first, they take milliseconds
+    start = time.perf_counter()
+    rc = main(argv + ["--output-dir", str(tmp_path)])
+    assert rc == 2 and time.perf_counter() - start < 0.2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{name} " in json.loads(err)["error"]
+
+
+def test_scan_density_csv_is_streamed(tmp_path):
+    # the CSV rows are formatted one at a time: the peak holds the tau, g and
+    # delta arrays (24 B per sample), not every row as strings (290 B per
+    # sample, a 15.6 MB peak at these samples)
+    argv = ["scan-density", "--d=1,2", "--chars=4:1,4:1", "--eps=1", "--T=1", "--samples=50000",
+            "--grid=1x1", "--refine=0", "--t-range=0,0", "--output-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(_read(tmp_path, "samples.csv").splitlines()) == 50001
+    assert peak < 8e6
+
+
+def test_scan_density_eps_curve_is_the_share_of_samples_below_x(tmp_path):
+    rc = main([
+        "scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--eps", "0.8", "--T", "300",
+        "--samples", "200", "--seed", "4", "--output-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    g = [float(row.split(",")[1]) for row in _read(tmp_path, "samples.csv").splitlines()[1:]]
+    rows = [row.split(",") for row in _read(tmp_path, "plotdata.csv").splitlines()]
+    assert rows[0] == ["x", "y"] and len(rows) == 102
+    for x, y in ((float(x), float(y)) for x, y in rows[1:]):
+        assert y == sum(v < x for v in g) / len(g)
+    assert rows[-1][1] == "1.0"
+    density = _results(tmp_path)["density"]
+    assert 0.0 < density < 1.0
+    assert density == sum(v < 0.8 for v in g) / len(g)
 
 
 def test_mean_value_beyond_cap_names_the_largest_usable_T(tmp_path, capsys):

@@ -645,3 +645,15 @@ def test_point_region_grids():
 def test_prime_tables():
     assert primes_upto(10) == [2, 3, 5, 7]
     assert primes_upto(1) == []
+
+
+def test_prime_sieve_is_capped_before_it_allocates():
+    # uncapped, this bound sieves a 100 MB mask for about 7 s
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="largest usable bound is 10000000"):
+            primes_upto(10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6

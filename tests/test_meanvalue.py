@@ -126,6 +126,12 @@ def test_carlson_beyond_the_partial_sum_cap_names_the_largest_usable_y(monkeypat
     assert "largest usable y at this cap is 40000000" in str(err.value)
 
 
+def test_carlson_y_below_one_is_refused_before_any_draw(monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(DomainError, match="y = 0.5 must be >= 1"):
+        carlson_mean_value(CHI4, 0.75 + 0j, 0.5, T=100.0, n_samples=4)
+
+
 def test_b2_beyond_the_partial_sum_cap_names_the_largest_usable_n(monkeypatch):
     # every rung is checked against the smallest modulus of the family
     _no_draws(monkeypatch)

@@ -212,11 +212,8 @@ def _run_find_tau(params, seed, threads):
         raise DomainError(f"unknown strategy {params['strategy']!r}")
     target = _make_target(params)
     hits = find_tau_in_set(target, params["bound"], max_results=params["max_results"])
-    results = {
-        "n_hits": len(hits),
-        "expected_density": target.expected_density,
-        "note": "" if hits else "no hits found; try a larger bound",
-    }
+    # tau = 0 is always a member, so hits is never empty
+    results = {"n_hits": len(hits), "expected_density": target.expected_density}
     return results, (["tau"], [hits]), (hits, np.arange(len(hits)) / max(len(hits), 1))
 
 

@@ -94,9 +94,6 @@ class EmpiricalDistribution:
         out = idx / n
         return float(out) if np.isscalar(x) else out
 
-    def quantile(self, p: float) -> float:
-        return float(np.quantile(self.sample_values, p))
-
 
 def _validate_cap(T: float, scale: float, height: float):
     """RangeError if T*scale + height, the largest |Im s| a horizon T reaches, exceeds IM_CAP."""

@@ -18,7 +18,9 @@ own |Im s|, so it grows linearly with that |Im s| alone; the point's head is
 then the fewest whole chunks of terms that give every class N.  Evaluation
 refuses (RangeError) beyond IM_CAP rather than silently degrading.  The
 partial sums `l_partial_sum` are chi's own truncations, so they stay on chi
-mod q.
+mod q.  Every Euler product, L's factors at the primes p | q that do not
+divide d and the truncated product `l_truncated` over the primes p <= v, is
+multiplied out by one kernel, `_times_euler_factors`.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
 of them summed by one kernel, `_power_sum`, over rows of shifts times points
@@ -44,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, _factorize, char_value
+from .characters import DirichletCharacter, _factorize
 from .errors import DomainError, PoleError, RangeError
 from .primes import primes_upto
 
@@ -408,19 +410,30 @@ def _residues(chi: DirichletCharacter):
 
 
 def _times_euler_factors(acc: np.ndarray, s: np.ndarray, primes: np.ndarray, values: np.ndarray):
-    """acc prod_p (1 - values_p p^{-s}), for the points s of acc's shape: the
-    phases reduced in double-double (_powers), and each product written out
-    in float64 real and imaginary parts, so that a value does not depend on
-    the other points in the call."""
-    z = _powers(s.ravel(), *_log_parts(primes.astype(float))).reshape(s.shape + primes.shape)
-    re, im = acc.real, acc.imag
-    for c, zp in zip(values, np.moveaxis(z, -1, 0)):
-        f_re = 1.0 - (c.real * zp.real - c.imag * zp.imag)
-        f_im = -(c.real * zp.imag + c.imag * zp.real)
-        re, im = re * f_re - im * f_im, re * f_im + im * f_re
-    out = np.empty_like(acc)
+    """acc prod_p (1 - values_p p^{-s}), for the points s of acc's shape, the
+    one Euler-product kernel (L's factors at p | q, and l_truncated).  The
+    primes are taken a tile at a time, and p^{-s} is built for at most _TILE
+    (point, prime) pairs at once, with the phases reduced in double-double
+    (_powers); the factors are multiplied in prime order, each product
+    written out in float64 real and imaginary parts, so that a value does not
+    depend on the other points in the call or on the tiling."""
+    flat = s.ravel()
+    re, im = acc.real.flatten(), acc.imag.flatten()
+    width = max(1, min(flat.size, _TILE))
+    tile = _TILE // width
+    for j in range(0, len(primes), tile):
+        hi, lo = _log_parts(primes[j : j + tile].astype(float))
+        for i in range(0, flat.size, width):
+            z = _powers(flat[i : i + width], hi, lo)
+            x, y = re[i : i + width], im[i : i + width]
+            for c, zp in zip(values[j : j + tile], z.T):
+                f_re = 1.0 - (c.real * zp.real - c.imag * zp.imag)
+                f_im = -(c.real * zp.imag + c.imag * zp.real)
+                x, y = x * f_re - y * f_im, x * f_im + y * f_re
+            re[i : i + width], im[i : i + width] = x, y
+    out = np.empty(flat.shape, dtype=np.complex128)
     out.real, out.imag = re, im
-    return out
+    return out.reshape(s.shape)
 
 
 def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, shifts=None):
@@ -477,17 +490,17 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
 
 
 def l_truncated(s, chi: DirichletCharacter, v: float):
-    """Truncated Euler product prod_{p <= v} (1 - chi(p) p^{-s})^{-1}, sigma > 0,
-    with each phase t log p reduced mod 2 pi in double-double (_powers)."""
+    """Truncated Euler product prod_{p <= v} (1 - chi(p) p^{-s})^{-1}, sigma > 0:
+    the reciprocal of the product of L's own Euler-factor kernel
+    (_times_euler_factors) over the primes p <= v, each phase t log p reduced
+    mod 2 pi in double-double."""
     flat, _, shape = _call_points(s)
     if np.any(flat.real <= 0.0):
         raise DomainError("l_truncated requires sigma > 0")
-    acc = np.ones(flat.shape, dtype=np.complex128)
-    for p in primes_upto(v):
-        cval = char_value(chi, p)
-        if cval != 0:
-            acc /= 1.0 - cval * _powers(flat, *_log_parts(np.array([float(p)])))[:, 0]
-    return _shaped(acc, shape)
+    primes = np.array(primes_upto(v), dtype=np.int64)
+    ones = np.ones(flat.shape, dtype=np.complex128)
+    product = _times_euler_factors(ones, flat, primes, chi.values[primes % chi.modulus])
+    return _shaped(1.0 / product, shape)
 
 
 def _validate_partial_length(n_max: int, q: int, name: str = "n_max"):

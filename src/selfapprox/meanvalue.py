@@ -16,7 +16,7 @@ import numpy as np
 from .characters import DirichletCharacter, character_from_id
 from .density import ShiftFamily, _validate_cap, g_values
 from .errors import DomainError
-from .lfunc import StripRegion, _validate_partial_length, l_partial_sum, l_value
+from .lfunc import StripRegion, _units, _validate_partial_length, l_partial_sum, l_value
 from .sampling import map_blocks, uniform_samples
 
 __all__ = [
@@ -32,15 +32,16 @@ def coprime_tail_sum(chi: DirichletCharacter, y: float, exponent: float) -> floa
 
     Computed as L(exponent, chi_0 mod q) minus the head, the head summed
     exactly rounded (math.fsum): the tail is a small difference of two O(1)
-    numbers, so rounding in the head would dominate it.
+    numbers, so rounding in the head would dominate it.  The head runs over
+    n = r, r + q, ... <= y for each unit r mod q; fsum is exact, so the order
+    of its terms does not change the result.
     """
     if exponent <= 1.0:
         raise DomainError("tail sum needs exponent > 1")
     q = chi.modulus
     total = l_value(complex(exponent), character_from_id(f"{q}:0")).real
-    head = math.fsum(
-        n ** (-exponent) for n in range(1, int(math.floor(y)) + 1) if chi.numerators[n % q] >= 0
-    )
+    top = int(math.floor(y))
+    head = math.fsum(n ** (-exponent) for r in _units(chi).tolist() for n in range(r, top + 1, q))
     return total - head
 
 

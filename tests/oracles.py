@@ -141,6 +141,12 @@ def coprime_power_tail(chi, y, exponent, terms=10**6):
     return head + tail
 
 
+def coprime_head_every_n(chi, y, exponent):
+    """sum_{n <= y, (n, q) = 1} n^-exponent, exactly rounded (math.fsum), testing every n <= y."""
+    q = chi.modulus
+    return math.fsum(n ** (-exponent) for n in range(1, int(math.floor(y)) + 1) if chi.numerators[n % q] >= 0)
+
+
 def monte_carlo_kronecker_density(
     target: KroneckerTarget,
     T: float,

@@ -112,6 +112,18 @@ def test_find_tau_writes_samples(tmp_path):
     assert (tmp_path / "plotdata.csv").exists()
 
 
+def test_find_tau_first_hit_is_zero(tmp_path):
+    # the interval around tau = 0 is clipped to 0.0, a member at any delta,
+    # so even a tiny bound has one hit and results.json carries no note
+    assert main([
+        "find-tau", "--delta", "0.01", "--primes-upto", "5", "--bound", "1e-3",
+        "--output-dir", str(tmp_path),
+    ]) == 0
+    res = _results(tmp_path)
+    assert res["n_hits"] == 1 and "note" not in res
+    assert _read(tmp_path, "samples.csv") == "tau\n0.0\n"
+
+
 def test_find_tau_strategy_names_run_the_one_search(tmp_path):
     # recorded manifests name "grid" or "lattice"; both select the interval sweep
     argv = ["find-tau", "--delta", "0.05", "--primes-upto", "7", "--bound", "2e4"]

@@ -578,6 +578,32 @@ def test_truncated_trivial_for_chi4_at_v2():
         assert l_truncated(s, CHI4, 2) == 1.0 + 0j
 
 
+@pytest.mark.parametrize("label", ["4:1", "60:1", "1:0"])
+def test_truncated_across_prime_tiles(label):
+    # 1229 primes p <= 10^4 at 100 points are 4 tiles of 327 primes in the
+    # Euler-factor kernel; the tiling changes no value, so each point alone,
+    # one tile of all its primes, gives the same bits as in the whole call
+    chi = character_from_id(label)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0.55, 0.95, 100) + 1j * rng.uniform(-4e4, 4e4, 100)
+    got = l_truncated(pts, chi, 10**4)
+    assert lfunc._TILE // len(pts) == 327
+    for k, s in enumerate(pts):
+        assert l_truncated(s, chi, 10**4) == got[k]
+    primes = primes_upto(10**4)
+    with mpmath.workdps(40):
+        logs = [mpmath.log(p) for p in primes]
+        for k in range(0, len(pts), 10):
+            s = mpmath.mpc(pts[k].real, pts[k].imag)
+            want = mpmath.mpf(1)
+            for p, log_p in zip(primes, logs):
+                c = chi.values[p % chi.modulus]
+                if c != 0:
+                    want *= 1 - mpmath.mpc(c.real, c.imag) * mpmath.exp(-s * log_p)
+            want = complex(1 / want)
+            assert abs(got[k] - want) <= 1e-13 * abs(want)
+
+
 # ---------------------------------------------------------------- partial sums
 
 
@@ -645,6 +671,18 @@ def test_point_region_grids():
 def test_prime_tables():
     assert primes_upto(10) == [2, 3, 5, 7]
     assert primes_upto(1) == []
+
+
+def test_prime_sieve_keeps_no_table():
+    # each call sieves its own bound; a cache of the three tables held 9.4 MB
+    tracemalloc.start()
+    try:
+        for bound in (10**6, 10**6 - 1, 10**6 - 2):
+            primes_upto(bound)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 10**6
 
 
 def test_prime_sieve_is_capped_before_it_allocates():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mpmath
 
-from oracles import coprime_power_tail
+from oracles import coprime_head_every_n, coprime_power_tail
 from selfapprox.characters import character_from_id
 from selfapprox.density import ShiftFamily
 from selfapprox.errors import DomainError, RangeError
@@ -69,6 +69,18 @@ def test_coprime_tail_against_hurwitz_identity():
         ref -= mpmath.fsum(mpmath.mpf(n) ** -e for n in range(y0 + 1, y + 1) if math.gcd(n, q) == 1)
         ref = float(ref)
     assert abs(coprime_tail_sum(chi, y, e) - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("label, y, e", [
+    ("1:0", 1000.5, 1.5), ("4:1", 20, 1.5), ("4:1", 12345.7, 2.0),
+    ("60:1", 10**5, 1.9), ("120:7", 999.9, 3.0), ("7:2", 0.5, 1.2),
+])
+def test_coprime_tail_head_over_units_is_exact(label, y, e):
+    # the head summed unit class by unit class is the every-n head bit for
+    # bit: the same Python pow per term, and fsum does not depend on order
+    chi = character_from_id(label)
+    total = l_value(complex(e), character_from_id(f"{chi.modulus}:0")).real
+    assert coprime_tail_sum(chi, y, e) == total - coprime_head_every_n(chi, y, e)
 
 
 def test_coprime_tail_empty_limit():

@@ -90,3 +90,38 @@ def test_max_abs_err_stays_within_the_benchmark_bound():
         rows = [row for s in spec["accuracy_sets"] for row in reference["errors"](ref, s)]
         err = max(err for _, _, err, _ in rows)
         assert err <= RECORDED_MAX_ABS_ERR * (1.0 + metric["bound"]), (name, err)
+
+
+_TRACED_RUN = """
+import json, sys, tempfile
+import spans, workloads
+
+tracer = spans.Tracer()
+spans.install(tracer)
+failed = []
+for name, spec in workloads.WORKLOADS.items():
+    ctx, ops = spec["setup"](), workloads.Ops()
+    with tempfile.TemporaryDirectory() as outdir:
+        spec["run"](ctx, 7, spec["traced_threads"], outdir, tracer, ops)
+        spec["check"](ctx, outdir, ops)
+    failed += [(name, op) for op in ops.items if not op["ok"]]
+metrics = {k: v for k, (v, _) in spans.layer_metrics(tracer.dump()).items()}
+print(json.dumps({"failed": failed, "metrics": metrics}))
+"""
+
+
+def test_traced_benchmark_runs_every_workload():
+    # perfbench/run.py --trace 1 in one process: the span wrappers installed,
+    # then each workload's run and checks at seed 7; a wrapper whose signature
+    # no longer fits the program fails here, not only in a traced benchmark run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_RUN],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert not found["failed"], found["failed"]
+    for layer in ("lfunc.l_value_s", "density.g_values_s", "meanvalue.carlson_s", "diophantine.kronecker_s"):
+        assert found["metrics"][layer] > 0, layer

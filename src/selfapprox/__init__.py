@@ -9,7 +9,7 @@ supporting mean-value identities at desk scale.
 
 __version__ = "0.1.0"
 
-from .characters import DirichletCharacter, char_value, character_from_id, enumerate_characters
+from .characters import DirichletCharacter, character_from_id, enumerate_characters
 from .density import (
     DensityEstimate,
     EmpiricalDistribution,
@@ -33,7 +33,6 @@ from .diophantine import (
 from .errors import DomainError, PoleError, RangeError
 from .lfunc import (
     DEFAULT_CONFIG,
-    EvaluatorConfig,
     StripRegion,
     l_partial_sum,
     l_truncated,

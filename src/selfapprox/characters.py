@@ -22,7 +22,6 @@ from .errors import DomainError
 __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
-    "char_value",
     "character_from_id",
 ]
 
@@ -72,7 +71,8 @@ class DirichletCharacter:
         return None if k < 0 else Fraction(k, self.exponent)
 
     def __call__(self, n: int) -> complex:
-        return char_value(self, n)
+        """chi(n) as a complex double; n is reduced mod q first."""
+        return self.values.item(n % self.modulus)
 
     def _generator_exponents(self):
         """(k_j, m_j, c_j) per generator of _component_generators, in reverse
@@ -196,11 +196,6 @@ def enumerate_characters(q: int) -> tuple:
     """All phi(q) Dirichlet characters mod q, in lexicographic generator-image
     order (so the ordering, and hence the "q:index" labels, is reproducible)."""
     return _build_characters(q)
-
-
-def char_value(chi: DirichletCharacter, n: int) -> complex:
-    """chi(n) as a complex double; n is reduced mod q first."""
-    return chi.values.item(n % chi.modulus)
 
 
 def character_from_id(label: str) -> DirichletCharacter:

@@ -124,13 +124,11 @@ def g_values(
     first appearance, with the shifts d_k * taus of that character's members
     concatenated in member order, so the grid's power sums are built once per
     character and each (member, tau) pair costs one phase row (see
-    lfunc.l_value).  The default is l_value at DEFAULT_CONFIG, looked up
-    when called; another configuration enters as
-    functools.partial(l_value, cfg=...), and partial sums (the B^2 distances)
-    as functools.partial(l_partial_sum, n_max=N).  l_truncated takes no
-    shifts, so a truncated Euler product enters through a wrapper that forms
-    the points, lambda s, chi, shifts: l_truncated(s[None, :] + 1j *
-    shifts[:, None], chi, v).
+    lfunc.l_value).  The default is l_value, looked up when called; partial
+    sums (the B^2 distances) enter as functools.partial(l_partial_sum,
+    n_max=N).  l_truncated takes no shifts, so a truncated Euler product
+    enters through a wrapper that forms the points, lambda s, chi, shifts:
+    l_truncated(s[None, :] + 1j * shifts[:, None], chi, v).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     grid, coarse_idx = region.grid_points(refine)

@@ -198,7 +198,7 @@ class KroneckerTarget:
             raise DomainError("independent shifts must be nonzero")
         if not all(math.isfinite(x) for x in self.shifts):
             raise DomainError("independent shifts must be finite")
-        object.__setattr__(self, "primes", tuple(primes_upto(self.prime_bound)))
+        object.__setattr__(self, "primes", tuple(primes_upto(self.prime_bound).tolist()))
         if not self.primes:
             raise DomainError("prime_bound admits no primes")
 

@@ -51,7 +51,6 @@ from .errors import DomainError, PoleError, RangeError
 from .primes import primes_upto
 
 __all__ = [
-    "EvaluatorConfig",
     "StripRegion",
     "DEFAULT_CONFIG",
     "IM_CAP",
@@ -68,7 +67,7 @@ _TILE = 1 << 15
 # order, and with it every value, does not depend on the number of points or
 # shifts in the call
 _TERM_CHUNK = 256
-# largest series length per residue class
+# largest partial-sum length per residue class
 _N_MAX = 10**7
 # 2 pi = _C1 + _C2 to 7e-26, _C1 with 30 significant bits (Cody-Waite)
 _C1, _C2 = 6.283185303211212, 3.968374318722162e-09
@@ -77,8 +76,8 @@ _LN2_A, _LN2_B = 0.6931471805599401, 5.2412386838766985e-15
 
 
 @dataclass(frozen=True)
-class EvaluatorConfig:
-    """Tuning knobs for the Euler-Maclaurin evaluator.
+class _Settings:
+    """The evaluator's fixed settings, read by _n_terms and _em_tail.
 
     em_order: 2M, the index of the last Bernoulli number B_2M in the
         Euler-Maclaurin correction (even).
@@ -92,16 +91,8 @@ class EvaluatorConfig:
     shift_count: int = 50
     target_abs_error: float = 1e-12
 
-    def __post_init__(self):
-        if self.em_order < 2 or self.em_order % 2:
-            raise DomainError("em_order must be even and >= 2")
-        if self.target_abs_error <= 0:
-            raise DomainError("target_abs_error must be positive")
-        if self.shift_count < 1:
-            raise DomainError("shift_count must be >= 1")
 
-
-DEFAULT_CONFIG = EvaluatorConfig()
+DEFAULT_CONFIG = _Settings()
 
 
 @dataclass(frozen=True)
@@ -179,36 +170,35 @@ def _bernoulli_over_fact(em_order: int):
     )
 
 
-def _n_terms(t_abs, cfg: EvaluatorConfig) -> np.ndarray:
-    """N per point, the terms per residue class: the smallest N >= cfg.shift_count
+def _n_terms(t_abs) -> np.ndarray:
+    """N per point, the terms per residue class: the smallest N >= shift_count
     with Johansson's bound (arXiv:1309.2877, Thm. 1) on the Euler-Maclaurin
     remainder of zeta(s, a) after N terms and M = em_order/2 Bernoulli terms,
 
         |R| <= 4 |(s)_{2M}| / (2 pi)^{2M} (N + a)^{-(sigma + 2M - 1)} / (sigma + 2M - 1),
 
-    at most cfg.target_abs_error / 100 for |Im s| = t_abs (any shape) and
-    a = 0, with |(s)_{2M}| and the exponent taken at sigma = 1/2.  N is
-    computed once per distinct |Im s| (a shifted grid repeats each one across
-    its sigma-columns).  The logs of the 2M factors of |(s)_{2M}| lie in one
-    contiguous row per value, in tiles of _TILE elements, and each row is
-    summed on its own, so each N depends on its own |Im s| alone.  RangeError
-    if an N exceeds _N_MAX (small em_order).
+    at most target_abs_error / 100 for |Im s| = t_abs (any shape) and a = 0,
+    with |(s)_{2M}| and the exponent taken at sigma = 1/2, the three settings
+    read from DEFAULT_CONFIG when called (N is about 13 800 at IM_CAP).  N
+    is computed once per distinct |Im s| (a shifted grid repeats each one
+    across its sigma-columns).  The logs of the 2M factors of |(s)_{2M}|
+    lie in one contiguous row per value, in tiles of _TILE elements, and
+    each row is summed on its own, so each N depends on its own |Im s| alone.
     """
+    em_order, target = DEFAULT_CONFIG.em_order, DEFAULT_CONFIG.target_abs_error
     # return_index makes numpy sort with the stable argsort that _power_sum
     # uses anyway; its default quicksort would map about 0.4 MB more code
     t, _, inverse = np.unique(np.ravel(t_abs), return_index=True, return_inverse=True)
-    a2 = (np.arange(cfg.em_order) + 0.5) ** 2
+    a2 = (np.arange(em_order) + 0.5) ** 2
     log_poch = np.empty(t.shape)
-    tile = max(1, _TILE // cfg.em_order)
+    tile = max(1, _TILE // em_order)
     for i in range(0, t.size, tile):
         f = a2 + np.square(t[i : i + tile, None])
         log_poch[i : i + tile] = np.log(f, out=f).sum(axis=-1)
-    e = cfg.em_order - 0.5
-    log_r = math.log(4.0) + 0.5 * log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
-    log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
-    if log_n.max() > math.log(_N_MAX):
-        raise RangeError(f"em_order {cfg.em_order} needs over {_N_MAX:.0e} terms at |Im s| = {t.max():.6g}")
-    n = np.maximum(cfg.shift_count, np.ceil(np.exp(log_n))).astype(np.int64)
+    e = em_order - 0.5
+    log_r = math.log(4.0) + 0.5 * log_poch - em_order * math.log(2.0 * math.pi) - math.log(e)
+    log_n = (log_r - math.log(target / 100.0)) / e
+    n = np.maximum(DEFAULT_CONFIG.shift_count, np.ceil(np.exp(log_n))).astype(np.int64)
     return n[inverse].reshape(np.shape(t_abs))
 
 
@@ -316,12 +306,13 @@ def _power_sum(s: np.ndarray, counts, step, offsets, weights, shifts=None) -> np
     return result
 
 
-def _em_tail(s: np.ndarray, counts: np.ndarray, step, offsets, weights, cfg: EvaluatorConfig) -> np.ndarray:
+def _em_tail(s: np.ndarray, counts: np.ndarray, step, offsets, weights) -> np.ndarray:
     """sum_j weights[j] x_j^{-s} E(s, b_j) over the 1-d points s, with
 
         E(s, b) = b / (s - 1) + 1/2 + sum_{k=1}^{M} B_2k/(2k)! (s)_{2k-1} b^{1-2k},
 
-    the Euler-Maclaurin tail of residue class j after the point's head
+    M = DEFAULT_CONFIG.em_order / 2 read when called, the Euler-Maclaurin
+    tail of residue class j after the point's head
     _power_sum(s, count, step, offsets, weights): the class's first node left
     out is x_j = step b_j = step ceil((count - j) / J) + offsets[j]
     (J = len(offsets)).
@@ -336,7 +327,7 @@ def _em_tail(s: np.ndarray, counts: np.ndarray, step, offsets, weights, cfg: Eva
     its own point alone.  At s = 1 the pole is replaced by its regular part
     -b log x; the poles cancel when the weights add up to 0.
     """
-    bern = np.array(_bernoulli_over_fact(cfg.em_order))
+    bern = np.array(_bernoulli_over_fact(DEFAULT_CONFIG.em_order))
     ratios = bern[1:] / bern[:-1]
     offsets = np.asarray(offsets, dtype=float)[:, None]
     classes = len(offsets)
@@ -436,7 +427,7 @@ def _times_euler_factors(acc: np.ndarray, s: np.ndarray, primes: np.ndarray, val
     return out.reshape(s.shape)
 
 
-def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, shifts=None):
+def l_value(s, chi: DirichletCharacter, *, shifts=None):
     """L(s, chi) for sigma > 1/2, through the primitive character chi* mod the
     conductor d of chi (_residues), as one Dirichlet sum plus Euler-Maclaurin
     tails times the Euler factors of the primes p | q that do not divide d,
@@ -448,22 +439,23 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
     multiple of _TERM_CHUNK with C >= phi(d) N and N = _n_terms(|Im s|) from
     the remainder bound at that point's own |Im s|, so residue class j sums
     ceil((C - j) / phi(d)) >= N terms, truncation adds at most
-    sqrt(d) cfg.target_abs_error / 100 before the Euler factors, whose
+    sqrt(d) target_abs_error / 100 before the Euler factors, whose
     product is at most prod_p (1 + p^{-1/2}) <= q/d, and a value depends on
     its own point alone;
     the phases t log m and t log p are reduced mod 2 pi in double-double
     (_phase): the error is float64 rounding, within the documented
-    q * cfg.target_abs_error over the whole supported range (README,
+    q * target_abs_error over the whole supported range (README,
     "Evaluator limits").  For primitive chi (d = q) there are no Euler
     factors.  Raises PoleError for the principal character at s = 1;
     nonprincipal characters are evaluated at s = 1 through the regularized
-    (pole-cancelling) tail.
+    (pole-cancelling) tail.  The settings are fixed (DEFAULT_CONFIG):
+    em_order 60, N >= 50 and target_abs_error 1e-12.
 
-    With `shifts` (real), returns L at s + i h for every shift h, with shape
-    shifts.shape + np.shape(s).  The sum is then built once for s with one
-    phase row per shift (see _power_sum), so a block of S shifts of P points
-    costs N (P + S) phase factors rather than N P S.  A shifted point landing
-    on s = 1 takes the unshifted value there.
+    With `shifts` (real, keyword-only), returns L at s + i h for every shift
+    h, with shape shifts.shape + np.shape(s).  The sum is then built once for
+    s with one phase row per shift (see _power_sum), so a block of S shifts
+    of P points costs N (P + S) phase factors rather than N P S.  A shifted
+    point landing on s = 1 takes the unshifted value there.
     """
     flat, shifts, shape = _call_points(s, shifts)
     full = _shifted(flat, shifts)
@@ -479,13 +471,13 @@ def l_value(s, chi: DirichletCharacter, cfg: EvaluatorConfig = DEFAULT_CONFIG, s
     if chi.principal and bool(at_pole.any()):
         raise PoleError(f"L(s, chi_0 mod {q}) has a pole at s = 1")
     d, r, weights, (primes, chi_p) = _residues(chi)
-    counts = _TERM_CHUNK * -(-len(r) * _n_terms(t_abs, cfg) // _TERM_CHUNK)
+    counts = _TERM_CHUNK * -(-len(r) * _n_terms(t_abs) // _TERM_CHUNK)
     acc = _power_sum(flat, counts, d, r, weights, shifts)
-    acc += _em_tail(full.ravel(), counts.ravel(), d, r, weights, cfg).reshape(full.shape)
+    acc += _em_tail(full.ravel(), counts.ravel(), d, r, weights).reshape(full.shape)
     if primes.size:
         acc = _times_euler_factors(acc, full, primes, chi_p)
     if shifts is not None and bool(at_pole.any()):
-        acc[at_pole] = l_value(full[at_pole], chi, cfg)
+        acc[at_pole] = l_value(full[at_pole], chi)
     return _shaped(acc, shape)
 
 
@@ -497,7 +489,7 @@ def l_truncated(s, chi: DirichletCharacter, v: float):
     flat, _, shape = _call_points(s)
     if np.any(flat.real <= 0.0):
         raise DomainError("l_truncated requires sigma > 0")
-    primes = np.array(primes_upto(v), dtype=np.int64)
+    primes = primes_upto(v)
     ones = np.ones(flat.shape, dtype=np.complex128)
     product = _times_euler_factors(ones, flat, primes, chi.values[primes % chi.modulus])
     return _shaped(1.0 / product, shape)

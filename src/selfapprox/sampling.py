@@ -13,7 +13,8 @@ import numpy as np
 
 BLOCK_SIZE = 4096
 
-Z95 = 1.959963984540054  # two-sided 95% normal quantile
+Z95 = 1.959963984540054  # two-sided 95% normal quantile, for the Wilson intervals
+KS_ALPHA = 0.05  # significance level of the two-sample Kolmogorov-Smirnov threshold
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -45,8 +46,9 @@ def map_blocks(fn, n: int, threads: int = 1) -> list:
         return [f.result() for f in futures]
 
 
-def wilson_interval(hits: int, n: int, z: float = Z95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, n: int):
+    """95% Wilson score interval for a binomial proportion."""
+    z = Z95
     if n < 1:
         raise ValueError("need at least one sample")
     p = hits / n
@@ -58,7 +60,7 @@ def wilson_interval(hits: int, n: int, z: float = Z95):
     return lo, hi
 
 
-def ks_two_sample_threshold(n1: int, n2: int, alpha: float = 0.05) -> float:
-    """Asymptotic two-sample Kolmogorov-Smirnov rejection threshold."""
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
+def ks_two_sample_threshold(n1: int, n2: int) -> float:
+    """Asymptotic two-sample Kolmogorov-Smirnov rejection threshold at level KS_ALPHA."""
+    c = math.sqrt(-0.5 * math.log(KS_ALPHA / 2.0))
     return c * math.sqrt((n1 + n2) / (n1 * n2))

@@ -12,7 +12,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from selfapprox.characters import char_value
 from selfapprox.diophantine import KroneckerTarget, kronecker_membership
 from selfapprox.errors import DomainError
 from selfapprox.sampling import BLOCK_SIZE, block_rng, wilson_interval
@@ -36,7 +35,7 @@ def dirichlet_series(s, chi, terms):
     s = complex(s)
     total = 0j
     chunk = 10**6
-    pattern = np.array([char_value(chi, n) for n in range(1, chi.modulus + 1)])
+    pattern = np.array([chi(n) for n in range(1, chi.modulus + 1)])
     for start in range(1, terms + 1, chunk):
         stop = min(start + chunk - 1, terms)
         n = np.arange(start, stop + 1)

@@ -9,11 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfapprox.characters import (
-    char_value,
-    character_from_id,
-    enumerate_characters,
-)
+from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox.errors import DomainError
 
 
@@ -26,7 +22,7 @@ def test_modulus_one_is_zeta_coefficient_stream():
     assert len(chars) == 1
     chi = chars[0]
     assert chi.principal
-    assert all(char_value(chi, n) == 1 for n in range(1, 20))
+    assert all(chi(n) == 1 for n in range(1, 20))
 
 
 def test_mod_four_characters():
@@ -34,9 +30,9 @@ def test_mod_four_characters():
     assert len(chars) == 2
     chi = chars[1]
     assert not chi.principal
-    assert char_value(chi, 1) == 1
-    assert abs(char_value(chi, 3) + 1) < 1e-15
-    assert char_value(chi, 2) == 0 and char_value(chi, 4) == 0
+    assert chi(1) == 1
+    assert abs(chi(3) + 1) < 1e-15
+    assert chi(2) == 0 and chi(4) == 0
 
 
 def test_mod_five_characters():
@@ -46,7 +42,7 @@ def test_mod_five_characters():
     for chi in chars:
         assert chi.order in (1, 2, 4)
         for n in range(1, 6):
-            v = char_value(chi, n)
+            v = chi(n)
             assert min(abs(v - w) for w in allowed) < 1e-14
 
 
@@ -61,7 +57,7 @@ def test_counts_and_uniqueness(q):
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 15, 16, 21, 40, 63])
 def test_orthogonality(q):
     for chi in enumerate_characters(q):
-        total = sum(char_value(chi, n) for n in range(1, q + 1))
+        total = sum(chi(n) for n in range(1, q + 1))
         if chi.principal:
             assert abs(total - euler_phi(q)) < 1e-10
         else:
@@ -73,19 +69,19 @@ def test_vanishing_exactly_on_non_units():
         for chi in enumerate_characters(q):
             for n in range(1, q + 1):
                 if math.gcd(n, q) > 1:
-                    assert char_value(chi, n) == 0
+                    assert chi(n) == 0
                 else:
-                    assert abs(abs(char_value(chi, n)) - 1) < 1e-14
+                    assert abs(abs(chi(n)) - 1) < 1e-14
 
 
 def test_periodicity_and_reduction():
     chi = character_from_id("4:1")
-    assert abs(char_value(chi, 7) + 1) < 1e-15  # 7 = 3 mod 4
+    assert abs(chi(7) + 1) < 1e-15  # 7 = 3 mod 4
     for n in (-5, 11, 103):
-        assert abs(char_value(chi, n) - char_value(chi, n % 4)) < 1e-15
+        assert abs(chi(n) - chi(n % 4)) < 1e-15
     chi0 = enumerate_characters(5)[0]
-    assert abs(char_value(chi0, 12) - 1) < 1e-15
-    assert char_value(chi, 8) == 0  # multiple of q
+    assert abs(chi0(12) - 1) < 1e-15
+    assert chi(8) == 0  # multiple of q
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,8 +92,8 @@ def test_periodicity_and_reduction():
 )
 def test_complete_multiplicativity(q, m, n):
     for chi in enumerate_characters(q):
-        lhs = char_value(chi, m * n)
-        rhs = char_value(chi, m) * char_value(chi, n)
+        lhs = chi(m * n)
+        rhs = chi(m) * chi(n)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -147,7 +143,7 @@ def test_conjugate_character():
     for chi in enumerate_characters(5):
         bar = chi.conjugate()
         for n in range(1, 6):
-            assert abs(char_value(bar, n) - char_value(chi, n).conjugate()) < 1e-14
+            assert abs(bar(n) - chi(n).conjugate()) < 1e-14
     for q in range(1, 61):
         for chi in enumerate_characters(q):
             bar = chi.conjugate()
@@ -190,7 +186,7 @@ def test_complex_table_matches_float_of_exact_angle():
             for n in range(q):
                 a = chi.angle(n)
                 expected = 0j if a is None else cmath.exp(2j * cmath.pi * float(a))
-                assert char_value(chi, n) == expected and chi.values[n] == expected
+                assert chi(n) == expected and chi.values[n] == expected
 
 
 def test_order_against_angles():

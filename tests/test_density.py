@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from selfapprox import density as density_module
+from selfapprox import lfunc
 from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox.cli import main
 from selfapprox.density import (
@@ -21,7 +23,7 @@ from selfapprox.density import (
 )
 from selfapprox.diophantine import KroneckerTarget, find_tau_in_set
 from selfapprox.errors import DomainError, RangeError
-from selfapprox.lfunc import EvaluatorConfig, StripRegion, l_partial_sum, l_truncated, l_value
+from selfapprox.lfunc import DEFAULT_CONFIG, StripRegion, l_partial_sum, l_truncated, l_value
 from selfapprox.sampling import ks_two_sample_threshold
 
 CHI4 = character_from_id("4:1")
@@ -59,11 +61,12 @@ def test_point_region_matches_direct_difference():
     assert g_value(1.0, FAMILY, POINT) == pytest.approx(expected, abs=1e-12)
 
 
-def test_two_configurations_agree():
-    cfg_a = EvaluatorConfig(em_order=24, shift_count=50)
-    cfg_b = EvaluatorConfig(em_order=16, shift_count=120)
-    ga, _ = g_values([1.0], FAMILY, POINT, evaluator=functools.partial(l_value, cfg=cfg_a))
-    gb, _ = g_values([1.0], FAMILY, POINT, evaluator=functools.partial(l_value, cfg=cfg_b))
+def test_two_configurations_agree(monkeypatch):
+    # the evaluator reads lfunc.DEFAULT_CONFIG when called
+    monkeypatch.setattr(lfunc, "DEFAULT_CONFIG", dataclasses.replace(DEFAULT_CONFIG, em_order=24, shift_count=50))
+    ga, _ = g_values([1.0], FAMILY, POINT)
+    monkeypatch.setattr(lfunc, "DEFAULT_CONFIG", dataclasses.replace(DEFAULT_CONFIG, em_order=16, shift_count=120))
+    gb, _ = g_values([1.0], FAMILY, POINT)
     assert abs(ga[0] - gb[0]) < 1e-8
 
 

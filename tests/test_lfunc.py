@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -9,18 +10,11 @@ import numpy as np
 import pytest
 
 from oracles import em_tail_oracle, johansson_terms, l_oracle, zeta_series
-from selfapprox.characters import char_value, character_from_id, enumerate_characters
+from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox import lfunc
 from selfapprox.density import ShiftFamily, g_values
 from selfapprox.errors import DomainError, PoleError, RangeError
-from selfapprox.lfunc import (
-    DEFAULT_CONFIG,
-    EvaluatorConfig,
-    StripRegion,
-    l_partial_sum,
-    l_truncated,
-    l_value,
-)
+from selfapprox.lfunc import DEFAULT_CONFIG, StripRegion, l_partial_sum, l_truncated, l_value
 from selfapprox.primes import primes_upto
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -45,7 +39,7 @@ def test_principal_l_value_against_mpmath(q, e):
     # tail sum and selfcheck's zeta(2) rest on
     with mpmath.workdps(30):
         want = mpmath.zeta(e)
-        for p in primes_upto(q):
+        for p in primes_upto(q).tolist():
             if q % p == 0:
                 want *= 1 - mpmath.mpf(p) ** -e
         want = float(want)
@@ -96,8 +90,8 @@ def test_l_value_errors():
         l_value(0.4 + 2j, CHI4)
     with pytest.raises(RangeError):
         l_value(0.8 + 1e9j, CHI4)
-    with pytest.raises(RangeError):  # the remainder bound would ask for 6e14 terms
-        l_value(0.7 + 49_000j, CHI4, EvaluatorConfig(em_order=2))
+    with pytest.raises(TypeError):  # shifts are keyword-only
+        l_value(0.8 + 1j, CHI4, [1.0])
 
 
 def test_l_value_conjugation_symmetry():
@@ -244,22 +238,49 @@ def test_bernoulli_coefficients_are_correctly_rounded():
     assert lfunc._bernoulli_over_fact(100) == tuple(want)
 
 
+def _use_settings(monkeypatch, **settings):
+    """Run the evaluator at other settings for the rest of the test."""
+    monkeypatch.setattr(lfunc, "DEFAULT_CONFIG", dataclasses.replace(DEFAULT_CONFIG, **settings))
+
+
 @pytest.mark.parametrize("em_order", [80, 100])
-def test_high_em_order_stays_finite(em_order):
+def test_high_em_order_stays_finite(em_order, monkeypatch):
     # the rising factorial (s)_{2k-1} alone reaches 1e380 here at em_order 80
     s = 0.7 + 49_000j
+    want = l_value(s, CHI4)
+    _use_settings(monkeypatch, em_order=em_order)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = l_value(s, CHI4, EvaluatorConfig(em_order=em_order))
+        got = l_value(s, CHI4)
     assert np.isfinite(got.real) and np.isfinite(got.imag)
-    assert abs(got - l_value(s, CHI4)) <= 1e-13
+    assert abs(got - want) <= 1e-13
+
+
+def test_n_terms_and_em_tail_read_the_settings_when_called(monkeypatch):
+    # neither takes a settings argument: both read lfunc.DEFAULT_CONFIG as it
+    # is at call time, so replacing it moves N and the tail
+    t = np.array([0.0, 10.0, 5000.0, 4.9e4])
+    s = 0.7 + 1j * t
+    default_n = lfunc._n_terms(t)
+    counts, step, offsets, weights = _tail_inputs("4:1", s)
+    default_tail = lfunc._em_tail(s, counts, step, offsets, weights)
+    for settings in ({"em_order": 16}, {"shift_count": 4000}, {"target_abs_error": 1e-6}):
+        _use_settings(monkeypatch, **settings)
+        n = lfunc._n_terms(t)
+        assert n.tolist() == [johansson_terms(x, lfunc.DEFAULT_CONFIG) for x in t], settings
+        assert not np.array_equal(n, default_n), settings
+    _use_settings(monkeypatch, em_order=2)
+    tail = lfunc._em_tail(s, counts, step, offsets, weights)
+    want = [em_tail_oracle(z, c, step, offsets, weights, 2) for z, c in zip(s, counts)]
+    assert np.all(np.abs(tail - want) <= 2e-15 * _tail_scale(s, counts, step, offsets))
+    assert not np.array_equal(tail, default_tail)
 
 
 def _tail_inputs(label, s):
     """_em_tail's arguments after s for the points s under chi = label: the
-    head counts l_value gives them at DEFAULT_CONFIG, and chi*'s residue classes."""
+    head counts l_value gives them, and chi*'s residue classes."""
     d, r, weights, _ = lfunc._residues(character_from_id(label))
-    n = lfunc._n_terms(np.abs(s.imag), DEFAULT_CONFIG)
+    n = lfunc._n_terms(np.abs(s.imag))
     return lfunc._TERM_CHUNK * -(-len(r) * n // lfunc._TERM_CHUNK), d, r, weights
 
 
@@ -275,7 +296,7 @@ def _tail_scale(s, counts, step, offsets):
 
 
 @pytest.mark.parametrize("em_order", [2, 16, 60, 160])
-def test_em_tail_against_mpmath(em_order):
+def test_em_tail_against_mpmath(em_order, monkeypatch):
     # the Horner-form tail against the tail summed term by term at 40 digits,
     # at density-shaped points (chi_4, the refined grid on K shifted by
     # d tau <= 4000) and Carlson-shaped ones (60:1, conductor 5, sigma 0.75,
@@ -283,15 +304,19 @@ def test_em_tail_against_mpmath(em_order):
     # nonprincipal weights, where the pole is replaced by its regular part.
     # The error is at most 4.6e-16 of the largest terms summed (this numpy
     # build, x86-64), as it was with the steps' cumulative products.
+    # The heads are those of the default em_order; the tails are taken at
+    # em_order.
     rng = np.random.default_rng(16)
-    cfg = EvaluatorConfig(em_order=em_order)
+    cases = []
     for label, s in (
         ("4:1", rng.uniform(0.63, 0.77, 8) + 1j * rng.uniform(-4000.5, 4000.5, 8)),
         ("60:1", 0.75 + 1j * np.concatenate([[5000.0, 0.0], rng.uniform(-5000.0, 5000.0, 6)])),
     ):
         counts, step, offsets, weights = _tail_inputs(label, s)
-        s, counts = np.append(s, [1.0, 1.0]), np.append(counts, [256, 4096])
-        got = lfunc._em_tail(s, counts, step, offsets, weights, cfg)
+        cases.append((label, np.append(s, [1.0, 1.0]), np.append(counts, [256, 4096]), step, offsets, weights))
+    _use_settings(monkeypatch, em_order=em_order)
+    for label, s, counts, step, offsets, weights in cases:
+        got = lfunc._em_tail(s, counts, step, offsets, weights)
         want = [em_tail_oracle(z, c, step, offsets, weights, em_order) for z, c in zip(s, counts)]
         assert np.all(np.abs(got - want) <= 2e-15 * _tail_scale(s, counts, step, offsets)), label
 
@@ -308,12 +333,12 @@ def test_em_tail_of_one_pair_does_not_depend_on_its_call():
         counts, step, offsets, weights = _tail_inputs(label, s)
         group = lfunc._TILE // len(offsets)
         assert s.size > 3 * group
-        whole = lfunc._em_tail(s, counts, step, offsets, weights, DEFAULT_CONFIG)
+        whole = lfunc._em_tail(s, counts, step, offsets, weights)
         for i in (0, 1, group - 1, group, group + 1, 3 * group, s.size - 1):
-            alone = lfunc._em_tail(s[i : i + 1], counts[i : i + 1], step, offsets, weights, DEFAULT_CONFIG)
+            alone = lfunc._em_tail(s[i : i + 1], counts[i : i + 1], step, offsets, weights)
             assert alone[0] == whole[i], (label, i)
             near = slice(max(i - 2, 0), i + 3)
-            assert np.array_equal(lfunc._em_tail(s[near], counts[near], step, offsets, weights, DEFAULT_CONFIG), whole[near])
+            assert np.array_equal(lfunc._em_tail(s[near], counts[near], step, offsets, weights), whole[near])
 
 
 def test_shifted_values_do_not_depend_on_the_other_grid_points():
@@ -485,7 +510,7 @@ def test_single_point_matches_the_same_point_in_a_large_call():
     # 60:13 give a head of more than _TILE terms, the 4 of 60:1 (conductor 5)
     # a quarter of that
     pts = 0.7 + 1j * np.linspace(9000.0, 10_000.0, 300)
-    assert lfunc._n_terms(10_000.0, DEFAULT_CONFIG) * 16 > lfunc._TILE
+    assert lfunc._n_terms(10_000.0) * 16 > lfunc._TILE
     assert character_from_id("60:13").conductor == 60
     for label in ("60:1", "60:13"):
         chi = character_from_id(label)
@@ -500,7 +525,7 @@ def test_unshifted_memory_stays_bounded():
     # Euler-Maclaurin tail in tiles of _TILE values, so the peak (4.3 MB)
     # does not grow with the number of terms.
     pts = 0.7 + 1j * np.linspace(0.0, 1000.0, 20_000)
-    assert math.ceil(2 * lfunc._n_terms(1000.0, DEFAULT_CONFIG) / lfunc._TERM_CHUNK) == 3
+    assert math.ceil(2 * lfunc._n_terms(1000.0) / lfunc._TERM_CHUNK) == 3
     tracemalloc.start()
     try:
         l_value(pts, CHI4)
@@ -565,8 +590,8 @@ def test_truncated_against_mpmath(label, s):
     chi = character_from_id(label)
     with mpmath.workdps(30):
         want = mpmath.mpf(1)
-        for p in primes_upto(13):
-            c = char_value(chi, p)
+        for p in primes_upto(13).tolist():
+            c = chi(p)
             want /= 1 - mpmath.mpc(c.real, c.imag) * mpmath.power(p, -mpmath.mpc(s.real, s.imag))
         want = complex(want)
     assert abs(l_truncated(s, chi, 13) - want) <= 1e-14
@@ -590,7 +615,7 @@ def test_truncated_across_prime_tiles(label):
     assert lfunc._TILE // len(pts) == 327
     for k, s in enumerate(pts):
         assert l_truncated(s, chi, 10**4) == got[k]
-    primes = primes_upto(10**4)
+    primes = primes_upto(10**4).tolist()
     with mpmath.workdps(40):
         logs = [mpmath.log(p) for p in primes]
         for k in range(0, len(pts), 10):
@@ -613,8 +638,8 @@ def test_partial_sum_first_term():
 
 
 def test_partial_sum_length_is_capped_per_residue_class():
-    # as l_value caps its series at _N_MAX terms per class, so does the
-    # partial sum: 2 classes mod 4 allow n_max up to 4 _N_MAX
+    # the partial sum is capped at _N_MAX terms per residue class: 2 classes
+    # mod 4 allow n_max up to 4 _N_MAX
     usable = 4 * lfunc._N_MAX
     for n_max in (usable + 1, 10**10):
         with pytest.raises(RangeError) as err:
@@ -635,16 +660,7 @@ def test_partial_sum_converges_with_tail_bound():
         assert gap < n ** (1 - s.real) / (s.real - 1)
 
 
-# ---------------------------------------------------------------- config and region
-
-
-def test_config_validation():
-    with pytest.raises(DomainError):
-        EvaluatorConfig(em_order=3)
-    with pytest.raises(DomainError):
-        EvaluatorConfig(target_abs_error=0.0)
-    cfg = EvaluatorConfig(em_order=16, shift_count=80, target_abs_error=1e-10)
-    assert abs(l_value(2.0 + 0j, CHI1, cfg) - math.pi**2 / 6) < 1e-10
+# ---------------------------------------------------------------- region
 
 
 def test_strip_region_validation():
@@ -669,8 +685,22 @@ def test_point_region_grids():
 
 
 def test_prime_tables():
-    assert primes_upto(10) == [2, 3, 5, 7]
-    assert primes_upto(1) == []
+    primes = primes_upto(10)
+    assert primes.dtype == np.int64 and primes.tolist() == [2, 3, 5, 7]
+    assert primes_upto(1).tolist() == [] and primes_upto(-3).tolist() == []
+
+
+def test_prime_sieve_at_the_cap_stays_small():
+    # the 664 579 primes below 10^7 as int64 take 5.3 MB next to the 10 MB
+    # mask; as a list of Python ints they held 26.6 MB, a 42 MB peak
+    tracemalloc.start()
+    try:
+        primes = primes_upto(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes.size == 664_579 and primes[-1] == 9_999_991
+    assert peak < 20e6
 
 
 def test_prime_sieve_keeps_no_table():

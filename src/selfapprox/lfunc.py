@@ -14,13 +14,13 @@ its Euler-Maclaurin tail, whose M Bernoulli terms `_em_tail` adds by Horner's
 rule, in M elementwise passes over one value per (class, point).  One
 function, `_n_terms`, holds the series-length rule: N per point from a
 rigorous bound on the remainder (Johansson, arXiv:1309.2877) at that point's
-own |Im s|, so it grows linearly with that |Im s| alone; the point's head is
-then the fewest whole chunks of terms that give every class N.  Evaluation
-refuses (RangeError) beyond IM_CAP rather than silently degrading.  The
-partial sums `l_partial_sum` are chi's own truncations, so they stay on chi
-mod q.  Every Euler product, L's factors at the primes p | q that do not
-divide d and the truncated product `l_truncated` over the primes p <= v, is
-multiplied out by one kernel, `_times_euler_factors`.
+own |Im s|, in closed form, so it grows linearly with that |Im s| alone; the
+point's head is then the fewest whole chunks of terms that give every class
+N.  Evaluation refuses (RangeError) beyond IM_CAP rather than silently
+degrading.  The partial sums `l_partial_sum` are chi's own truncations, so
+they stay on chi mod q.  Every Euler product, L's factors at the primes p | q
+that do not divide d and the truncated product `l_truncated` over the primes
+p <= v, is one ordered reduce per tile in one kernel, `_times_euler_factors`.
 
 Almost all of the time goes into the direct power sums sum_n c_n x_n^{-s}, all
 of them summed by one kernel, `_power_sum`, over rows of shifts times points
@@ -177,29 +177,27 @@ def _n_terms(t_abs) -> np.ndarray:
 
         |R| <= 4 |(s)_{2M}| / (2 pi)^{2M} (N + a)^{-(sigma + 2M - 1)} / (sigma + 2M - 1),
 
-    at most target_abs_error / 100 for |Im s| = t_abs (any shape) and a = 0,
-    with |(s)_{2M}| and the exponent taken at sigma = 1/2, the three settings
-    read from DEFAULT_CONFIG when called (N is about 13 800 at IM_CAP).  N
-    is computed once per distinct |Im s| (a shifted grid repeats each one
-    across its sigma-columns).  The logs of the 2M factors of |(s)_{2M}|
-    lie in one contiguous row per value, in tiles of _TILE elements, and
-    each row is summed on its own, so each N depends on its own |Im s| alone.
+    at most target_abs_error / 100 for |Im s| = t_abs (any shape), a = 0 and
+    sigma = 1/2, the settings read from DEFAULT_CONFIG when called (N is
+    about 13 800 at IM_CAP).  There log |(s)_{2M}| = sum_{k < 2M} g(k + 1/2)
+    with g(x) = log(x^2 + t^2) / 2 increasing, so it is at most the integral
+    of g over [1/2, 2M + 1/2], F(2M + 1/2) - F(1/2) with
+
+        F(x) = (x log(x^2 + t^2) - 2x + 2t arctan2(x, t)) / 2,
+
+    which N takes instead: at most one term more, and a tighter bound.  Each
+    N depends on its own |Im s| alone.
     """
     em_order, target = DEFAULT_CONFIG.em_order, DEFAULT_CONFIG.target_abs_error
-    # return_index makes numpy sort with the stable argsort that _power_sum
-    # uses anyway; its default quicksort would map about 0.4 MB more code
-    t, _, inverse = np.unique(np.ravel(t_abs), return_index=True, return_inverse=True)
-    a2 = (np.arange(em_order) + 0.5) ** 2
-    log_poch = np.empty(t.shape)
-    tile = max(1, _TILE // em_order)
-    for i in range(0, t.size, tile):
-        f = a2 + np.square(t[i : i + tile, None])
-        log_poch[i : i + tile] = np.log(f, out=f).sum(axis=-1)
+    t = np.asarray(t_abs, dtype=float)
+
+    def f(x):
+        return 0.5 * (x * np.log(x * x + t * t) - 2.0 * x + 2.0 * t * np.arctan2(x, t))
+
     e = em_order - 0.5
-    log_r = math.log(4.0) + 0.5 * log_poch - em_order * math.log(2.0 * math.pi) - math.log(e)
+    log_r = math.log(4.0) + (f(em_order + 0.5) - f(0.5)) - em_order * math.log(2.0 * math.pi) - math.log(e)
     log_n = (log_r - math.log(target / 100.0)) / e
-    n = np.maximum(DEFAULT_CONFIG.shift_count, np.ceil(np.exp(log_n))).astype(np.int64)
-    return n[inverse].reshape(np.shape(t_abs))
+    return np.maximum(DEFAULT_CONFIG.shift_count, np.ceil(np.exp(log_n))).astype(np.int64)
 
 
 def _split(x):
@@ -402,28 +400,26 @@ def _residues(chi: DirichletCharacter):
 
 def _times_euler_factors(acc: np.ndarray, s: np.ndarray, primes: np.ndarray, values: np.ndarray):
     """acc prod_p (1 - values_p p^{-s}), for the points s of acc's shape, the
-    one Euler-product kernel (L's factors at p | q, and l_truncated).  The
-    primes are taken a tile at a time, and p^{-s} is built for at most _TILE
-    (point, prime) pairs at once, with the phases reduced in double-double
-    (_powers); the factors are multiplied in prime order, each product
-    written out in float64 real and imaginary parts, so that a value does not
-    depend on the other points in the call or on the tiling."""
+    one Euler-product kernel (L's factors at p | q, and l_truncated).  Per
+    tile of at most _TILE (point, prime) pairs, p^{-s} is built with the
+    phases reduced in double-double (_powers), and np.multiply.reduce
+    multiplies out each row of acc and then the factors, formed in float64
+    real and imaginary parts, in prime order: one ordered reduce, so a value
+    does not depend on the other points in the call or on the tiling."""
+    out = acc.flatten()
     flat = s.ravel()
-    re, im = acc.real.flatten(), acc.imag.flatten()
     width = max(1, min(flat.size, _TILE))
     tile = _TILE // width
     for j in range(0, len(primes), tile):
         hi, lo = _log_parts(primes[j : j + tile].astype(float))
+        c = values[j : j + tile]
         for i in range(0, flat.size, width):
             z = _powers(flat[i : i + width], hi, lo)
-            x, y = re[i : i + width], im[i : i + width]
-            for c, zp in zip(values[j : j + tile], z.T):
-                f_re = 1.0 - (c.real * zp.real - c.imag * zp.imag)
-                f_im = -(c.real * zp.imag + c.imag * zp.real)
-                x, y = x * f_re - y * f_im, x * f_im + y * f_re
-            re[i : i + width], im[i : i + width] = x, y
-    out = np.empty(flat.shape, dtype=np.complex128)
-    out.real, out.imag = re, im
+            f = np.empty((len(z), 1 + len(c)), dtype=np.complex128)
+            f[:, 0] = out[i : i + width]
+            f[:, 1:].real = 1.0 - (c.real * z.real - c.imag * z.imag)
+            f[:, 1:].imag = -(c.real * z.imag + c.imag * z.real)
+            out[i : i + width] = np.multiply.reduce(f, axis=1)
     return out.reshape(s.shape)
 
 

@@ -4,6 +4,8 @@ Everything here deliberately avoids the package's Euler-Maclaurin and
 interval-sweep code paths: plain truncated series with explicit tail
 corrections or bounds, the Euler-Maclaurin tail term by term in mpmath,
 Monte Carlo membership counts, and exact rational interval arithmetic.
+The Euler-product oracle alone borrows the evaluator's p^{-s}, so that its
+per-prime loop can be compared with the kernel bit for bit.
 """
 
 import math
@@ -12,6 +14,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from selfapprox import lfunc
 from selfapprox.diophantine import KroneckerTarget, kronecker_membership
 from selfapprox.errors import DomainError
 from selfapprox.sampling import BLOCK_SIZE, block_rng, wilson_interval
@@ -83,16 +86,54 @@ def l_oracle(s, chi, tol=5e-9):
 
 
 def johansson_terms(t, cfg):
-    """N per residue class at |Im s| = t, one point in plain math.log: the
+    """N per residue class at |Im s| = t, one point in scalar math: the
     smallest N >= cfg.shift_count with Johansson's bound (arXiv:1309.2877,
     Thm. 1) on the Euler-Maclaurin remainder after N terms and em_order
     Bernoulli terms at most cfg.target_abs_error / 100, taken at sigma = 1/2
-    and a = 0, as lfunc._n_terms states it."""
+    and a = 0, with log |(s)_{2M}| bounded by the integral
+    F(2M + 1/2) - F(1/2), F(x) = (x log(x^2 + t^2) - 2x + 2t arctan2(x, t)) / 2,
+    as lfunc._n_terms states it."""
     e = cfg.em_order - 0.5
-    log_poch = 0.5 * sum(math.log((k + 0.5) ** 2 + t * t) for k in range(cfg.em_order))
-    log_r = math.log(4.0) + log_poch - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
+
+    def f(x):
+        return 0.5 * (x * math.log(x * x + t * t) - 2.0 * x + 2.0 * t * math.atan2(x, t))
+
+    log_r = math.log(4.0) + (f(cfg.em_order + 0.5) - f(0.5)) - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
     log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
     return max(cfg.shift_count, math.ceil(math.exp(log_n)))
+
+
+def johansson_sum_terms(t, cfg):
+    """N per residue class at |Im s| = t (any shape) from the same bound as
+    johansson_terms, with log |(s)_{2M}| = sum_{k < 2M} log |1/2 + k + it|
+    summed term by term rather than bounded by its integral: the smallest N
+    the bound certifies, so never above johansson_terms."""
+    t = np.asarray(t, dtype=float)
+    log_abs = 0.5 * np.log((np.arange(cfg.em_order) + 0.5) ** 2 + np.square(t)[..., None])
+    e = cfg.em_order - 0.5
+    log_r = math.log(4.0) + log_abs.sum(axis=-1) - cfg.em_order * math.log(2.0 * math.pi) - math.log(e)
+    log_n = (log_r - math.log(cfg.target_abs_error / 100.0)) / e
+    return np.maximum(cfg.shift_count, np.ceil(np.exp(log_n))).astype(np.int64)
+
+
+def euler_product_oracle(acc, s, primes, values):
+    """acc prod_p (1 - values_p p^{-s}) over the 1-d points s, one prime at a
+    time in float64 real arithmetic: the running product x + iy times the
+    factor f_re + i f_im is written out as (x f_re - y f_im, x f_im + y f_re),
+    with p^{-s} from lfunc._powers (phases reduced in double-double).  Equal
+    bit for bit to lfunc._times_euler_factors only while numpy multiplies a
+    complex row out in order and without fused multiply-adds."""
+    x, y = acc.real.copy(), acc.imag.copy()
+    for j in range(0, len(primes), 64):
+        hi, lo = lfunc._log_parts(primes[j : j + 64].astype(float))
+        z = lfunc._powers(s, hi, lo)
+        for c, zp in zip(values[j : j + 64], z.T):
+            f_re = 1.0 - (c.real * zp.real - c.imag * zp.imag)
+            f_im = -(c.real * zp.imag + c.imag * zp.real)
+            x, y = x * f_re - y * f_im, x * f_im + y * f_re
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real, out.imag = x, y
+    return out
 
 
 def em_tail_oracle(s, count, step, offsets, weights, em_order, dps=40):

@@ -9,7 +9,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import em_tail_oracle, johansson_terms, l_oracle, zeta_series
+from oracles import (
+    em_tail_oracle,
+    euler_product_oracle,
+    johansson_sum_terms,
+    johansson_terms,
+    l_oracle,
+    zeta_series,
+)
 from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox import lfunc
 from selfapprox.density import ShiftFamily, g_values
@@ -258,22 +265,42 @@ def test_high_em_order_stays_finite(em_order, monkeypatch):
 
 def test_n_terms_and_em_tail_read_the_settings_when_called(monkeypatch):
     # neither takes a settings argument: both read lfunc.DEFAULT_CONFIG as it
-    # is at call time, so replacing it moves N and the tail
+    # is at call time, so replacing it moves N and the tail.  N follows the
+    # integral bound: at |t| = 255.3 (em_order 16), 1948.9 (target 1e-6) and
+    # 21176.5 (default, and shift_count 4000) it is one more than the log sum
+    # gives
     t = np.array([0.0, 10.0, 5000.0, 4.9e4])
+    split = np.array([255.3, 1948.9, 21176.5])
     s = 0.7 + 1j * t
     default_n = lfunc._n_terms(t)
     counts, step, offsets, weights = _tail_inputs("4:1", s)
     default_tail = lfunc._em_tail(s, counts, step, offsets, weights)
+    assert lfunc._n_terms(split[-1]) == johansson_sum_terms(split[-1], DEFAULT_CONFIG) + 1
     for settings in ({"em_order": 16}, {"shift_count": 4000}, {"target_abs_error": 1e-6}):
         _use_settings(monkeypatch, **settings)
-        n = lfunc._n_terms(t)
-        assert n.tolist() == [johansson_terms(x, lfunc.DEFAULT_CONFIG) for x in t], settings
-        assert not np.array_equal(n, default_n), settings
+        both, cfg = np.concatenate([t, split]), lfunc.DEFAULT_CONFIG
+        n = lfunc._n_terms(both)
+        assert n.tolist() == [johansson_terms(x, cfg) for x in both], settings
+        assert np.any(n[len(t) :] > johansson_sum_terms(split, cfg)), settings
+        assert not np.array_equal(n[: len(t)], default_n), settings
     _use_settings(monkeypatch, em_order=2)
     tail = lfunc._em_tail(s, counts, step, offsets, weights)
     want = [em_tail_oracle(z, c, step, offsets, weights, 2) for z, c in zip(s, counts)]
     assert np.all(np.abs(tail - want) <= 2e-15 * _tail_scale(s, counts, step, offsets))
     assert not np.array_equal(tail, default_tail)
+
+
+@pytest.mark.parametrize("em_order", [16, 60, 100, 160])
+def test_integral_bound_adds_at_most_one_term(em_order, monkeypatch):
+    # the integral of log |1/2 + x + it| bounds the log sum over the 2M
+    # factors of |(s)_{2M}| from above, so N never falls below the N the sum
+    # certifies (johansson_sum_terms), and the gap is at most one term
+    t = np.concatenate([[0.0, lfunc.IM_CAP], np.random.default_rng(em_order).uniform(0.0, lfunc.IM_CAP, 10**5)])
+    _use_settings(monkeypatch, em_order=em_order)
+    n = lfunc._n_terms(t)
+    floor = np.concatenate([johansson_sum_terms(part, lfunc.DEFAULT_CONFIG) for part in np.array_split(t, 20)])
+    assert np.all(n >= floor) and np.all(n <= floor + 1)
+    assert np.any(n > floor)
 
 
 def _tail_inputs(label, s):
@@ -444,13 +471,13 @@ def test_shifted_contractions_stay_within_one_chunk(monkeypatch):
 _PRIMITIVE = {1: "1:0", 2: "4:1", 16: "60:13", 48: "65:13", 300: "341:31"}
 
 
-def _last_t_within(budget, classes, cfg):
+def _last_t_within(budget, classes, cfg, terms=johansson_terms):
     """The largest float |t| in [0, IM_CAP] with classes * N(|t|) <= budget
-    under the scalar oracle, by bisection down to adjacent floats."""
+    under the oracle `terms`, by bisection down to adjacent floats."""
     lo, hi = 0.0, lfunc.IM_CAP
     while np.nextafter(lo, hi) < hi:
         mid = max(0.5 * (lo + hi), np.nextafter(lo, hi))
-        if classes * johansson_terms(mid, cfg) <= budget:
+        if classes * terms(mid, cfg) <= budget:
             lo = mid
         else:
             hi = mid
@@ -461,22 +488,29 @@ def _last_t_within(budget, classes, cfg):
 def test_every_residue_class_sums_the_certified_length(classes, monkeypatch):
     # the head counts C that l_value hands the power sum for a primitive chi
     # of `classes` residue classes, at |t| where classes * N crosses a
-    # multiple of _TERM_CHUNK under the scalar math.log oracle, one ulp either
-    # side, and at random |t| <= IM_CAP: class j sums ceil((C - j) / classes)
-    # terms, at least N and fewer for C - _TERM_CHUNK.  The evaluator adds
-    # the oracle's logs in another rounding, so where N steps up the two may
-    # split by a few ulps of |t|; there N is checked against the oracle 1e-13
-    # (relative) either side, which moves the remainder bound by about 6e-12
-    # relative.
+    # multiple of _TERM_CHUNK under the scalar math oracle, one ulp either
+    # side, midway to where it crosses under the log sum (johansson_sum_terms,
+    # which gives one term fewer in between, so a shorter head), and at
+    # random |t| <= IM_CAP: class j sums ceil((C - j) / classes) terms, at
+    # least N and fewer for C - _TERM_CHUNK.  The evaluator rounds the
+    # oracle's closed form in numpy rather than math, so where N steps up the
+    # two may split by a few ulps of |t|; there N is checked against the
+    # oracle 1e-13 (relative) either side, which moves the remainder bound by
+    # about 6e-12 relative.
     chi = character_from_id(_PRIMITIVE[classes])
     assert chi.conductor == chi.modulus and len(lfunc._residues(chi)[1]) == classes
     cfg, chunk = DEFAULT_CONFIG, lfunc._TERM_CHUNK
     top = -(-classes * johansson_terms(lfunc.IM_CAP, cfg) // chunk)
     first = -(-classes * cfg.shift_count // chunk)
-    edges = np.array([_last_t_within(m * chunk, classes, cfg) for m in range(first, top, max(1, top // 150))])
+    budgets = chunk * np.arange(first, top, max(1, top // 150))
+    edges = np.array([_last_t_within(b, classes, cfg) for b in budgets])
+    sum_edges = np.array([_last_t_within(b, classes, cfg, johansson_sum_terms) for b in budgets])
+    split = 0.5 * (edges + sum_edges)
+    split = split[(split > edges) & (split <= sum_edges)]
+    assert split.size > 0
     edges = edges[edges > 0.0]
     random_t = np.random.default_rng(classes).uniform(0.0, lfunc.IM_CAP, 200)
-    t = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), random_t, [0.0]])
+    t = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), split, random_t, [0.0]])
     seen = []
 
     def power_sum(s, counts, *rest):
@@ -490,7 +524,7 @@ def test_every_residue_class_sums_the_certified_length(classes, monkeypatch):
     assert np.all(counts % chunk == 0)
     fewest = -(-(counts - (classes - 1)) // classes)  # the last class's terms
     short = -(-(counts - chunk - (classes - 1)) // classes)  # and with C - _TERM_CHUNK
-    exact = slice(3 * len(edges), None)  # the random |t| and 0
+    exact = slice(3 * len(edges), None)  # the split, the random |t| and 0
     n = np.array([johansson_terms(float(x), cfg) for x in t[exact]])
     assert np.all(fewest[exact] >= n) and np.all(short[exact] < n)
     n_lo = np.array([johansson_terms(x * (1.0 - 1e-13), cfg) for x in t])
@@ -627,6 +661,42 @@ def test_truncated_across_prime_tiles(label):
                     want *= 1 - mpmath.mpc(c.real, c.imag) * mpmath.exp(-s * log_p)
             want = complex(1 / want)
             assert abs(got[k] - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("label", ["4:1", "60:1", "7:2"])
+@pytest.mark.parametrize("points", [1, 25, 400])
+def test_euler_kernel_matches_the_per_prime_loop(label, points):
+    # each tile's np.multiply.reduce over real-formed factors gives the bits
+    # of the per-prime loop in real arithmetic, here over 1 and up to 119
+    # tiles of primes: the kernel relies on numpy multiplying a complex row
+    # out in order, without fused multiply-adds
+    chi = character_from_id(label)
+    rng = np.random.default_rng(points)
+    pts = rng.uniform(0.55, 0.95, points) + 1j * rng.uniform(-4e4, 4e4, points)
+    for v in (100, 10**5):
+        primes = primes_upto(v)
+        want = euler_product_oracle(np.ones(points, complex), pts, primes, chi.values[primes % chi.modulus])
+        assert np.array_equal(l_truncated(pts, chi, v), 1.0 / want)
+
+
+def test_euler_factors_match_the_per_prime_loop_across_point_tiles(monkeypatch):
+    # l_value's factors at the primes 2 and 3 that divide 60 but not the
+    # conductor 5 of 60:1, over a shifted call of more than _TILE points, so
+    # the kernel takes them one prime and _TILE points at a time
+    chi = character_from_id("60:1")
+    kernel, calls = lfunc._times_euler_factors, []
+
+    def spy(acc, s, primes, values):
+        out = kernel(acc, s, primes, values)
+        calls.append((acc.ravel(), s.ravel(), primes, values, out.ravel()))
+        return out
+
+    monkeypatch.setattr(lfunc, "_times_euler_factors", spy)
+    got = l_value(np.array([0.6, 0.7, 0.8]) + 0.1j, chi, shifts=np.linspace(0.0, 500.0, 12_000))
+    ((acc, s, primes, values, out),) = calls
+    assert s.size > lfunc._TILE and primes.tolist() == [2, 3]
+    assert np.array_equal(out, euler_product_oracle(acc, s, primes, values))
+    assert np.array_equal(got.ravel(), out)
 
 
 # ---------------------------------------------------------------- partial sums

@@ -2,10 +2,11 @@
 
 Characters are built from the cyclic decomposition of (Z/qZ)*: a primitive
 root for each odd prime-power factor, the generator 3 for modulus 4, and the
-pair {-1, 5} for higher powers of two.  A character is stored as integer
-numerators k modulo the group exponent e (chi(n) = e^{2 pi i k/e}, with -1
-where chi vanishes), so its values are exact; floating point enters only when
-a value is requested as a complex number.
+pair {-1, 5} for higher powers of two.  A character is its "q:index" label;
+its tables are built on first use, as integer numerators k modulo the group
+exponent e (chi(n) = e^{2 pi i k/e}, with -1 where chi vanishes), so its
+values are exact; floating point enters only when a value is requested as a
+complex number.
 """
 
 import cmath
@@ -30,23 +31,59 @@ __all__ = [
 class DirichletCharacter:
     """A Dirichlet character mod q with exact root-of-unity values.
 
-    numerators[r] is the k with chi(r) = e^{2 pi i k/exponent} for the residue
-    r = n mod q, or -1 when gcd(r, q) > 1 (where chi vanishes).  `index` is the
-    lexicographic position of the character among all characters mod q,
-    ordered by the exponents of the generator images; index 0 is always the
-    principal character.
+    `index` is the lexicographic position of the character among all
+    characters mod q, ordered by the exponents of the generator images; index
+    0 is always the principal character.  The pair is the character's
+    identity: equality and hashing go by the label.
     """
 
     modulus: int
-    numerators: tuple  # tuple[int], indexed by n mod q
-    exponent: int
-    order: int
-    principal: bool
     index: int
+
+    def __post_init__(self):
+        q = self.modulus
+        if q < 1:
+            raise DomainError(f"modulus must be positive, got {q}")
+        phi = math.prod(m for _, m, _ in _component_generators(q))
+        if not 0 <= self.index < phi:
+            raise DomainError(f"character index {self.index} out of range for modulus {q} (phi={phi})")
 
     @property
     def label(self) -> str:
         return f"{self.modulus}:{self.index}"
+
+    @property
+    def principal(self) -> bool:
+        return self.index == 0
+
+    @cached_property
+    def exponent(self) -> int:
+        """The exponent e of (Z/qZ)*, the lcm of the generator orders."""
+        return math.lcm(*(m for _, m, _ in _component_generators(self.modulus)))
+
+    @cached_property
+    def order(self) -> int:
+        """The order of chi: the lcm of the orders m_j / gcd(k_j, m_j) of the images."""
+        return math.lcm(*(m // math.gcd(k, m) for k, m, _ in self._generator_exponents()))
+
+    @cached_property
+    def numerators(self) -> tuple:
+        """numerators[r] is the k with chi(r) = e^{2 pi i k/exponent} for the
+        residue r = n mod q, or -1 when gcd(r, q) > 1 (where chi vanishes)."""
+        q, e = self.modulus, self.exponent
+        # unit g_1^x_1 ... g_r^x_r, over every tuple x, and the numerator
+        # sum_j x_j k_j (e/m_j) mod e of chi there.  Each term is below
+        # m_j * e <= q^2, so entries stay below rank * q^2, inside int64 for
+        # every q below 10^8.
+        units = np.full(1, 1 % q, dtype=np.int64)  # 1 % q is 0 for q = 1
+        nums = np.zeros(1, dtype=np.int64)
+        for (g, _, _), (k, m, _) in zip(reversed(_component_generators(q)), self._generator_exponents()):
+            powers = np.array([pow(g, x, q) for x in range(m)], dtype=np.int64)
+            units = (units[:, None] * powers % q).ravel()
+            nums = (nums[:, None] + np.arange(m, dtype=np.int64) * (k * (e // m))).ravel()
+        table = np.full(q, -1, dtype=np.int64)
+        table[units] = nums % e
+        return tuple(table.tolist())
 
     @cached_property
     def value_table(self) -> tuple:
@@ -101,7 +138,7 @@ class DirichletCharacter:
         for k, m, _ in self._generator_exponents():
             index += (-k % m) * stride
             stride *= m
-        return _build_characters(self.modulus, index)[0]
+        return DirichletCharacter(self.modulus, index)
 
 
 def _primitive_root(pk: int, p: int) -> int:
@@ -133,7 +170,8 @@ def _factorize(q: int):
     return out
 
 
-def _component_generators(q: int):
+@lru_cache(maxsize=64)
+def _component_generators(q: int) -> tuple:
     """Generators of (Z/qZ)* as CRT-lifted residues (g, m, c): g has order m,
     and c is the conductor of the character that sends g to e^{2 pi i/m} and
     every other generator to 1 (p^e for a cyclic factor mod p^e and for the
@@ -155,47 +193,15 @@ def _component_generators(q: int):
             # lift to the residue that is g mod p^e and 1 mod q/p^e (g itself
             # when q = p^e, where pow(pk, -1, 1) is 0)
             gens.append(((g * rest * pow(rest, -1, pk) + pk * pow(pk, -1, rest)) % q, m, c))
-    return gens
-
-
-def _build_characters(q: int, index: Optional[int] = None) -> tuple:
-    """The characters mod q in lexicographic generator-image order: all phi(q)
-    of them, or only the one at position `index`."""
-    if q < 1:
-        raise DomainError(f"modulus must be positive, got {q}")
-    gens = _component_generators(q)
-    orders = [m for _, m, _ in gens]
-    exponent, phi = math.lcm(*orders), math.prod(orders)
-    if index is not None and not 0 <= index < phi:
-        raise DomainError(f"character index {index} out of range for modulus {q} (phi={phi})")
-    picked = range(phi) if index is None else [index]
-    # Row c holds the generator exponents of the c-th tuple in lexicographic
-    # order (last generator fastest, as itertools.product): the images of
-    # character c and the discrete logs of unit c alike.
-    exps = np.indices(orders, dtype=np.int64).reshape(len(orders), phi).T
-    scaled = exps[picked] * (exponent // np.array(orders, dtype=np.int64))
-    # numerator of character c at unit u: sum_j x_j k_j (e/m_j) mod e.  Each
-    # term is below m_j * e <= q^2, so entries stay below rank * q^2, inside
-    # int64 for every q below 10^8.
-    nums = (exps @ scaled.T) % exponent  # [unit, character]
-    units = np.full(phi, 1 % q, dtype=np.int64)  # residue of unit u; 1 % q is 0 for q = 1
-    for (g, m, _), col in zip(gens, exps.T):
-        powers = np.array([pow(g, x, q) for x in range(m)], dtype=np.int64)
-        units = units * powers[col] % q
-    table = np.full((len(picked), q), -1, dtype=np.int64)
-    table[:, units] = nums.T
-    char_orders = exponent // np.gcd.reduce(scaled, axis=1, initial=exponent)
-    return tuple(
-        DirichletCharacter(q, tuple(row), exponent, order, order == 1, idx)
-        for idx, row, order in zip(picked, table.tolist(), char_orders.tolist())
-    )
+    return tuple(gens)
 
 
 @lru_cache(maxsize=64)
 def enumerate_characters(q: int) -> tuple:
     """All phi(q) Dirichlet characters mod q, in lexicographic generator-image
     order (so the ordering, and hence the "q:index" labels, is reproducible)."""
-    return _build_characters(q)
+    phi = math.prod(m for _, m, _ in _component_generators(q))
+    return tuple(DirichletCharacter(q, i) for i in range(phi))
 
 
 def character_from_id(label: str) -> DirichletCharacter:
@@ -205,4 +211,4 @@ def character_from_id(label: str) -> DirichletCharacter:
         q, idx = int(q_str), int(idx_str)
     except ValueError as exc:
         raise DomainError(f"malformed character id {label!r}; expected 'q:index'") from exc
-    return _build_characters(q, idx)[0]
+    return DirichletCharacter(q, idx)

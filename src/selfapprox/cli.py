@@ -52,6 +52,15 @@ def _finite_float(raw) -> float:
     return value
 
 
+def _sample_count(raw) -> float:
+    """A sample count: a finite whole number n with 1 <= n < 2^63, kept as the
+    float that the manifest records."""
+    value = _finite_float(raw)
+    if not (value.is_integer() and 1 <= value < 2.0**63):
+        raise DomainError(f"samples must be a whole number in [1, 2^63), got {raw!r}")
+    return value
+
+
 # Key groups shared by several commands, spliced into the schemas of
 # _COMMANDS in the order the manifests record them.
 _FAMILY = {"d": (str, None), "chars": (str, None)}
@@ -324,14 +333,14 @@ _COMMANDS = {
         **_FAMILY,
         "eps": (_finite_float, None),
         "T": (_finite_float, None),
-        "samples": (_finite_float, 256),
+        "samples": (_sample_count, 256),
         **_REGION,
         "refine": (int, 1),
     }),
     "dist-fn": (_run_dist_fn, {
         **_FAMILY,
         "T_ladder": (str, None),
-        "samples": (_finite_float, 256),
+        "samples": (_sample_count, 256),
         **_REGION,
     }),
     "mean-value": (_run_mean_value, {
@@ -341,13 +350,13 @@ _COMMANDS = {
         "y": (_finite_float, 20),
         "x": (_finite_float, 1.0),
         "T": (_finite_float, 5000),
-        "samples": (_finite_float, 50000),
+        "samples": (_sample_count, 50000),
     }),
     "b2": (_run_b2, {
         **_FAMILY,
         "N_ladder": (str, "10,100,1000"),
         "T": (_finite_float, 2000),
-        "samples": (_finite_float, 1000),
+        "samples": (_sample_count, 1000),
         **_REGION,
     }),
     "selfcheck": (_run_selfcheck, {}),
@@ -411,15 +420,12 @@ def _parser(command=None) -> _ArgumentParser:
 
 
 def _parse_args(argv):
-    """Parsed argv.  Only the invoked subcommand's parser is built; help, an
-    unknown command and every usage error go to the full parser, so their
-    output and exit codes are the full parser's."""
+    """Parsed argv.  Only the invoked subcommand's parser is built, whose usage
+    errors read as the full parser's; help and an unknown command go to the
+    full parser, which lists every command."""
     command = argv[0] if argv else None
     if (command in _COMMANDS or command == "rerun") and not any(a.startswith(("-h", "--h")) for a in argv):
-        try:
-            return _parser(command).parse_args(argv)
-        except DomainError:
-            pass
+        return _parser(command).parse_args(argv)
     return _parser().parse_args(argv)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfapprox.characters import character_from_id, enumerate_characters
+from selfapprox.characters import DirichletCharacter, character_from_id, enumerate_characters
 from selfapprox.errors import DomainError
 
 
@@ -111,9 +112,22 @@ def test_lexicographic_labels_stable():
 
 
 def test_character_from_id_builds_the_enumerated_character():
+    # == compares labels, so the tables are compared as well
     for q in range(1, 201):
         for i, chi in enumerate(enumerate_characters(q)):
-            assert character_from_id(f"{q}:{i}") == chi
+            built = character_from_id(f"{q}:{i}")
+            assert built == chi
+            assert built.numerators == chi.numerators
+            assert built.values.tobytes() == chi.values.tobytes()
+
+
+def test_a_character_is_its_label():
+    assert [f.name for f in dataclasses.fields(DirichletCharacter)] == ["modulus", "index"]
+    assert hash(character_from_id("60:1")) == hash(enumerate_characters(60)[1])
+    assert DirichletCharacter(60, 1) == character_from_id("60:1") != DirichletCharacter(60, 2)
+    for q, index in ((4, 2), (4, -1), (0, 0), (-3, 0)):
+        with pytest.raises(DomainError):
+            DirichletCharacter(q, index)
 
 
 def test_character_from_id_and_conjugate_build_one_character_only():
@@ -217,6 +231,8 @@ def test_conductor_matches_the_brute_force_oracle():
 
 
 def test_enumerate_characters_leaves_the_conductor_uncomputed():
-    # the conductor is computed on first use, not for every character built
+    # tables, order and conductor are computed on first use, not for every
+    # character built
     chars = enumerate_characters.__wrapped__(120)
-    assert not any("conductor" in vars(chi) for chi in chars)
+    for name in ("conductor", "numerators", "values", "value_table", "order"):
+        assert not any(name in vars(chi) for chi in chars), name

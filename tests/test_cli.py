@@ -11,6 +11,7 @@ import pytest
 import selfapprox
 from selfapprox import cli
 from selfapprox.cli import main
+from selfapprox.errors import DomainError
 from selfapprox.sampling import BLOCK_SIZE
 
 
@@ -446,6 +447,48 @@ def test_the_invoked_subcommand_parses_as_in_the_full_parser():
         ["selfcheck"],
     ):
         assert cli._parse_args(argv) == cli._parser().parse_args(argv)
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(parsed namespace, or the usage error or exit code) and the output of parse(argv)."""
+    try:
+        outcome = parse(argv)
+    except DomainError as exc:
+        outcome = ("usage error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["scan-density", "--help"], ["b2", "-h"], ["rerun", "--help"],
+    ["bogus"], [], ["relations", "--shifts", "1,2", "--bogus", "1"],
+    ["relations", "--shifts", "1,2", "--seed", "abc"], ["kronecker", "--threads", "x"],
+    ["scan-density", "--d"], ["mean-value", "--char"], ["find-tau", "--seed"],
+    ["selfcheck", "extra"], ["rerun"], ["rerun", "manifest.json"], ["rerun", "a.json", "b.json"],
+])
+def test_help_and_usage_errors_read_as_in_the_full_parser(argv, capsys):
+    # help, an unknown command and usage errors: the same output, usage error
+    # message and exit code whether main builds one subcommand's parser or all
+    assert _parse_outcome(cli._parse_args, argv, capsys) == _parse_outcome(cli._parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["scan-density", "--d=1,2", "--chars=4:1,4:1", "--eps=1", "--T=100"],
+    ["dist-fn", "--d=1,2", "--chars=4:1,4:1", "--T-ladder=10,20"],
+    ["mean-value", "--char=4:1"],
+    ["b2", "--d=1,2", "--chars=4:1,4:1", "--T=10"],
+], ids=["scan-density", "dist-fn", "mean-value", "b2"])
+@pytest.mark.parametrize("samples", ["1e19", "2.5", "nan"])
+def test_samples_must_be_a_whole_count(command, samples, tmp_path, capsys):
+    # 1e19 ended in a numpy "Maximum allowed dimension exceeded" traceback
+    # (exit 1); 2.5 ran 2 samples while the manifest recorded 2.5
+    assert main(command + [f"--samples={samples}", "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "samples" in json.loads(err)["error"]
+    assert not (tmp_path / "results.json").exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["b2", "--help"]], ids=["top", "b2"])

@@ -89,7 +89,7 @@ PARAMS = {
         "chars": _items(CHARS, 1, 3),
         "eps": _num(0.01, 3.0),
         "T": _num(1.0, 100.0),
-        "samples": _num(1.0, 64.0),
+        "samples": _ints(1, 64),
         **_REGION,
         "refine": _ints(0, 1),
     },

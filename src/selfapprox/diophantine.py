@@ -64,40 +64,18 @@ class LinearRelation:
     tolerance: Optional[float] = None
 
     def verify(self, d: Sequence, tol: float = 0.0) -> bool:
-        """Re-substitute each claimed relation into the shift values."""
-        for k, row in zip(self.dependent_indices, self.coefficients):
-            lhs = self.denominator * d[k]
-            rhs = sum(c * d[j] for c, j in zip(row, self.independent_indices))
-            if tol == 0.0:
-                if lhs != rhs:
-                    return False
-            elif abs(lhs - rhs) > tol:
-                return False
-        return True
+        """Re-substitute each claimed relation into the shift values; a relation that meets a NaN fails."""
+        return all(
+            abs(self.denominator * d[k] - sum(c * d[j] for c, j in zip(row, self.independent_indices))) <= tol
+            for k, row in zip(self.dependent_indices, self.coefficients)
+        )
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction) or isinstance(x, int):
+    # a float converts to its exact binary value; callers wanting decimals pass strings
+    if isinstance(x, (Fraction, int, str, float)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value; callers wanting decimals pass strings
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _pslq_relation(values, tolerance: float, coeff_cap: int, dps: int):
-    """Integer relation for `values` via PSLQ, or None."""
-    import mpmath  # only PSLQ needs it; importing it costs every command ~25 ms
-
-    with mpmath.workdps(dps):
-        rel = mpmath.pslq(
-            [mpmath.mpf(v) for v in values],
-            tol=mpmath.mpf(tolerance),
-            maxcoeff=coeff_cap,
-            maxsteps=10000,
-        )
-    return rel
 
 
 def find_rational_relations(
@@ -111,66 +89,64 @@ def find_rational_relations(
     exact mode: inputs must be rationals (int, Fraction, or strings like
     "1/3"); relations are exact.  float mode: PSLQ at the given tolerance and
     coefficient cap; failing to find a relation leaves an index independent.
+    A float-mode shift must be finite with |d_k| >= tolerance: a smaller one
+    passes the residual test as d_k = 0 times the others.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
     if any(x == 0 for x in d):
         raise DomainError("all shifts must be nonzero")
+    if mode not in ("exact", "float"):
+        raise DomainError(f"unknown mode {mode!r}")
+    indep = [0]
+    dep = []  # (index, Fraction coefficients over the indep prefix at its time)
     if mode == "exact":
         vals = [_as_fraction(x) for x in d]
         # every rational is a multiple of d_0, so the independent set is {0}
-        ratios = [v / vals[0] for v in vals[1:]]
-        a = math.lcm(*[r.denominator for r in ratios]) if ratios else 1
-        rows = tuple((int(r * a),) for r in ratios)
-        bound = max((abs(row[0]) for row in rows), default=0)
-        return LinearRelation(
-            independent_indices=(0,),
-            dependent_indices=tuple(range(1, len(d))),
-            denominator=a,
-            coefficients=rows,
-            bound_A=bound,
-            mode="exact",
-        )
-    if mode != "float":
-        raise DomainError(f"unknown mode {mode!r}")
-    if not 0.0 < tolerance < math.inf:
-        raise DomainError("float mode needs a positive finite tolerance")
+        dep = [(k, [v / vals[0]]) for k, v in enumerate(vals[1:], 1)]
+    else:
+        if not 0.0 < tolerance < math.inf:
+            raise DomainError("float mode needs a positive finite tolerance")
+        if coeff_cap < 1:
+            raise DomainError("float mode needs coeff_cap >= 1")
+        vals = [float(x) for x in d]
+        for k, x in enumerate(vals):
+            if not tolerance <= abs(x) < math.inf:
+                raise DomainError(f"shift d_{k} = {x!r} must be finite with |d_{k}| >= tolerance {tolerance!r}")
+        import mpmath  # only PSLQ needs it; importing it costs every command ~25 ms
 
-    vals = [float(x) for x in d]
-    dps = max(15, int(-math.log10(tolerance)) + 5)
-    indep = [0]
-    dep = []  # (index, Fraction coefficients over current indep prefix)
-    for k in range(1, len(vals)):
-        rel = _pslq_relation([vals[k]] + [vals[j] for j in indep], tolerance, coeff_cap, dps)
-        ok = False
-        if rel is not None and rel[0] != 0:
-            c0, rest = rel[0], rel[1:]
-            coeffs = [Fraction(-c, c0) for c in rest]
-            resid = abs(c0 * vals[k] + sum(c * vals[j] for c, j in zip(rest, indep)))
-            scale = max(abs(c0), *(abs(c) for c in rest)) if rest else abs(c0)
-            if resid < tolerance * max(1.0, scale) and all(
-                abs(c.numerator) <= coeff_cap and c.denominator <= coeff_cap for c in coeffs
-            ):
-                dep.append((k, coeffs))
-                ok = True
-        if not ok:
+        dps = max(15, int(-math.log10(tolerance)) + 5)
+        for k in range(1, len(vals)):
+            with mpmath.workdps(dps):
+                rel = mpmath.pslq(
+                    [mpmath.mpf(vals[j]) for j in [k, *indep]],
+                    tol=mpmath.mpf(tolerance),
+                    maxcoeff=coeff_cap,
+                    maxsteps=10000,
+                )
+            if rel is not None and rel[0] != 0:
+                c0, rest = rel[0], rel[1:]
+                coeffs = [Fraction(-c, c0) for c in rest]
+                resid = abs(c0 * vals[k] + sum(c * vals[j] for c, j in zip(rest, indep)))
+                scale = max(abs(c) for c in rel)
+                if resid < tolerance * max(1.0, scale) and all(
+                    abs(c.numerator) <= coeff_cap and c.denominator <= coeff_cap for c in coeffs
+                ):
+                    dep.append((k, coeffs))
+                    continue
             indep.append(k)
     a = math.lcm(*(c.denominator for _, coeffs in dep for c in coeffs))
-    rows = []
-    for k, coeffs in dep:
-        row = [0] * len(indep)
-        for j, c in zip(range(len(coeffs)), coeffs):
-            row[j] = int(c * a)
-        rows.append(tuple(row))
-    bound = max((sum(abs(c) for c in row) for row in rows), default=0)
+    rows = tuple(
+        tuple(int(c * a) for c in coeffs) + (0,) * (len(indep) - len(coeffs)) for _, coeffs in dep
+    )
     return LinearRelation(
         independent_indices=tuple(indep),
         dependent_indices=tuple(k for k, _ in dep),
         denominator=a,
-        coefficients=tuple(rows),
-        bound_A=bound,
-        mode="float",
-        tolerance=tolerance,
+        coefficients=rows,
+        bound_A=max((sum(abs(c) for c in row) for row in rows), default=0),
+        mode=mode,
+        tolerance=tolerance if mode == "float" else None,
     )
 
 
@@ -389,36 +365,32 @@ def check_log_prime_independence(
 
     Either reports that no relation with coefficients <= coeff_cap exists at
     the stated precision, or exhibits a candidate relation and its residual.
-    Result keys match the documented JSON report schema.
+    Result keys match the documented JSON report schema.  The vector needs at
+    least two entries, each finite with |d_k log p_n| >= 10^-precision_digits.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
     primes = list(primes)
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
+    if coeff_cap < 1:
+        raise DomainError("coeff_cap must be >= 1")
+    if precision_digits < 1:
+        raise DomainError("precision_digits must be >= 1")
+    if len(d) * len(primes) < 2:
+        raise DomainError("PSLQ needs at least two values d_k * log p")
     import mpmath
 
-    dps = precision_digits + 10
-    with mpmath.workdps(dps):
+    with mpmath.workdps(max(15, precision_digits + 10)):
+        tol = mpmath.mpf(10) ** (-precision_digits)
         vec = [mpmath.mpf(dk) * mpmath.log(p) for dk in d for p in primes]
-        rel = mpmath.pslq(
-            vec,
-            tol=mpmath.mpf(10) ** (-precision_digits),
-            maxcoeff=coeff_cap,
-            maxsteps=20000,
-        )
-        if rel is None:
-            return {
-                "relation_found": False,
-                "coefficients": [],
-                "residual": None,
-                "precision_digits": precision_digits,
-                "coeff_cap": coeff_cap,
-            }
-        residual = float(abs(mpmath.fsum(c * v for c, v in zip(rel, vec))))
+        if not all(tol <= abs(v) < mpmath.inf for v in vec):
+            raise DomainError(f"every d_k * log p must be finite with modulus >= 10^-{precision_digits}")
+        rel = mpmath.pslq(vec, tol=tol, maxcoeff=coeff_cap, maxsteps=20000)
+        residual = None if rel is None else float(abs(mpmath.fsum(c * v for c, v in zip(rel, vec))))
     return {
-        "relation_found": True,
-        "coefficients": [int(c) for c in rel],
+        "relation_found": rel is not None,
+        "coefficients": [] if rel is None else [int(c) for c in rel],
         "residual": residual,
         "precision_digits": precision_digits,
         "coeff_cap": coeff_cap,

@@ -353,13 +353,20 @@ def _em_tail(s: np.ndarray, counts: np.ndarray, step, offsets, weights) -> np.nd
 
 
 def _call_points(s, shifts=None):
-    """(flat base points, flat shifts or None, output shape) of an evaluator call."""
+    """(flat base points, flat shifts or None, output shape) of an evaluator call.
+
+    A NaN in s or the shifts, or an infinite Re s, raises DomainError; an
+    infinite Im s raises RangeError.  Either would otherwise evaluate to NaN."""
     arr = np.asarray(s, dtype=np.complex128)
     shape = arr.shape
     if shifts is not None:
         shifts = np.asarray(shifts, dtype=float)
         shape = shifts.shape + shape
         shifts = shifts.ravel()
+    if not (np.isfinite(arr).all() and (shifts is None or np.isfinite(shifts).all())):
+        if np.isnan(arr).any() or np.isinf(arr.real).any() or (shifts is not None and np.isnan(shifts).any()):
+            raise DomainError("s and the shifts must not be NaN, and Re s must be finite")
+        raise RangeError("|Im s| is infinite")
     return arr.ravel(), shifts, shape
 
 

@@ -372,6 +372,8 @@ def _write_bytes(path, data):
     "seed_not_int", "unknown_flag", "no_subcommand", "rerun_without_manifest", "threads_not_int",
     "kronecker_beyond_sweep_cap", "find_tau_beyond_sweep_cap",
     "eps_zero", "mean_value_y_below_one", "sieve_beyond_cap",
+    "float_shift_underflows", "float_shift_below_tolerance", "float_coeff_cap_zero",
+    "float_coeff_cap_negative",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -430,6 +432,12 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
         "eps_zero": scan + ["--eps", "0"] + out,
         "mean_value_y_below_one": ["mean-value", "--char", "60:1", "--y", "0.5", "--samples", "4"] + out,
         "sieve_beyond_cap": ["kronecker", "--delta", "0.25", "--primes-upto", "1e8", "--T", "100"] + out,
+        "float_shift_underflows": ["relations", "--mode", "float", "--shifts", "1e-200,1"] + out,
+        "float_shift_below_tolerance": ["relations", "--mode", "float", "--shifts", "1,2e-11"] + out,
+        "float_coeff_cap_zero": ["relations", "--mode", "float", "--shifts", "1,2,0.5",
+                                 "--coeff-cap", "0"] + out,
+        "float_coeff_cap_negative": ["relations", "--mode", "float", "--shifts", "1,2,0.5",
+                                     "--coeff-cap=-5"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

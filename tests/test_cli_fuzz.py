@@ -67,10 +67,10 @@ _REGION = {
 # command -> key -> strategy for its raw value
 PARAMS = {
     "relations": {
-        "shifts": _items(SHIFTS + ["1/2", "3/4", "1.4142135623730951"], 1, 4),
+        "shifts": _items(SHIFTS + ["1/2", "3/4", "1.4142135623730951", "1e-200", "2e-11"], 1, 4),
         "mode": st.sampled_from(["exact", "float"]),
         "tolerance": _num(1e-12, 1.0),
-        "coeff_cap": _ints(1, 10**6),
+        "coeff_cap": _ints(-5, 10**6),
     },
     "kronecker": {
         **_TARGET,
@@ -155,6 +155,17 @@ def test_argv_and_config_file_end_in_results_or_json_error(invocation):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(f"{k} = {params[k]}\n" for k in sorted(in_file))
             argv.append(f"--config={path}")
+        _check(*_run(argv), outdir)
+
+
+@settings(FUZZ, max_examples=200)
+@given(_params("relations"))
+def test_relations_argv_ends_in_results_or_json_error(params):
+    # the mixed-command fuzz above makes about five relations runs in its 40 draws
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = os.path.join(tmp, "out")
+        argv = ["relations", f"--output-dir={outdir}"]
+        argv += [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
         _check(*_run(argv), outdir)
 
 

@@ -75,7 +75,37 @@ def test_float_mode_finds_rational_relations():
     rel = find_rational_relations(d, mode="float")
     assert 0 in rel.independent_indices and 2 in rel.independent_indices
     assert set(rel.dependent_indices) == {1, 3}
+    assert all(any(row) for row in rel.coefficients)
     assert rel.verify(d, tol=1e-8)
+
+
+@pytest.mark.parametrize("d, k", [([1e-200, 1.0], 0), ([1.0, 1e-300], 1), ([5e-324, 1.0], 0), ([1.0, 2e-11], 1)])
+def test_float_mode_refuses_a_shift_below_the_tolerance(d, k):
+    # such a shift passed the residual test as d_k = 0 * d_0, or ended in mpmath's traceback
+    with pytest.raises(DomainError, match=f"shift d_{k} = "):
+        find_rational_relations(d, mode="float")
+    rel = find_rational_relations(d, mode="float", tolerance=min(map(abs, d)))
+    assert all(any(row) for row in rel.coefficients)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_mode_refuses_a_nonfinite_shift(bad):
+    with pytest.raises(DomainError, match="shift d_1 = "):
+        find_rational_relations([1.0, bad], mode="float")
+
+
+@pytest.mark.parametrize("coeff_cap", [0, -5])
+def test_float_mode_refuses_a_coefficient_cap_below_one(coeff_cap):
+    # a cap of 0 used to report 1, 2 and 1/2 all independent
+    with pytest.raises(DomainError, match="coeff_cap"):
+        find_rational_relations([1.0, 2.0, 0.5], mode="float", coeff_cap=coeff_cap)
+
+
+def test_verify_refuses_a_nan():
+    rel = find_rational_relations([1.0, 2.0], mode="float")
+    assert rel.verify([1.0, 2.0], 1e-9)
+    assert not rel.verify([1.0, math.nan], 1e-9)
+    assert not rel.verify([math.nan, 2.0])
 
 
 def test_relation_rejects_zero_shift():
@@ -554,3 +584,29 @@ def test_independence_input_validation():
         check_log_prime_independence([1.0], [2, 2])
     with pytest.raises(DomainError):
         check_log_prime_independence([], [2])
+
+
+@pytest.mark.parametrize("args, match", [
+    (([1.0, 2.0], [2], 30, 0), "coeff_cap"),  # used to report no relation
+    (([1.0, 2.0], [2], 30, -5), "coeff_cap"),
+    (([1.0, 2.0], [2], 0, 1000), "precision_digits"),
+    (([1.0, 2.0], [2], -3, 1000), "precision_digits"),
+    (([1.0], [], 30, 1000), "two values"),
+    (([1.0], [2], 30, 1000), "two values"),
+    (([1e-30], [2, 3], 30, 1000), "modulus"),  # used to end in ZeroDivisionError
+    (([1.0, math.nan], [2], 30, 1000), "modulus"),
+    (([1.0, math.inf], [2], 30, 1000), "modulus"),
+    (([1.0], [1, 2], 30, 1000), "modulus"),
+])
+def test_independence_refuses_out_of_range_pslq_settings(args, match):
+    with pytest.raises(DomainError, match=match):
+        check_log_prime_independence(*args)
+
+
+@pytest.mark.parametrize("precision_digits", [1, 2, 3, 4])
+def test_independence_at_few_digits_works_at_fifteen(precision_digits):
+    # dps = precision_digits + 10 used to fall below mpmath's floor of 53 bits
+    report = check_log_prime_independence([1.0, 2.0], [2], precision_digits, 1000)
+    assert report["relation_found"] is True
+    assert sorted(abs(x) for x in report["coefficients"]) == [1, 2]
+    assert report["precision_digits"] == precision_digits

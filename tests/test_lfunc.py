@@ -101,6 +101,33 @@ def test_l_value_errors():
         l_value(0.8 + 1j, CHI4, [1.0])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: l_value(complex(NAN, 1.0), CHI4), DomainError),
+    (lambda: l_value(complex(0.7, NAN), CHI4), DomainError),
+    (lambda: l_value(0.7, CHI4, shifts=[NAN]), DomainError),
+    (lambda: l_value(complex(INF, 0.0), CHI4), DomainError),
+    (lambda: l_value(np.array([2.0, complex(0.7, NAN)]), CHI4), DomainError),
+    (lambda: l_value(complex(0.7, INF), CHI4), RangeError),
+    (lambda: l_value(0.7, CHI4, shifts=[1.0, -INF]), RangeError),
+    (lambda: l_partial_sum(complex(NAN, 0.0), CHI4, 100), DomainError),
+    (lambda: l_partial_sum(0.7, CHI4, 100, shifts=[NAN]), DomainError),
+    (lambda: l_partial_sum(complex(0.7, INF), CHI4, 100), RangeError),
+    (lambda: l_truncated(complex(NAN, 0.0), CHI4, 100), DomainError),
+    (lambda: l_truncated(complex(0.7, INF), CHI4, 100), RangeError),
+], ids=[
+    "nan_re", "nan_im", "nan_shift", "inf_re", "nan_in_array", "inf_im", "inf_shift",
+    "partial_nan_re", "partial_nan_shift", "partial_inf_im", "truncated_nan_re", "truncated_inf_im",
+])
+def test_nonfinite_points_are_refused_not_evaluated_to_nan(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(error):
+            call()
+
+
 def test_l_value_conjugation_symmetry():
     for chi in (CHI1, CHI4, character_from_id("3:1")):
         assert chi.order <= 2  # real

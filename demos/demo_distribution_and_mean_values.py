@@ -8,13 +8,14 @@ Run with:  python3 demos/demo_distribution_and_mean_values.py
 import numpy as np
 
 from selfapprox import (
+    EmpiricalDistribution,
     ShiftFamily,
     StripRegion,
     b2_ladder,
     carlson_mean_value,
     character_from_id,
     convergence_diagnostic,
-    empirical_distribution,
+    sample_g,
 )
 
 chi = character_from_id("4:1")
@@ -26,8 +27,9 @@ family = ShiftFamily((1.0, 2.0), (chi, chi))
 # stabilize; the diagnostic below quantifies that on a grid that avoids
 # candidate jump points of the limit law.
 
-dist = empirical_distribution(2000.0, family, region, n_samples=256, seed=42,
-                              threads=4)
+_, g, _ = sample_g(family, region, 2000.0, 256, seed=42, refine=False,
+                   threads=4)
+dist = EmpiricalDistribution(np.sort(g))
 print("F_2000 at selected x:")
 for x in (0.25, 0.5, 1.0, 2.0):
     print(f"  F({x:4.2f}) = {dist.cdf(x):.3f}")

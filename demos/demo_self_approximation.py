@@ -10,8 +10,8 @@ from selfapprox import (
     ShiftFamily,
     StripRegion,
     character_from_id,
-    estimate_density,
-    g_value,
+    density_from_samples,
+    g_values,
     sample_g,
 )
 
@@ -24,29 +24,29 @@ family = ShiftFamily((1.0, 2.0), (chi, chi))
 # lower density.
 
 print("g(tau) at a few points:")
-for tau in (0.0, 1.0, 5.0, 25.0):
-    print(f"  g({tau:5.1f}) = {g_value(tau, family, region):.4f}")
+few = [0.0, 1.0, 5.0, 25.0]
+for tau, g_tau in zip(few, g_values(few, family, region, refine=False)[0]):
+    print(f"  g({tau:5.1f}) = {g_tau:.4f}")
 
 # A degenerate family (equal scalings, equal characters) collapses exactly.
 degenerate = ShiftFamily((1.0, 1.0), (chi, chi))
-print(f"degenerate family: g(7.3) = {g_value(7.3, degenerate, region):.1e}")
+g_deg, _ = g_values([7.3], degenerate, region, refine=False)
+print(f"degenerate family: g(7.3) = {g_deg[0]:.1e}")
 
 # --- density of epsilon-approximation ---------------------------------------
-# Sample tau uniformly in [0, T], measure the fraction with g < eps, and
-# attach a Wilson interval.  Positivity of ci_lo at finite T is the numeric
-# shadow of the positivity theorem.
-
-for eps in (0.5, 1.0, 1.5):
-    est = estimate_density(eps, 2000.0, family, region, n_samples=400,
-                           seed=20260824, threads=4)
-    print(f"eps = {eps:3.1f}: density {est.density:.4f} "
-          f"[{est.ci_lo:.4f}, {est.ci_hi:.4f}]  ({est.hits}/{est.n_samples})")
-
-# --- one shared sample set, many epsilons -----------------------------------
-# sample_g returns the raw g values, so sweeping epsilon is free afterwards.
+# Sample tau uniformly in [0, T] once, then measure the fraction with g < eps
+# and attach a Wilson interval.  Positivity of ci_lo at finite T is the
+# numeric shadow of the positivity theorem.  sample_g returns the raw g
+# values, so sweeping epsilon is free afterwards; refinement re-takes the sup
+# on a doubled grid but leaves these base-grid values as they are.
 
 _, g, deltas = sample_g(family, region, 2000.0, 400,
                         seed=20260824, refine=True, threads=4)
+for eps in (0.5, 1.0, 1.5):
+    est = density_from_samples(g, eps, 2000.0)
+    print(f"eps = {eps:3.1f}: density {est.density:.4f} "
+          f"[{est.ci_lo:.4f}, {est.ci_hi:.4f}]  ({est.hits}/{est.n_samples})")
+
 qs = np.quantile(g, [0.05, 0.25, 0.5, 0.75, 0.95])
 print("\nquantiles of g over [0, 2000]: "
       + "  ".join(f"{q:.3f}" for q in qs))

@@ -15,9 +15,7 @@ from .density import (
     EmpiricalDistribution,
     ShiftFamily,
     convergence_diagnostic,
-    empirical_distribution,
-    estimate_density,
-    g_value,
+    density_from_samples,
     g_values,
     sample_g,
 )

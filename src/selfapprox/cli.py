@@ -243,7 +243,7 @@ def _run_scan_density(params, seed, threads):
         "region": asdict(region),
     }
     # density as a function of eps, F_T(x) from the same sample set
-    f_T = EmpiricalDistribution(np.sort(g), params["T"])
+    f_T = EmpiricalDistribution(np.sort(g))
     xs = np.linspace(0, float(f_T.sample_values[-1]) * 1.05 + 1e-9, 101)
     return results, (["tau", "g_value", "refine_delta"], [taus, g, deltas]), (xs, f_T.cdf(xs))
 
@@ -420,13 +420,11 @@ def _parser(command=None) -> _ArgumentParser:
 
 
 def _parse_args(argv):
-    """Parsed argv.  Only the invoked subcommand's parser is built, whose usage
-    errors read as the full parser's; help and an unknown command go to the
+    """Parsed argv.  Only the invoked subcommand's parser is built, whose help
+    and usage errors read as the full parser's; an unknown command goes to the
     full parser, which lists every command."""
     command = argv[0] if argv else None
-    if (command in _COMMANDS or command == "rerun") and not any(a.startswith(("-h", "--h")) for a in argv):
-        return _parser(command).parse_args(argv)
-    return _parser().parse_args(argv)
+    return _parser(command if command in (*_COMMANDS, "rerun") else None).parse_args(argv)
 
 
 def main(argv=None) -> int:

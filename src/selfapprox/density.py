@@ -1,10 +1,14 @@
 """The sup-difference functional g(tau) and its sublevel-set densities.
 
 g(tau) is the largest pairwise sup-difference over a compact rectangle K of
-the shifted values L(s + i d_j tau, chi_j).  This module estimates, by seeded
-Monte Carlo over tau, the density of {tau in [0,T] : g(tau) < eps}, the
-empirical distribution function F_T(x) of g, and a ladder diagnostic for the
-weak convergence of F_T as T grows.
+the shifted values L(s + i d_j tau, chi_j).  Every estimate here starts from
+one seeded Monte Carlo draw: sample_g returns tau samples in [0, T] and their
+g values.  From those, density_from_samples reads the density of
+{tau in [0,T] : g(tau) < eps} with a Wilson interval at any eps, and
+EmpiricalDistribution(np.sort(g)) the distribution function F_T(x) of g;
+convergence_diagnostic compares F_T along a ladder of horizons, a test of
+its weak convergence as T grows.  g at a few given tau is
+g_values(taus, family, region, refine=False)[0].
 
 The sup over K is taken on the region's sample grid.  g_values and sample_g
 can re-take it at doubled resolution; the relative change (refine_delta)
@@ -28,12 +32,9 @@ __all__ = [
     "ShiftFamily",
     "DensityEstimate",
     "EmpiricalDistribution",
-    "g_value",
     "g_values",
     "sample_g",
-    "estimate_density",
     "density_from_samples",
-    "empirical_distribution",
     "convergence_diagnostic",
 ]
 
@@ -86,7 +87,6 @@ class EmpiricalDistribution:
     """Sorted g(tau) samples over [0, T]; F_T(x) uses the strict "< x" convention."""
 
     sample_values: np.ndarray
-    horizon: float
 
     def cdf(self, x):
         n = len(self.sample_values)
@@ -154,12 +154,6 @@ def g_values(
     return g_base, delta
 
 
-def g_value(tau: float, family: ShiftFamily, region: StripRegion) -> float:
-    """g at a single tau, on the base grid."""
-    g, _ = g_values([tau], family, region, refine=False)
-    return float(g[0])
-
-
 def sample_g(
     family: ShiftFamily,
     region: StripRegion,
@@ -196,35 +190,6 @@ def density_from_samples(g: np.ndarray, epsilon: float, T: float) -> DensityEsti
     hits = int(np.count_nonzero(g < epsilon))
     lo, hi = wilson_interval(hits, n)
     return DensityEstimate(epsilon, T, n, hits, hits / n, lo, hi)
-
-
-def estimate_density(
-    epsilon: float,
-    T: float,
-    family: ShiftFamily,
-    region: StripRegion,
-    n_samples: int = 256,
-    seed: int = 0,
-    threads: int = 1,
-) -> DensityEstimate:
-    """Monte Carlo estimate of (1/T) meas{tau in [0,T] : g(tau) < eps}."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=False, threads=threads)
-    return density_from_samples(g, epsilon, T)
-
-
-def empirical_distribution(
-    T: float,
-    family: ShiftFamily,
-    region: StripRegion,
-    n_samples: int = 256,
-    seed: int = 0,
-    threads: int = 1,
-) -> EmpiricalDistribution:
-    """Empirical distribution F_T of g over [0, T]."""
-    _, g, _ = sample_g(family, region, T, n_samples, seed, refine=False, threads=threads)
-    return EmpiricalDistribution(np.sort(g), T)
 
 
 # 100 cells over the pooled 1%-99% range, about 1% of the mass each: the grid
@@ -283,7 +248,7 @@ def convergence_diagnostic(
         samples.append(np.sort(g))
     pooled = np.sort(np.concatenate(samples))
     xs, flagged = _continuity_safe_grid(pooled)
-    cdfs = [EmpiricalDistribution(s, T).cdf(xs) for s, T in zip(samples, T_ladder)]
+    cdfs = [EmpiricalDistribution(s).cdf(xs) for s in samples]
     distances = [
         float(np.max(np.abs(a - b))) if len(xs) else 0.0
         for a, b in zip(cdfs, cdfs[1:])

@@ -71,11 +71,14 @@ class LinearRelation:
         )
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(k: int, x) -> Fraction:
     # a float converts to its exact binary value; callers wanting decimals pass strings
-    if isinstance(x, (Fraction, int, str, float)):
+    if not isinstance(x, (Fraction, int, str, float)):
+        raise DomainError(f"cannot interpret {x!r} as an exact rational")
+    try:
         return Fraction(x)
-    raise DomainError(f"cannot interpret {x!r} as an exact rational")
+    except (ValueError, OverflowError, ZeroDivisionError):  # NaN, infinity, "1/0"
+        raise DomainError(f"shift d_{k} = {x!r} is not a finite rational") from None
 
 
 def find_rational_relations(
@@ -86,22 +89,22 @@ def find_rational_relations(
 ) -> LinearRelation:
     """Maximal Q-independent subset of the shifts plus integer relations.
 
-    exact mode: inputs must be rationals (int, Fraction, or strings like
-    "1/3"); relations are exact.  float mode: PSLQ at the given tolerance and
-    coefficient cap; failing to find a relation leaves an index independent.
-    A float-mode shift must be finite with |d_k| >= tolerance: a smaller one
-    passes the residual test as d_k = 0 times the others.
+    exact mode: inputs must be finite rationals (int, float, Fraction, or
+    strings like "1/3"); relations are exact.  float mode: PSLQ at the given
+    tolerance and coefficient cap; failing to find a relation leaves an index
+    independent.  A float-mode shift must be finite with |d_k| >= tolerance: a
+    smaller one passes the residual test as d_k = 0 times the others.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
-    if any(x == 0 for x in d):
-        raise DomainError("all shifts must be nonzero")
     if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
+    vals = [_as_fraction(k, x) for k, x in enumerate(d)] if mode == "exact" else [float(x) for x in d]
+    if any(x == 0 for x in vals):
+        raise DomainError("all shifts must be nonzero")
     indep = [0]
     dep = []  # (index, Fraction coefficients over the indep prefix at its time)
     if mode == "exact":
-        vals = [_as_fraction(x) for x in d]
         # every rational is a multiple of d_0, so the independent set is {0}
         dep = [(k, [v / vals[0]]) for k, v in enumerate(vals[1:], 1)]
     else:
@@ -109,7 +112,6 @@ def find_rational_relations(
             raise DomainError("float mode needs a positive finite tolerance")
         if coeff_cap < 1:
             raise DomainError("float mode needs coeff_cap >= 1")
-        vals = [float(x) for x in d]
         for k, x in enumerate(vals):
             if not tolerance <= abs(x) < math.inf:
                 raise DomainError(f"shift d_{k} = {x!r} must be finite with |d_{k}| >= tolerance {tolerance!r}")
@@ -195,20 +197,10 @@ class KroneckerTarget:
 
 
 def kronecker_membership(taus, target: KroneckerTarget) -> np.ndarray:
-    """Vectorized membership test; returns a boolean array over tau samples.
-
-    Tests one frequency at a time and carries only the surviving indices to
-    the next, so a tau stops costing work at its first failed coordinate; each
-    survivor gets the same float operations as the full tau x frequency test.
-    """
+    """Vectorized membership test; returns a boolean array over tau samples."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     alpha = target.frequencies.ravel()
-    alive = np.flatnonzero(nearest_int_distance(taus * alpha[0]) < target.delta)
-    for a in alpha[1:]:
-        alive = alive[nearest_int_distance(taus[alive] * a) < target.delta]
-    mask = np.zeros(taus.shape, dtype=bool)
-    mask[alive] = True
-    return mask
+    return np.all(nearest_int_distance(taus[:, None] * alpha) < target.delta, axis=1)
 
 
 def in_kronecker_set(tau: float, target: KroneckerTarget) -> bool:
@@ -365,12 +357,16 @@ def check_log_prime_independence(
 
     Either reports that no relation with coefficients <= coeff_cap exists at
     the stated precision, or exhibits a candidate relation and its residual.
-    Result keys match the documented JSON report schema.  The vector needs at
-    least two entries, each finite with |d_k log p_n| >= 10^-precision_digits.
+    Result keys match the documented JSON report schema.  Every p_n must be an
+    integer prime, and the vector needs at least two entries, each finite with
+    |d_k log p_n| >= 10^-precision_digits.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
     primes = list(primes)
+    for p in primes:
+        if not isinstance(p, (int, np.integer)):
+            raise DomainError(f"primes must be integer primes, got {p!r}")
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
     if coeff_cap < 1:
@@ -386,6 +382,9 @@ def check_log_prime_independence(
         vec = [mpmath.mpf(dk) * mpmath.log(p) for dk in d for p in primes]
         if not all(tol <= abs(v) < mpmath.inf for v in vec):
             raise DomainError(f"every d_k * log p must be finite with modulus >= 10^-{precision_digits}")
+        for p in primes:
+            if not mpmath.libmp.isprime(int(p)):
+                raise DomainError(f"primes must be integer primes, got {p!r}")
         rel = mpmath.pslq(vec, tol=tol, maxcoeff=coeff_cap, maxsteps=20000)
         residual = None if rel is None else float(abs(mpmath.fsum(c * v for c, v in zip(rel, vec))))
     return {

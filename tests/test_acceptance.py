@@ -20,7 +20,7 @@ from selfapprox.cli import main as cli_main
 from selfapprox.density import (
     ShiftFamily,
     convergence_diagnostic,
-    estimate_density,
+    density_from_samples,
     sample_g,
 )
 from selfapprox.diophantine import (
@@ -129,9 +129,8 @@ def test_05_carlson_identity():
 
 def test_06_positivity_probe():
     t0 = time.time()
-    est = estimate_density(
-        1.0, 2000.0, FAMILY, REGION, n_samples=400, seed=20260824, threads=4,
-    )
+    _, g, _ = sample_g(FAMILY, REGION, 2000.0, 400, seed=20260824, refine=False, threads=4)
+    est = density_from_samples(g, 1.0, 2000.0)
     ok = est.ci_lo > 0.0
     # pinned seeded regression values from the first successful run
     ok &= est.hits == 73
@@ -146,9 +145,9 @@ def test_07_degenerate_exactness():
     degenerate = ShiftFamily((1.0, 1.0), (CHI4, CHI4))
     _, g, _ = sample_g(degenerate, REGION, 500.0, 128, seed=1, refine=False)
     ok = bool(np.all(g <= 1e-12))
+    _, g64, _ = sample_g(degenerate, REGION, 500.0, 64, seed=2, refine=False)
     for eps in (1e-9, 1e-3, 1.0):
-        est = estimate_density(eps, 500.0, degenerate, REGION, n_samples=64, seed=2)
-        ok &= est.density == 1.0
+        ok &= density_from_samples(g64, eps, 500.0).density == 1.0
     elapsed = time.time() - t0
     _report(7, "degenerate family exactness", ok and elapsed < 60.0,
             f"max g {float(np.max(g)):.2e}, {elapsed:.1f}s")

@@ -12,10 +12,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
+    # -W error: a NaN, overflow or deprecation warning fails the demo
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,6 @@ from selfapprox.density import (
     ShiftFamily,
     convergence_diagnostic,
     density_from_samples,
-    empirical_distribution,
-    estimate_density,
-    g_value,
     g_values,
     sample_g,
 )
@@ -48,17 +48,17 @@ def test_family_validation():
 
 def test_degenerate_family_gives_zero():
     for tau in (0.0, 3.7, 55.1):
-        assert g_value(tau, DEGENERATE, REGION) == 0.0
+        assert g_values([tau], DEGENERATE, REGION, refine=False)[0][0] == 0.0
 
 
 def test_tau_zero_with_equal_characters():
     fam = ShiftFamily((1.0, 5.0), (CHI4, CHI4))
-    assert g_value(0.0, fam, REGION) == 0.0
+    assert g_values([0.0], fam, REGION, refine=False)[0][0] == 0.0
 
 
 def test_point_region_matches_direct_difference():
     expected = abs(l_value(0.7 + 1j, CHI4) - l_value(0.7 + 2j, CHI4))
-    assert g_value(1.0, FAMILY, POINT) == pytest.approx(expected, abs=1e-12)
+    assert g_values([1.0], FAMILY, POINT, refine=False)[0][0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_configurations_agree(monkeypatch):
@@ -161,20 +161,21 @@ def test_density_monotone_in_eps_and_matches_cdf():
     d_small = density_from_samples(g, 0.4, 200.0)
     d_big = density_from_samples(g, 1.2, 200.0)
     assert d_small.density <= d_big.density
-    dist = EmpiricalDistribution(np.sort(g), 200.0)
+    dist = EmpiricalDistribution(np.sort(g))
     for eps in (0.4, 0.8, 1.2):
         assert density_from_samples(g, eps, 200.0).density == dist.cdf(eps)
 
 
 def test_degenerate_density_is_one():
-    est = estimate_density(1e-9, 100.0, DEGENERATE, REGION, n_samples=32, seed=0)
+    _, g, _ = sample_g(DEGENERATE, REGION, 100.0, 32, seed=0, refine=False)
+    est = density_from_samples(g, 1e-9, 100.0)
     assert est.density == 1.0 and est.hits == 32
     assert est.ci_hi == 1.0
 
 
 def test_cap_validation_reports_usable_horizon():
     with pytest.raises(RangeError) as err:
-        estimate_density(1.0, 1e6, FAMILY, REGION, n_samples=8, seed=0)
+        sample_g(FAMILY, REGION, 1e6, 8, seed=0, refine=False)
     assert "largest usable T" in str(err.value)
 
 
@@ -196,6 +197,18 @@ def test_stream_and_reanalysis(tmp_path):
     assert est.hits == int(np.count_nonzero(g < 0.7))
 
 
+def test_scan_density_reports_the_density_of_its_own_samples(tmp_path):
+    # the README quick start reads its density from sample_g and
+    # density_from_samples; scan-density at the benchmark's own argv (seed 7,
+    # refinement on, REGION and FAMILY) must report that same record
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    assert main(workloads["density_argv"](7, 1, str(tmp_path))) == 0
+    results = json.loads((tmp_path / "results.json").read_text())
+    _, g, _ = sample_g(FAMILY, REGION, 2000.0, workloads["DENSITY_SAMPLES"], seed=7, refine=True)
+    want = dataclasses.asdict(density_from_samples(g, 1.0, 2000.0))
+    assert {key: results[key] for key in want} == want
+
+
 def test_threaded_sampling_deterministic():
     _, g1, _ = sample_g(FAMILY, REGION, 150.0, 64, seed=8, threads=1, refine=False)
     _, g4, _ = sample_g(FAMILY, REGION, 150.0, 64, seed=8, threads=4, refine=False)
@@ -203,20 +216,24 @@ def test_threaded_sampling_deterministic():
 
 
 def test_empirical_distribution_degenerate_step():
-    dist = empirical_distribution(50.0, DEGENERATE, REGION, n_samples=16, seed=1)
+    _, g, _ = sample_g(DEGENERATE, REGION, 50.0, 16, seed=1, refine=False)
+    dist = EmpiricalDistribution(np.sort(g))
     assert dist.cdf(0.0) == 0.0  # strict "< x"
     assert dist.cdf(1e-300) == 1.0
 
 
 def test_empirical_distribution_strict_at_zero():
-    dist = empirical_distribution(200.0, FAMILY, REGION, n_samples=48, seed=2)
+    _, g, _ = sample_g(FAMILY, REGION, 200.0, 48, seed=2, refine=False)
+    dist = EmpiricalDistribution(np.sort(g))
     assert dist.cdf(0.0) == 0.0
     assert np.median(dist.sample_values) > 0
 
 
 def test_distribution_seed_consistency_ks():
-    d1 = empirical_distribution(2000.0, FAMILY, POINT, n_samples=160, seed=21)
-    d2 = empirical_distribution(2000.0, FAMILY, POINT, n_samples=160, seed=22)
+    d1, d2 = (
+        EmpiricalDistribution(np.sort(sample_g(FAMILY, POINT, 2000.0, 160, seed=seed, refine=False)[1]))
+        for seed in (21, 22)
+    )
     xs = np.linspace(0, float(d1.sample_values[-1]), 200)
     ks = float(np.max(np.abs(d1.cdf(xs) - d2.cdf(xs))))
     assert ks < ks_two_sample_threshold(160, 160)

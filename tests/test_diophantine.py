@@ -23,6 +23,7 @@ from selfapprox.diophantine import (
     nearest_int_distance,
 )
 from selfapprox.errors import DomainError, RangeError
+from selfapprox.primes import primes_upto
 from selfapprox.sampling import BLOCK_SIZE, uniform_samples, wilson_interval
 
 
@@ -111,6 +112,17 @@ def test_verify_refuses_a_nan():
 def test_relation_rejects_zero_shift():
     with pytest.raises(DomainError):
         find_rational_relations([1, 0])
+
+
+@pytest.mark.parametrize("d, match", [
+    (["0", "1"], "nonzero"),  # used to end in ZeroDivisionError
+    (["1", "0/5"], "nonzero"),  # used to return the row ((0,),)
+    ([1, math.nan], "d_1 = nan"),  # used to end in a raw ValueError
+    ([1, math.inf], "d_1 = inf"),  # used to end in a raw OverflowError
+])
+def test_exact_mode_refuses_zero_and_non_finite_shifts(d, match):
+    with pytest.raises(DomainError, match=match):
+        find_rational_relations(d)
 
 
 @settings(max_examples=50, deadline=None)
@@ -584,6 +596,17 @@ def test_independence_input_validation():
         check_log_prime_independence([1.0], [2, 2])
     with pytest.raises(DomainError):
         check_log_prime_independence([], [2])
+
+
+def test_independence_refuses_non_primes():
+    # [-2, 3] and [None, 3] used to end in mpmath's TypeError, [2, 4] to
+    # report the relation 2 log 2 = log 4, and [2.5, 3] and ["7", 3] to run
+    # silently
+    for primes in ([-2, 3], [None, 3], [2, 4], [2.5, 3], ["7", 3]):
+        with pytest.raises(DomainError, match="integer primes"):
+            check_log_prime_independence([1.0], primes)
+    # the primes that primes_upto returns are numpy integers
+    assert check_log_prime_independence([1.0], primes_upto(5))["relation_found"] is False
 
 
 @pytest.mark.parametrize("args, match", [

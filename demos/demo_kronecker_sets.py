@@ -35,7 +35,7 @@ print(f"shifts (1, sqrt 2): independent indices {relf.independent_indices}, "
 
 # Logarithms of distinct primes are independent over Q (unique factorization);
 # PSLQ at 30 digits agrees.
-report = check_log_prime_independence([1.0], [2, 3, 5], 30, 1000)
+report = check_log_prime_independence([1.0], [2, 3, 5])
 print(f"relation among log 2, log 3, log 5 found: {report['relation_found']}")
 
 # --- Kronecker sets and the volume law --------------------------------------

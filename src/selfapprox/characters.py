@@ -132,14 +132,6 @@ class DirichletCharacter:
         """
         return math.lcm(*(c // math.gcd(k, c) for k, _, c in self._generator_exponents()))
 
-    def conjugate(self) -> "DirichletCharacter":
-        # the conjugate sends generator j to -k_j mod m_j
-        index, stride = 0, 1
-        for k, m, _ in self._generator_exponents():
-            index += (-k % m) * stride
-            stride *= m
-        return DirichletCharacter(self.modulus, index)
-
 
 def _primitive_root(pk: int, p: int) -> int:
     """A generator of (Z/p^k Z)* for odd prime p."""

@@ -11,7 +11,8 @@ by command-line flags), validates it, and writes into the output directory:
 Unknown config keys are hard errors.  All randomness flows from the single
 64-bit seed through the block-splitting scheme in selfapprox.sampling, so
 `selfapprox rerun manifest.json` reproduces results.json byte-identically at
-any --threads setting.  SELFAPPROX_OUTPUT_DIR overrides the output directory.
+any --threads setting.  Artifacts go to --output-dir; rerun writes next to
+its manifest unless --output-dir is given.
 """
 
 import argparse
@@ -448,7 +449,6 @@ def main(argv=None) -> int:
             file_params = _read_config_file(args.config) if args.config else {}
             seed, outdir, threads = args.seed, args.output_dir, args.threads
         params = _resolve_params(command, file_params, overrides)
-        outdir = os.environ.get("SELFAPPROX_OUTPUT_DIR", outdir)
         return run(command, params, seed, outdir, threads)
     except DomainError as exc:
         return _fail(str(exc))

@@ -88,6 +88,11 @@ class EmpiricalDistribution:
 
     sample_values: np.ndarray
 
+    def __post_init__(self):
+        values = np.asarray(self.sample_values, dtype=float)
+        if values.size == 0 or np.isnan(values).any() or np.any(values[1:] < values[:-1]):
+            raise DomainError("sample_values must be non-empty, sorted and free of NaN (pass np.sort(g))")
+
     def cdf(self, x):
         n = len(self.sample_values)
         idx = np.searchsorted(self.sample_values, np.asarray(x, dtype=float), side="left")
@@ -184,9 +189,11 @@ def sample_g(
 
 def density_from_samples(g: np.ndarray, epsilon: float, T: float) -> DensityEstimate:
     """Re-analyse stored g samples at a (possibly new) eps without re-evaluating L."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not (0.0 < epsilon < math.inf and 0.0 < T < math.inf):
+        raise DomainError(f"epsilon and T must be finite and positive, got {epsilon!r} and {T!r}")
     n = len(g)
+    if n == 0 or np.isnan(g).any():
+        raise DomainError("g needs at least one sample and no NaN")
     hits = int(np.count_nonzero(g < epsilon))
     lo, hi = wilson_interval(hits, n)
     return DensityEstimate(epsilon, T, n, hits, hits / n, lo, hi)

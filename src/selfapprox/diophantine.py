@@ -17,7 +17,7 @@ from floating point data.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class LinearRelation:
     coefficients: tuple  # tuple of integer tuples
     bound_A: int
     mode: str = "exact"
-    tolerance: Optional[float] = None
 
     def verify(self, d: Sequence, tol: float = 0.0) -> bool:
         """Re-substitute each claimed relation into the shift values; a relation that meets a NaN fails."""
@@ -148,7 +147,6 @@ def find_rational_relations(
         coefficients=rows,
         bound_A=max((sum(abs(c) for c in row) for row in rows), default=0),
         mode=mode,
-        tolerance=tolerance if mode == "float" else None,
     )
 
 
@@ -347,19 +345,18 @@ def find_tau_in_set(
     return hits[:max_results]
 
 
-def check_log_prime_independence(
-    d: Sequence[float],
-    primes: Sequence[int],
-    precision_digits: int = 30,
-    coeff_cap: int = 1000,
-) -> dict:
+_PSLQ_DIGITS = 30
+_PSLQ_COEFF_CAP = 1000
+
+
+def check_log_prime_independence(d: Sequence[float], primes: Sequence[int]) -> dict:
     """Integer-relation scan over the vector {d_k * log p_n}.
 
-    Either reports that no relation with coefficients <= coeff_cap exists at
-    the stated precision, or exhibits a candidate relation and its residual.
-    Result keys match the documented JSON report schema.  Every p_n must be an
-    integer prime, and the vector needs at least two entries, each finite with
-    |d_k log p_n| >= 10^-precision_digits.
+    PSLQ at _PSLQ_DIGITS = 30 digits either reports that no relation with
+    coefficients <= _PSLQ_COEFF_CAP = 1000 exists at that precision, or
+    exhibits a candidate relation and its residual; the report records both
+    settings.  Every p_n must be an integer prime, and the vector needs at
+    least two entries, each finite with |d_k log p_n| >= 10^-30.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
@@ -369,28 +366,27 @@ def check_log_prime_independence(
             raise DomainError(f"primes must be integer primes, got {p!r}")
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
-    if coeff_cap < 1:
-        raise DomainError("coeff_cap must be >= 1")
-    if precision_digits < 1:
-        raise DomainError("precision_digits must be >= 1")
     if len(d) * len(primes) < 2:
         raise DomainError("PSLQ needs at least two values d_k * log p")
     import mpmath
 
-    with mpmath.workdps(max(15, precision_digits + 10)):
-        tol = mpmath.mpf(10) ** (-precision_digits)
-        vec = [mpmath.mpf(dk) * mpmath.log(p) for dk in d for p in primes]
+    with mpmath.workdps(_PSLQ_DIGITS + 10):
+        tol = mpmath.mpf(10) ** (-_PSLQ_DIGITS)
+        try:
+            vec = [mpmath.mpf(dk) * mpmath.log(p) for dk in d for p in primes]
+        except (TypeError, ValueError):  # None, "x", a complex or a Fraction
+            raise DomainError(f"shifts must be floats, ints or decimal strings, got {list(d)!r}") from None
         if not all(tol <= abs(v) < mpmath.inf for v in vec):
-            raise DomainError(f"every d_k * log p must be finite with modulus >= 10^-{precision_digits}")
+            raise DomainError(f"every d_k * log p must be finite with modulus >= 10^-{_PSLQ_DIGITS}")
         for p in primes:
             if not mpmath.libmp.isprime(int(p)):
                 raise DomainError(f"primes must be integer primes, got {p!r}")
-        rel = mpmath.pslq(vec, tol=tol, maxcoeff=coeff_cap, maxsteps=20000)
+        rel = mpmath.pslq(vec, tol=tol, maxcoeff=_PSLQ_COEFF_CAP, maxsteps=20000)
         residual = None if rel is None else float(abs(mpmath.fsum(c * v for c, v in zip(rel, vec))))
     return {
         "relation_found": rel is not None,
         "coefficients": [] if rel is None else [int(c) for c in rel],
         "residual": residual,
-        "precision_digits": precision_digits,
-        "coeff_cap": coeff_cap,
+        "precision_digits": _PSLQ_DIGITS,
+        "coeff_cap": _PSLQ_COEFF_CAP,
     }

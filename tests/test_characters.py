@@ -135,12 +135,10 @@ def test_character_from_id_and_conjugate_build_one_character_only():
     tracemalloc.start()
     try:
         chi = character_from_id("2003:1")
-        bar = chi.conjugate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert chi.label == "2003:1" and chi.order == 2002
-    assert bar.label == "2003:2001"
     assert peak < 16e6
 
 
@@ -151,18 +149,6 @@ def test_bad_inputs():
         character_from_id("4-1")
     with pytest.raises(DomainError):
         character_from_id("4:2")
-
-
-def test_conjugate_character():
-    for chi in enumerate_characters(5):
-        bar = chi.conjugate()
-        for n in range(1, 6):
-            assert abs(bar(n) - chi(n).conjugate()) < 1e-14
-    for q in range(1, 61):
-        for chi in enumerate_characters(q):
-            bar = chi.conjugate()
-            assert bar.value_table == tuple(None if a is None else -a % 1 for a in chi.value_table)
-            assert bar.conjugate() == chi
 
 
 # sha256 over (label, order, principal, str(angle) for every residue) of every
@@ -224,7 +210,6 @@ def test_conductor_matches_the_brute_force_oracle():
     for q in range(1, 121):
         for chi in enumerate_characters(q):
             assert chi.conductor == _conductor_oracle(chi), chi.label
-            assert chi.conjugate().conductor == chi.conductor
     assert [character_from_id(c).conductor for c in ("1:0", "4:1", "60:0", "60:1", "12:1", "120:8")] == [
         1, 4, 1, 5, 3, 8]
     assert character_from_id("2003:1").conductor == 2003

@@ -296,15 +296,16 @@ def test_evaluator_commands_leave_numpy_ma_unloaded(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    forced = tmp_path / "forced"
-    monkeypatch.setenv("SELFAPPROX_OUTPUT_DIR", str(forced))
-    rc = main([
-        "relations", "--shifts", "1,2", "--output-dir", str(tmp_path / "ignored")
-    ])
-    assert rc == 0
-    assert (forced / "results.json").exists()
-    assert not (tmp_path / "ignored").exists()
+def test_artifacts_land_in_the_output_dir_whatever_the_environment(tmp_path, monkeypatch):
+    # SELFAPPROX_OUTPUT_DIR used to beat both --output-dir and the manifest's
+    # directory that rerun writes to
+    monkeypatch.setenv("SELFAPPROX_OUTPUT_DIR", str(tmp_path / "env"))
+    out = tmp_path / "out"
+    assert main(["relations", "--shifts", "1,2", "--output-dir", str(out)]) == 0
+    (out / "results.json").unlink()
+    assert main(["rerun", str(out / "manifest.json")]) == 0
+    assert (out / "results.json").exists()
+    assert not (tmp_path / "env").exists()
 
 
 def test_selfcheck(tmp_path):

@@ -156,6 +156,23 @@ def test_indicator_strictness():
     assert est.hits == 0  # g = eps does not count: strict "<"
 
 
+def test_density_entry_points_refuse_bad_samples_and_settings():
+    # a NaN eps used to give density 0 and a negative T to be recorded, an
+    # empty g to end in wilson_interval's ValueError, a NaN in g to count as a
+    # miss, an empty sample set to give a NaN F_T and an unsorted one a wrong F_T
+    g = np.array([0.2, 0.5])
+    for epsilon, T in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(DomainError, match="finite and positive"):
+            density_from_samples(g, epsilon, T)
+    for bad in (np.array([]), np.array([0.2, math.nan])):
+        with pytest.raises(DomainError, match="NaN"):
+            density_from_samples(bad, 0.5, 1.0)
+    for bad in (np.array([]), np.array([0.2, math.nan]), np.array([math.nan, 0.2]), np.array([0.5, 0.2])):
+        with pytest.raises(DomainError):
+            EmpiricalDistribution(bad)
+    assert EmpiricalDistribution(np.array([0.2, 0.2, 0.5])).cdf(0.3) == 2 / 3
+
+
 def test_density_monotone_in_eps_and_matches_cdf():
     _, g, _ = sample_g(FAMILY, REGION, 200.0, 96, seed=4, refine=False)
     d_small = density_from_samples(g, 0.4, 200.0)

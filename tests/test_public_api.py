@@ -85,3 +85,17 @@ def test_no_orphan_public_names():
         if name not in loaded and not re.search(rf"\b{re.escape(name)}\b", readme)
     )
     assert not orphans, f"public names that no pipeline, demo, benchmark or README uses: {orphans}"
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a flag, a config key or a manifest entry, so that a
+    # manifest alone reruns a run
+    reads = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in (ROOT / "src").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb")
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in ("environ", "environb", "getenv", "getenvb") for alias in node.names)
+    )
+    assert not reads, f"environment reads under src/: {reads}"

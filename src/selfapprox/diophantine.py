@@ -355,8 +355,9 @@ def check_log_prime_independence(d: Sequence[float], primes: Sequence[int]) -> d
     PSLQ at _PSLQ_DIGITS = 30 digits either reports that no relation with
     coefficients <= _PSLQ_COEFF_CAP = 1000 exists at that precision, or
     exhibits a candidate relation and its residual; the report records both
-    settings.  Every p_n must be an integer prime, and the vector needs at
-    least two entries, each finite with |d_k log p_n| >= 10^-30.
+    settings.  A Fraction shift is read exactly at the working precision.
+    Every p_n must be an integer prime, and the vector needs at least two
+    entries, each finite with |d_k log p_n| >= 10^-30.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
@@ -372,10 +373,11 @@ def check_log_prime_independence(d: Sequence[float], primes: Sequence[int]) -> d
 
     with mpmath.workdps(_PSLQ_DIGITS + 10):
         tol = mpmath.mpf(10) ** (-_PSLQ_DIGITS)
-        try:
-            vec = [mpmath.mpf(dk) * mpmath.log(p) for dk in d for p in primes]
-        except (TypeError, ValueError):  # None, "x", a complex or a Fraction
-            raise DomainError(f"shifts must be floats, ints or decimal strings, got {list(d)!r}") from None
+        try:  # a Fraction is divided out here: mpmath.mpf refuses it, mpmathify rounds it to a float
+            shifts = [mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x) for x in d]
+        except (TypeError, ValueError):  # None, "x" or a complex
+            raise DomainError(f"shifts must be floats, ints, Fractions or decimal strings, got {list(d)!r}") from None
+        vec = [dk * mpmath.log(p) for dk in shifts for p in primes]
         if not all(tol <= abs(v) < mpmath.inf for v in vec):
             raise DomainError(f"every d_k * log p must be finite with modulus >= 10^-{_PSLQ_DIGITS}")
         for p in primes:

@@ -376,11 +376,6 @@ def _shaped(values: np.ndarray, shape):
     return complex(out) if out.ndim == 0 else out
 
 
-def _shifted(s: np.ndarray, shifts) -> np.ndarray:
-    """The (rows, points) point set s[None, :] + i shifts[:, None], one row s[None, :] without shifts."""
-    return s[None, :] if shifts is None else s[None, :] + 1j * shifts[:, None]
-
-
 def _units(chi: DirichletCharacter) -> np.ndarray:
     """The residues 1 <= n <= q prime to q, ascending."""
     q = chi.modulus
@@ -448,20 +443,19 @@ def l_value(s, chi: DirichletCharacter, *, shifts=None):
     the phases t log m and t log p are reduced mod 2 pi in double-double
     (_phase): the error is float64 rounding, within the documented
     q * target_abs_error over the whole supported range (README,
-    "Evaluator limits").  For primitive chi (d = q) there are no Euler
-    factors.  Raises PoleError for the principal character at s = 1;
-    nonprincipal characters are evaluated at s = 1 through the regularized
-    (pole-cancelling) tail.  The settings are fixed (DEFAULT_CONFIG):
-    em_order 60, N >= 50 and target_abs_error 1e-12.
+    "Evaluator limits").  For primitive chi (d = q) the Euler-factor
+    product is empty.  Raises PoleError for the principal character at
+    s = 1; nonprincipal characters are evaluated at s = 1, shifted or not,
+    through the regularized (pole-cancelling) tail.  The settings are fixed
+    (DEFAULT_CONFIG): em_order 60, N >= 50 and target_abs_error 1e-12.
 
     With `shifts` (real, keyword-only), returns L at s + i h for every shift
     h, with shape shifts.shape + np.shape(s).  The sum is then built once for
     s with one phase row per shift (see _power_sum), so a block of S shifts
-    of P points costs N (P + S) phase factors rather than N P S.  A shifted
-    point landing on s = 1 takes the unshifted value there.
+    of P points costs N (P + S) phase factors rather than N P S.
     """
     flat, shifts, shape = _call_points(s, shifts)
-    full = _shifted(flat, shifts)
+    full = flat[None, :] if shifts is None else flat[None, :] + 1j * shifts[:, None]
     if full.size == 0:
         return np.zeros(shape, dtype=np.complex128)
     if np.any(flat.real <= 0.5):
@@ -469,19 +463,13 @@ def l_value(s, chi: DirichletCharacter, *, shifts=None):
     t_abs = np.abs(full.imag)
     if np.max(t_abs) > IM_CAP:
         raise RangeError(f"|Im s| = {np.max(t_abs):.6g} exceeds evaluator cap {IM_CAP:.6g}")
-    q = chi.modulus
-    at_pole = full == 1.0
-    if chi.principal and bool(at_pole.any()):
-        raise PoleError(f"L(s, chi_0 mod {q}) has a pole at s = 1")
+    if chi.principal and bool((full == 1.0).any()):
+        raise PoleError(f"L(s, chi_0 mod {chi.modulus}) has a pole at s = 1")
     d, r, weights, (primes, chi_p) = _residues(chi)
     counts = _TERM_CHUNK * -(-len(r) * _n_terms(t_abs) // _TERM_CHUNK)
     acc = _power_sum(flat, counts, d, r, weights, shifts)
     acc += _em_tail(full.ravel(), counts.ravel(), d, r, weights).reshape(full.shape)
-    if primes.size:
-        acc = _times_euler_factors(acc, full, primes, chi_p)
-    if shifts is not None and bool(at_pole.any()):
-        acc[at_pole] = l_value(full[at_pole], chi)
-    return _shaped(acc, shape)
+    return _shaped(_times_euler_factors(acc, full, primes, chi_p), shape)
 
 
 def l_truncated(s, chi: DirichletCharacter, v: float):

@@ -173,6 +173,11 @@ def test_density_entry_points_refuse_bad_samples_and_settings():
     assert EmpiricalDistribution(np.array([0.2, 0.2, 0.5])).cdf(0.3) == 2 / 3
 
 
+def test_density_from_samples_reads_a_list():
+    # a list used to end in TypeError at the comparison with eps
+    assert density_from_samples([0.1, 0.7], 0.5, 1.0) == density_from_samples(np.array([0.1, 0.7]), 0.5, 1.0)
+
+
 def test_density_monotone_in_eps_and_matches_cdf():
     _, g, _ = sample_g(FAMILY, REGION, 200.0, 96, seed=4, refine=False)
     d_small = density_from_samples(g, 0.4, 200.0)

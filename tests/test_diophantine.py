@@ -591,6 +591,18 @@ def test_sqrt2_consistent_with_independence():
     assert report["relation_found"] is False
 
 
+def test_independence_reads_fraction_shifts_exactly():
+    # a Fraction used to be refused; the exact mode of find_rational_relations
+    # and the Kronecker demo pass them
+    report = check_log_prime_independence([1, Fraction(1, 2)], [2, 3])
+    assert report == check_log_prime_independence([1, 0.5], [2, 3])
+    assert report["relation_found"] is True and report["residual"] < 1e-25
+    # read through a float, 1/3 would leave a residual near 1e-17 and no relation
+    report = check_log_prime_independence([1, Fraction(1, 3)], [2])
+    assert sorted(abs(c) for c in report["coefficients"]) == [1, 3]
+    assert report["residual"] < 1e-25
+
+
 def test_independence_input_validation():
     with pytest.raises(DomainError):
         check_log_prime_independence([1.0], [2, 2])
@@ -614,7 +626,7 @@ def test_independence_refuses_non_primes():
     (([None], [2, 3]), "shifts must be"),
     ((["x"], [2, 3]), "shifts must be"),
     (([1j], [2, 3]), "shifts must be"),
-    (([Fraction(1, 2)], [2, 3]), "shifts must be"),
+    (([[1.0]], [2, 3]), "shifts must be"),
     (([1.0], []), "two values"),
     (([1.0], [2]), "two values"),
     (([1e-30], [2, 3]), "modulus"),  # used to end in ZeroDivisionError

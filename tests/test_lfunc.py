@@ -417,13 +417,23 @@ def test_shifted_shapes_and_pole():
     # a shifted point landing on s = 1 takes the regularized value, and only
     # it: its neighbour keeps the values it has without it
     vals = l_value(np.array([1.0 - 1j, 0.9 - 1j]), CHI4, shifts=[1.0, 500.0])
-    assert vals[0, 0] == l_value(1.0 + 0j, CHI4)
+    assert abs(vals[0, 0] - l_value(1.0 + 0j, CHI4)) < 1e-13
     assert np.array_equal(vals[:, 1], l_value(np.array([0.9 - 1j]), CHI4, shifts=[1.0, 500.0])[:, 0])
     assert isinstance(l_value(1.0 - 1j, CHI4, shifts=1.0), complex)
     with pytest.raises(PoleError):
         l_value(1.0 - 1j, CHI1, shifts=[0.0, 1.0])
     with pytest.raises(RangeError):
         l_value(0.7 + 0j, CHI4, shifts=[10.0, 6e4])
+
+
+def test_l_value_does_not_call_itself(monkeypatch):
+    # a shifted point on s = 1 used to be re-evaluated by a second, unshifted
+    # call; the shifted head and the regularized tail are finite there
+    calls = []
+    monkeypatch.setattr(lfunc, "l_value", lambda *args, **kwargs: calls.append(args))
+    vals = l_value(np.array([1.0 - 1j, 0.9 - 1j]), CHI4, shifts=[1.0])
+    assert calls == []
+    assert np.isfinite(vals).all()
 
 
 def test_values_do_not_depend_on_the_other_points_in_the_call():

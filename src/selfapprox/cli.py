@@ -16,7 +16,6 @@ its manifest unless --output-dir is given.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -149,9 +148,14 @@ def _resolve_params(command: str, file_params: dict, overrides: dict) -> dict:
     return params
 
 
+# rows formatted at a time, so the text of a CSV table is never all in memory
+_CSV_ROWS = 4096
+
+
 def _write_artifacts(outdir, manifest, results, samples=None, plot=None):
     """Write the two JSON files, then each CSV table given as (header,
-    columns of numbers), streamed row by row, every cell repr(float(v))."""
+    columns of numbers), every cell repr(float(v)), in slices of _CSV_ROWS
+    rows."""
     os.makedirs(outdir, exist_ok=True)
     for name, obj in (("manifest.json", manifest), ("results.json", results)):
         with open(os.path.join(outdir, name), "wb") as fh:
@@ -161,11 +165,14 @@ def _write_artifacts(outdir, manifest, results, samples=None, plot=None):
     for name, table in (("samples.csv", samples), ("plotdata.csv", plot)):
         if table is not None:
             header, columns = table
-            cells = ((repr(float(v)) for v in column) for column in columns)
+            columns = [np.asarray(column, dtype=float) for column in columns]
+            # header names and float reprs need no CSV quoting; rows end in
+            # \r\n, as csv.writer's do
             with open(os.path.join(outdir, name), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(zip(*cells))
+                fh.write(",".join(header) + "\r\n")
+                for lo in range(0, len(columns[0]), _CSV_ROWS):
+                    rows = zip(*(column[lo:lo + _CSV_ROWS].tolist() for column in columns))
+                    fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _run_relations(params, seed, threads):

@@ -189,6 +189,8 @@ def density_from_samples(g: np.ndarray, epsilon: float, T: float) -> DensityEsti
     g = np.asarray(g, dtype=float)
     if not (0.0 < epsilon < math.inf and 0.0 < T < math.inf):
         raise DomainError(f"epsilon and T must be finite and positive, got {epsilon!r} and {T!r}")
+    if g.ndim != 1:
+        raise DomainError(f"g must be a one-dimensional sample array, got shape {g.shape}")
     n = len(g)
     if n == 0 or np.isnan(g).any():
         raise DomainError("g needs at least one sample and no NaN")

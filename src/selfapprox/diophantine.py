@@ -373,9 +373,12 @@ def check_log_prime_independence(d: Sequence[float], primes: Sequence[int]) -> d
 
     with mpmath.workdps(_PSLQ_DIGITS + 10):
         tol = mpmath.mpf(10) ** (-_PSLQ_DIGITS)
-        try:  # a Fraction is divided out here: mpmath.mpf refuses it, mpmathify rounds it to a float
+        try:
+            if any(isinstance(x, (tuple, list)) for x in d):
+                raise TypeError  # mpmath.mpf would read a pair as (mantissa, exponent)
+            # a Fraction is divided out here: mpmath.mpf refuses it, mpmathify rounds it to a float
             shifts = [mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x) for x in d]
-        except (TypeError, ValueError):  # None, "x" or a complex
+        except (TypeError, ValueError):  # None, "x", a complex or a sequence
             raise DomainError(f"shifts must be floats, ints, Fractions or decimal strings, got {list(d)!r}") from None
         vec = [dk * mpmath.log(p) for dk in shifts for p in primes]
         if not all(tol <= abs(v) < mpmath.inf for v in vec):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfapprox import characters
 from selfapprox.characters import DirichletCharacter, character_from_id, enumerate_characters
 from selfapprox.errors import DomainError
 
@@ -177,6 +178,18 @@ def test_numerators_exactly_multiplicative():
             vanish = (k[:, None] < 0) | (k[None, :] < 0)
             expected = np.where(vanish, -1, (k[:, None] + k[None, :]) % chi.exponent)
             assert np.array_equal(k[products], expected)
+
+
+def test_reading_every_table_of_a_modulus_walks_its_units_once(monkeypatch):
+    # (Z/63Z)* = C6 x C6: one walk takes 6 + 6 generator powers, where one
+    # walk per character took 36 times as many
+    chars = enumerate_characters.__wrapped__(63)
+    characters._unit_walk.cache_clear()
+    powers = []
+    monkeypatch.setattr(characters, "pow", lambda *args: powers.append(args) or pow(*args), raising=False)
+    for chi in chars:
+        chi.numerators, chi.values
+    assert len(powers) == 12
 
 
 def test_complex_table_matches_float_of_exact_angle():

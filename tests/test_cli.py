@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import selfapprox
@@ -540,8 +543,8 @@ def test_bad_eps_and_y_are_refused_before_any_tau_is_drawn(argv, name, tmp_path,
 
 
 def test_scan_density_csv_is_streamed(tmp_path):
-    # the CSV rows are formatted one at a time: the peak holds the tau, g and
-    # delta arrays (24 B per sample), not every row as strings (290 B per
+    # the CSV rows are formatted a slice at a time: the peak holds the tau, g
+    # and delta arrays (24 B per sample), not every row as strings (290 B per
     # sample, a 15.6 MB peak at these samples)
     argv = ["scan-density", "--d=1,2", "--chars=4:1,4:1", "--eps=1", "--T=1", "--samples=50000",
             "--grid=1x1", "--refine=0", "--t-range=0,0", "--output-dir", str(tmp_path)]
@@ -553,6 +556,25 @@ def test_scan_density_csv_is_streamed(tmp_path):
         tracemalloc.stop()
     assert len(_read(tmp_path, "samples.csv").splitlines()) == 50001
     assert peak < 8e6
+
+
+def _csv_writer_bytes(header, columns):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(zip(*((repr(float(v)) for v in column) for column in columns)))
+    return out.getvalue().encode()
+
+
+def test_csv_tables_are_the_bytes_of_csv_writer(tmp_path):
+    # every cell is repr(float(v)), so an int ladder is written as 10.0; the
+    # columns run across a slice boundary of the writer
+    reps = cli._CSV_ROWS // 5 + 1
+    columns = [np.array([5e-324, 1e-05, -0.0, 1e16, math.inf] * reps), [10, 100, 1000, 10**17, -1] * reps]
+    cli._write_artifacts(tmp_path, {}, {}, (["tau", "g_value"], columns), columns)
+    assert (tmp_path / "samples.csv").read_bytes() == _csv_writer_bytes(["tau", "g_value"], columns)
+    assert (tmp_path / "plotdata.csv").read_bytes() == _csv_writer_bytes(["x", "y"], columns)
+    assert _read(tmp_path, "plotdata.csv").splitlines()[1:4] == ["5e-324,10.0", "1e-05,100.0", "-0.0,1000.0"]
 
 
 def test_scan_density_eps_curve_is_the_share_of_samples_below_x(tmp_path):

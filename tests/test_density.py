@@ -167,6 +167,9 @@ def test_density_entry_points_refuse_bad_samples_and_settings():
     for bad in (np.array([]), np.array([0.2, math.nan])):
         with pytest.raises(DomainError, match="NaN"):
             density_from_samples(bad, 0.5, 1.0)
+    for bad in (0.5, [[0.2, 0.5]]):  # a scalar used to end in len()'s TypeError
+        with pytest.raises(DomainError, match="one-dimensional"):
+            density_from_samples(bad, 0.5, 1.0)
     for bad in (np.array([]), np.array([0.2, math.nan]), np.array([math.nan, 0.2]), np.array([0.5, 0.2])):
         with pytest.raises(DomainError):
             EmpiricalDistribution(bad)

@@ -633,6 +633,10 @@ def test_independence_refuses_non_primes():
     (([1.0, math.nan], [2]), "modulus"),
     (([1.0, math.inf], [2]), "modulus"),
     (([1.0], [1, 2]), "modulus"),
+    # mpmath.mpf used to read a tuple as (mantissa, exponent): [(1, 2)] gave
+    # the report of [4.0], and [(1, 2), 1.0] over [2] the relation [1, -4]
+    (([(1, 2)], [2, 3]), "shifts must be"),
+    (([(1, 2), 1.0], [2]), "shifts must be"),
 ])
 def test_independence_refuses_out_of_range_pslq_settings(args, match):
     with pytest.raises(DomainError, match=match):

@@ -6,8 +6,7 @@ pair {-1, 5} for higher powers of two.  A character is its "q:index" label;
 its tables are built on first use, as integer numerators k modulo the group
 exponent e (chi(n) = e^{2 pi i k/e}, with -1 where chi vanishes), so its
 values are exact; floating point enters only when a value is requested as a
-complex number.  The walk over the units and the e roots of unity are built
-once per modulus and shared by all of its characters.
+complex number.
 """
 
 import cmath
@@ -49,6 +48,20 @@ class DirichletCharacter:
         if not 0 <= self.index < phi:
             raise DomainError(f"character index {self.index} out of range for modulus {q} (phi={phi})")
 
+    @classmethod
+    def _enumerate(cls, q: int) -> tuple:
+        """The phi(q) characters mod q, in index order.  The first checks q;
+        every further index below phi is in range, so the rest get their
+        fields as __init__ sets them, without running __post_init__'s check."""
+        chars = [cls(q, 0)]
+        new, set_field = object.__new__, object.__setattr__
+        for index in range(1, math.prod(m for _, m, _ in _component_generators(q))):
+            chi = new(cls)
+            set_field(chi, "modulus", q)
+            set_field(chi, "index", index)
+            chars.append(chi)
+        return tuple(chars)
+
     @property
     def label(self) -> str:
         return f"{self.modulus}:{self.index}"
@@ -71,7 +84,20 @@ class DirichletCharacter:
     def numerators(self) -> tuple:
         """numerators[r] is the k with chi(r) = e^{2 pi i k/exponent} for the
         residue r = n mod q, or -1 when gcd(r, q) > 1 (where chi vanishes)."""
-        return tuple(self._numerator_array().tolist())
+        q, e = self.modulus, self.exponent
+        # unit g_1^x_1 ... g_r^x_r, over every tuple x, and the numerator
+        # sum_j x_j k_j (e/m_j) mod e of chi there.  Each term is below
+        # m_j * e <= q^2, so entries stay below rank * q^2, inside int64 for
+        # every q below 10^8.
+        units = np.full(1, 1 % q, dtype=np.int64)  # 1 % q is 0 for q = 1
+        nums = np.zeros(1, dtype=np.int64)
+        for (g, _, _), (k, m, _) in zip(reversed(_component_generators(q)), self._generator_exponents()):
+            powers = np.array([pow(g, x, q) for x in range(m)], dtype=np.int64)
+            units = (units[:, None] * powers % q).ravel()
+            nums = (nums[:, None] + np.arange(m, dtype=np.int64) * (k * (e // m))).ravel()
+        table = np.full(q, -1, dtype=np.int64)
+        table[units] = nums % e
+        return tuple(table.tolist())
 
     @cached_property
     def value_table(self) -> tuple:
@@ -82,7 +108,11 @@ class DirichletCharacter:
     @cached_property
     def values(self) -> np.ndarray:
         """Read-only complex table: values[n % q] is chi(n) as a double."""
-        table = _roots_of_unity(self.exponent)[self._numerator_array()]
+        # k / e rounds correctly, as float(Fraction(k, e)) does, so these are the
+        # doubles of the exact angles
+        e = self.exponent
+        table = np.array([cmath.exp(2j * cmath.pi * (k / e)) if k >= 0 else 0j
+                          for k in self.numerators])
         table.setflags(write=False)
         return table
 
@@ -94,20 +124,6 @@ class DirichletCharacter:
     def __call__(self, n: int) -> complex:
         """chi(n) as a complex double; n is reduced mod q first."""
         return self.values.item(n % self.modulus)
-
-    def _numerator_array(self) -> np.ndarray:
-        """The numerators as an int64 array: one product of the modulus's unit
-        exponents with chi's generator weights, scattered onto the units."""
-        q, e = self.modulus, self.exponent
-        units, exponents = _unit_walk(q)
-        # chi sends g_j to e^{2 pi i k_j (e/m_j)/e}, so the unit with exponents
-        # x has numerator sum_j x_j k_j (e/m_j) mod e.  Each term is below
-        # m_j * e <= q^2, so sums stay below rank * q^2, inside int64 for every
-        # q below 10^8.
-        weights = np.array([k * (e // m) for k, m, _ in self._generator_exponents()], dtype=np.int64)
-        table = np.full(q, -1, dtype=np.int64)
-        table[units] = exponents @ weights % e
-        return table
 
     def _generator_exponents(self):
         """(k_j, m_j, c_j) per generator of _component_generators, in reverse
@@ -187,47 +203,10 @@ def _component_generators(q: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _unit_walk(q: int) -> tuple:
-    """The units of (Z/qZ)* as words in the generators, walked once per
-    modulus: units[u] = prod_j g_j^exponents[u, j] mod q over every exponent
-    row, the columns in the order _generator_exponents yields the generators."""
-    units = np.full(1, 1 % q, dtype=np.int64)  # 1 % q is 0 for q = 1
-    exponents = np.zeros((1, 0), dtype=np.int64)
-    for g, m, _ in reversed(_component_generators(q)):
-        powers = np.array([pow(g, x, q) for x in range(m)], dtype=np.int64)
-        units = (units[:, None] * powers % q).ravel()
-        column = np.tile(np.arange(m, dtype=np.int64), len(exponents))
-        exponents = np.column_stack((np.repeat(exponents, m, axis=0), column))
-    units.setflags(write=False)  # shared by every character mod q
-    exponents.setflags(write=False)
-    return units, exponents
-
-
-@lru_cache(maxsize=64)
-def _roots_of_unity(e: int) -> np.ndarray:
-    """roots[k] = e^{2 pi i k/e} for k < e, and roots[-1] = 0, the value at
-    the numerator -1 of a non-unit."""
-    # k / e rounds correctly, as float(Fraction(k, e)) does, so these are the
-    # doubles of the exact angles
-    roots = np.array([cmath.exp(2j * cmath.pi * (k / e)) for k in range(e)] + [0j])
-    roots.setflags(write=False)
-    return roots
-
-
-@lru_cache(maxsize=64)
 def enumerate_characters(q: int) -> tuple:
     """All phi(q) Dirichlet characters mod q, in lexicographic generator-image
     order (so the ordering, and hence the "q:index" labels, is reproducible)."""
-    chars = [DirichletCharacter(q, 0)]  # checks q
-    # every further index below phi is in range, so the rest are built as the
-    # dataclass __init__ builds them, without running __post_init__'s check
-    new, set_field = object.__new__, object.__setattr__
-    for index in range(1, math.prod(m for _, m, _ in _component_generators(q))):
-        chi = new(DirichletCharacter)
-        set_field(chi, "modulus", q)
-        set_field(chi, "index", index)
-        chars.append(chi)
-    return tuple(chars)
+    return DirichletCharacter._enumerate(q)
 
 
 def character_from_id(label: str) -> DirichletCharacter:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfapprox import characters
 from selfapprox.characters import DirichletCharacter, character_from_id, enumerate_characters
 from selfapprox.errors import DomainError
 
@@ -180,18 +179,6 @@ def test_numerators_exactly_multiplicative():
             assert np.array_equal(k[products], expected)
 
 
-def test_reading_every_table_of_a_modulus_walks_its_units_once(monkeypatch):
-    # (Z/63Z)* = C6 x C6: one walk takes 6 + 6 generator powers, where one
-    # walk per character took 36 times as many
-    chars = enumerate_characters.__wrapped__(63)
-    characters._unit_walk.cache_clear()
-    powers = []
-    monkeypatch.setattr(characters, "pow", lambda *args: powers.append(args) or pow(*args), raising=False)
-    for chi in chars:
-        chi.numerators, chi.values
-    assert len(powers) == 12
-
-
 def test_complex_table_matches_float_of_exact_angle():
     # the double chi(n) is exp(2 pi i float(angle)), bit for bit
     for q in range(1, 61):
@@ -234,3 +221,13 @@ def test_enumerate_characters_leaves_the_conductor_uncomputed():
     chars = enumerate_characters.__wrapped__(120)
     for name in ("conductor", "numerators", "values", "value_table", "order"):
         assert not any(name in vars(chi) for chi in chars), name
+
+
+def test_enumerated_characters_are_built_as_the_constructor_builds_them():
+    # enumerate_characters skips the per-index check, so its characters must
+    # carry exactly the state DirichletCharacter(q, i) does
+    for q in (1, 2, 8, 63, 120):
+        for i, chi in enumerate(enumerate_characters.__wrapped__(q)):
+            built = DirichletCharacter(q, i)
+            assert type(chi) is DirichletCharacter and vars(chi) == vars(built)
+            assert dataclasses.astuple(chi) == dataclasses.astuple(built) == (q, i)

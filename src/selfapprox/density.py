@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import DirichletCharacter
+from .diophantine import _read_shift
 from .errors import DomainError, RangeError
 from .lfunc import IM_CAP, StripRegion, l_value
 from .sampling import ks_two_sample_threshold, map_blocks, uniform_samples, wilson_interval
@@ -44,8 +45,9 @@ __all__ = [
 class ShiftFamily:
     """Shift parameters d_1..d_m paired with characters chi_1..chi_m.
 
-    Zero shifts are allowed here (the limit-existence statement permits any
-    reals); runs that need nonzero shifts reject them at the relation finder.
+    Each shift is kept as the float diophantine._read_shift reads.  Zero is
+    allowed (the limit-existence statement permits any reals); runs that need
+    nonzero shifts reject them at the relation finder.
     """
 
     shifts: tuple
@@ -56,8 +58,7 @@ class ShiftFamily:
             raise DomainError("a shift family needs m >= 2 members")
         if len(self.shifts) != len(self.characters):
             raise DomainError("shifts and characters must have equal length")
-        if not all(math.isfinite(x) for x in self.shifts):
-            raise DomainError("shifts must be finite")
+        object.__setattr__(self, "shifts", tuple(_read_shift(k, x) for k, x in enumerate(self.shifts)))
         if not all(isinstance(c, DirichletCharacter) for c in self.characters):
             raise DomainError("characters must be DirichletCharacter instances")
 
@@ -178,9 +179,7 @@ def sample_g(
     def work(i0, i1):
         return g_values(taus[i0:i1], family, region, refine=refine)
 
-    parts = map_blocks(work, n_samples, threads)
-    g = np.concatenate([p[0] for p in parts])
-    deltas = np.concatenate([p[1] for p in parts])
+    g, deltas = map_blocks(work, n_samples, threads)
     return taus, g, deltas
 
 

@@ -70,14 +70,18 @@ class LinearRelation:
         )
 
 
-def _as_fraction(k: int, x) -> Fraction:
-    # a float converts to its exact binary value; callers wanting decimals pass strings
-    if not isinstance(x, (Fraction, int, str, float)):
-        raise DomainError(f"cannot interpret {x!r} as an exact rational")
+def _read_shift(k: int, x, exact: bool = False):
+    """The one reader of a shift d_k: an int, a float (its exact binary value),
+    a numpy integer or float, a Fraction, a Decimal or a decimal string such as
+    "1/3".  Returns the exact Fraction, or else the float it rounds to; anything
+    else, a NaN, an infinity, and a float beyond the float range get DomainError."""
     try:
-        return Fraction(x)
-    except (ValueError, OverflowError, ZeroDivisionError):  # NaN, infinity, "1/0"
-        raise DomainError(f"shift d_{k} = {x!r} is not a finite rational") from None
+        if isinstance(x, np.generic):
+            x = x.item()  # np.float32 is no float to Fraction, and np.int64 would stay in it
+        value = Fraction(x)
+        return value if exact else x if isinstance(x, float) else float(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # 1j, NaN, inf or 10**400, "1/0"
+        raise DomainError(f"shift d_{k} = {x!r}: shifts must be finite ints, floats, Fractions or decimal strings") from None
 
 
 def find_rational_relations(
@@ -88,17 +92,17 @@ def find_rational_relations(
 ) -> LinearRelation:
     """Maximal Q-independent subset of the shifts plus integer relations.
 
-    exact mode: inputs must be finite rationals (int, float, Fraction, or
-    strings like "1/3"); relations are exact.  float mode: PSLQ at the given
-    tolerance and coefficient cap; failing to find a relation leaves an index
-    independent.  A float-mode shift must be finite with |d_k| >= tolerance: a
-    smaller one passes the residual test as d_k = 0 times the others.
+    Each shift is read by _read_shift, exactly in exact mode, where the
+    relations are exact.  float mode: PSLQ at the given tolerance and
+    coefficient cap; failing to find a relation leaves an index independent.
+    A float-mode shift must have |d_k| >= tolerance: a smaller one passes the
+    residual test as d_k = 0 times the others.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
     if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
-    vals = [_as_fraction(k, x) for k, x in enumerate(d)] if mode == "exact" else [float(x) for x in d]
+    vals = [_read_shift(k, x, exact=mode == "exact") for k, x in enumerate(d)]
     if any(x == 0 for x in vals):
         raise DomainError("all shifts must be nonzero")
     indep = [0]
@@ -112,8 +116,8 @@ def find_rational_relations(
         if coeff_cap < 1:
             raise DomainError("float mode needs coeff_cap >= 1")
         for k, x in enumerate(vals):
-            if not tolerance <= abs(x) < math.inf:
-                raise DomainError(f"shift d_{k} = {x!r} must be finite with |d_{k}| >= tolerance {tolerance!r}")
+            if abs(x) < tolerance:
+                raise DomainError(f"shift d_{k} = {x!r} must have |d_{k}| >= tolerance {tolerance!r}")
         import mpmath  # only PSLQ needs it; importing it costs every command ~25 ms
 
         dps = max(15, int(-math.log10(tolerance)) + 5)
@@ -156,7 +160,8 @@ class KroneckerTarget:
 
     Membership of tau requires ||tau * d_n * log(p) / (2 pi a)|| < delta for
     every independent shift d_n and every prime p <= prime_bound.  The limit
-    density of the set in [0, T] is the box volume (2*delta)^(l*M).
+    density of the set in [0, T] is the box volume (2*delta)^(l*M).  The
+    shifts are kept as the floats _read_shift reads.
     """
 
     shifts: tuple
@@ -170,10 +175,9 @@ class KroneckerTarget:
             raise DomainError("delta must lie in (0, 1/2)")
         if self.denominator == 0:
             raise DomainError("denominator must be nonzero")
-        if len(self.shifts) < 1 or any(x == 0 for x in self.shifts):
+        object.__setattr__(self, "shifts", tuple(_read_shift(k, x) for k, x in enumerate(self.shifts)))
+        if not self.shifts or 0 in self.shifts:
             raise DomainError("independent shifts must be nonzero")
-        if not all(math.isfinite(x) for x in self.shifts):
-            raise DomainError("independent shifts must be finite")
         object.__setattr__(self, "primes", tuple(primes_upto(self.prime_bound).tolist()))
         if not self.primes:
             raise DomainError("prime_bound admits no primes")
@@ -355,9 +359,9 @@ def check_log_prime_independence(d: Sequence[float], primes: Sequence[int]) -> d
     PSLQ at _PSLQ_DIGITS = 30 digits either reports that no relation with
     coefficients <= _PSLQ_COEFF_CAP = 1000 exists at that precision, or
     exhibits a candidate relation and its residual; the report records both
-    settings.  A Fraction shift is read exactly at the working precision.
-    Every p_n must be an integer prime, and the vector needs at least two
-    entries, each finite with |d_k log p_n| >= 10^-30.
+    settings.  Each shift is read exactly by _read_shift, then rounded once
+    to the working precision.  Every p_n must be an integer prime, and the
+    vector needs at least two entries, each with |d_k log p_n| >= 10^-30.
     """
     if len(d) < 1:
         raise DomainError("need at least one shift")
@@ -369,20 +373,15 @@ def check_log_prime_independence(d: Sequence[float], primes: Sequence[int]) -> d
         raise DomainError("primes must be distinct")
     if len(d) * len(primes) < 2:
         raise DomainError("PSLQ needs at least two values d_k * log p")
+    exact = [_read_shift(k, x, exact=True) for k, x in enumerate(d)]
     import mpmath
 
     with mpmath.workdps(_PSLQ_DIGITS + 10):
         tol = mpmath.mpf(10) ** (-_PSLQ_DIGITS)
-        try:
-            if any(isinstance(x, (tuple, list)) for x in d):
-                raise TypeError  # mpmath.mpf would read a pair as (mantissa, exponent)
-            # a Fraction is divided out here: mpmath.mpf refuses it, mpmathify rounds it to a float
-            shifts = [mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x) for x in d]
-        except (TypeError, ValueError):  # None, "x", a complex or a sequence
-            raise DomainError(f"shifts must be floats, ints, Fractions or decimal strings, got {list(d)!r}") from None
-        vec = [dk * mpmath.log(p) for dk in shifts for p in primes]
-        if not all(tol <= abs(v) < mpmath.inf for v in vec):
-            raise DomainError(f"every d_k * log p must be finite with modulus >= 10^-{_PSLQ_DIGITS}")
+        # divided out here: mpmath.mpf refuses a Fraction, and mpmathify rounds it to a float
+        vec = [mpmath.mpf(x.numerator) / x.denominator * mpmath.log(p) for x in exact for p in primes]
+        if not all(tol <= abs(v) for v in vec):
+            raise DomainError(f"every d_k * log p must have modulus >= 10^-{_PSLQ_DIGITS}")
         for p in primes:
             if not mpmath.libmp.isprime(int(p)):
                 raise DomainError(f"primes must be integer primes, got {p!r}")

@@ -90,9 +90,9 @@ def carlson_mean_value(
     def work(i0, i1):
         shifts = x * taus[i0:i1]
         diff = l_value(s, chi, shifts=shifts) - l_partial_sum(s, chi, n_trunc, shifts=shifts)
-        return np.abs(diff) ** 2
+        return (np.abs(diff) ** 2,)
 
-    sq = np.concatenate(map_blocks(work, n_samples, threads))
+    (sq,) = map_blocks(work, n_samples, threads)
     empirical = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1) / math.sqrt(n_samples))
     theoretical = coprime_tail_sum(chi, y, 2.0 * s.real)
@@ -104,7 +104,7 @@ def b2_ladder(
     n_ladder,
     T: float,
     region: StripRegion,
-    n_samples: int = 2000,
+    n_samples: int = 1000,
     seed: int = 0,
     threads: int = 1,
 ) -> list:
@@ -133,8 +133,7 @@ def b2_ladder(
             out.append((f - f_n) ** 2)
         return out
 
-    estimates = []
-    for rung in zip(*map_blocks(work, n_samples, threads)):
-        sq = np.concatenate(rung)
-        estimates.append((float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(len(sq)))))
-    return estimates
+    return [
+        (float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(len(sq))))
+        for sq in map_blocks(work, n_samples, threads)
+    ]

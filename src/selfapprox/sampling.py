@@ -33,17 +33,19 @@ def uniform_samples(seed: int, n: int, low: float, high: float) -> np.ndarray:
     return out
 
 
-def map_blocks(fn, n: int, threads: int = 1) -> list:
-    """Apply fn(i0, i1) to each block of range(n); results in block order."""
+def map_blocks(fn, n: int, threads: int = 1) -> tuple:
+    """Call fn(i0, i1), which returns a sequence of arrays, on each block of
+    range(n); returns each of its arrays concatenated in block order."""
     slices = block_slices(n)
     if threads <= 1 or len(slices) <= 1:
-        return [fn(i0, i1) for i0, i1 in slices]
-    # imported here: it pulls in logging, about 8 ms that serial runs skip
-    from concurrent.futures import ThreadPoolExecutor
+        parts = [fn(i0, i1) for i0, i1 in slices]
+    else:
+        # imported here: it pulls in logging, about 8 ms that serial runs skip
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i0, i1) for i0, i1 in slices]
-        return [f.result() for f in futures]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda s: fn(*s), slices))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def wilson_interval(hits: int, n: int):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -602,3 +603,30 @@ def test_mean_value_beyond_cap_names_the_largest_usable_T(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert "largest usable T at this cap is 24500" in err
+
+
+def test_library_defaults_equal_the_cli_defaults():
+    # b2_ladder sampled 2000 tau by default where `b2 --samples` takes 1000
+    def library(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    def command(name, key):
+        parse, default = cli._COMMANDS[name][1][key]
+        return parse(default)
+
+    shared = [
+        (selfapprox.carlson_mean_value, "x", "mean-value", "x"),
+        (selfapprox.carlson_mean_value, "T", "mean-value", "T"),
+        (selfapprox.carlson_mean_value, "n_samples", "mean-value", "samples"),
+        (selfapprox.convergence_diagnostic, "n_samples", "dist-fn", "samples"),
+        (selfapprox.b2_ladder, "n_samples", "b2", "samples"),
+        (selfapprox.find_rational_relations, "mode", "relations", "mode"),
+        (selfapprox.find_rational_relations, "tolerance", "relations", "tolerance"),
+        (selfapprox.find_rational_relations, "coeff_cap", "relations", "coeff_cap"),
+        (selfapprox.find_tau_in_set, "max_results", "find-tau", "max_results"),
+        (selfapprox.StripRegion, "margin", "scan-density", "margin"),
+    ]
+    for fn, name, cmd, key in shared:
+        assert library(fn, name) == command(cmd, key), (fn.__name__, name, cmd, key)
+    grid = f"{library(selfapprox.StripRegion, 'grid_sigma')}x{library(selfapprox.StripRegion, 'grid_t')}"
+    assert grid == command("scan-density", "grid")

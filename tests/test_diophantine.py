@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import binomial_stderr, exact_kronecker_measure, monte_carlo_kronecker_density
+from selfapprox.characters import character_from_id
+from selfapprox.density import ShiftFamily, g_values
 from selfapprox.diophantine import (
     SWEEP_CAP,
     KroneckerTarget,
@@ -23,6 +25,7 @@ from selfapprox.diophantine import (
     nearest_int_distance,
 )
 from selfapprox.errors import DomainError, RangeError
+from selfapprox.lfunc import StripRegion
 from selfapprox.primes import primes_upto
 from selfapprox.sampling import BLOCK_SIZE, uniform_samples, wilson_interval
 
@@ -630,8 +633,8 @@ def test_independence_refuses_non_primes():
     (([1.0], []), "two values"),
     (([1.0], [2]), "two values"),
     (([1e-30], [2, 3]), "modulus"),  # used to end in ZeroDivisionError
-    (([1.0, math.nan], [2]), "modulus"),
-    (([1.0, math.inf], [2]), "modulus"),
+    (([1.0, math.nan], [2]), "shifts must be"),
+    (([1.0, math.inf], [2]), "shifts must be"),
     (([1.0], [1, 2]), "modulus"),
     # mpmath.mpf used to read a tuple as (mantissa, exponent): [(1, 2)] gave
     # the report of [4.0], and [(1, 2), 1.0] over [2] the relation [1, -4]
@@ -641,3 +644,56 @@ def test_independence_refuses_non_primes():
 def test_independence_refuses_out_of_range_pslq_settings(args, match):
     with pytest.raises(DomainError, match=match):
         check_log_prime_independence(*args)
+
+
+# ---------------------------------------------------------------- shift reading
+
+CHI4 = character_from_id("4:1")
+
+# the five entry points that read shifts, each given d = (1, x)
+_SHIFT_READERS = {
+    "family": lambda x: ShiftFamily((1.0, x), (CHI4, CHI4)),
+    "target": lambda x: KroneckerTarget((1.0, x), 1, 0.1, 5),
+    "exact": lambda x: find_rational_relations([1, x]),
+    "float": lambda x: find_rational_relations([1.0, x], mode="float"),
+    "independence": lambda x: check_log_prime_independence([1.0, x], [2, 3]),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    *((entry, bad) for entry in sorted(_SHIFT_READERS) for bad in [None, 1j, (1, 2), [1.0], "abc", math.nan, math.inf]),
+    # beyond the float range, where a float is needed
+    *(pytest.param(entry, 10**400, id=f"{entry}-10**400") for entry in ("family", "float", "target")),
+])
+def test_every_entry_point_refuses_a_bad_shift(entry, bad):
+    # the family, the target and float mode used to end in a raw TypeError,
+    # ValueError or OverflowError
+    with pytest.raises(DomainError, match=r"shift d_1 = .*: shifts must be"):
+        _SHIFT_READERS[entry](bad)
+
+
+def test_an_exact_shift_needs_no_float_range():
+    assert find_rational_relations([1, 10**400]).coefficients == ((10**400,),)
+    assert check_log_prime_independence([1, 10**400], [2])["precision_digits"] == 30
+
+
+@pytest.mark.parametrize("entry", sorted(_SHIFT_READERS))
+@pytest.mark.parametrize("x, plain", [
+    (2, 2.0),
+    (np.int64(2), 2.0),
+    (np.float32(0.5), 0.5),
+    (np.float64(0.25), 0.25),
+    (Fraction(3, 4), 0.75),
+    ("1.5", 1.5),
+])
+def test_every_entry_point_reads_a_shift_as_its_number(entry, x, plain):
+    got, want = _SHIFT_READERS[entry](x), _SHIFT_READERS[entry](plain)
+    if entry == "family":
+        assert got.shifts == (1.0, plain) and all(type(d) is float for d in got.shifts)
+        region, taus = StripRegion(0.65, 0.75, -0.5, 0.5), [1.0, 5.0]
+        assert np.array_equal(g_values(taus, got, region)[0], g_values(taus, want, region)[0])
+    elif entry == "target":
+        assert got.shifts == (1.0, plain) and all(type(d) is float for d in got.shifts)
+        assert np.array_equal(got.frequencies, want.frequencies)
+    else:
+        assert got == want

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,7 +81,7 @@ def _parse_list(text, parse=_finite_float, count=None):
     """Comma-separated values; DomainError on a bad item or a wrong count."""
     try:
         values = [parse(x) for x in text.split(",") if x.strip() != ""]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise DomainError(f"cannot parse {text!r}: {exc}") from None
     if count is not None and len(values) != count:
         raise DomainError(f"expected {count} comma-separated values, got {text!r}")
@@ -100,9 +99,8 @@ def _parse_region(params) -> StripRegion:
 
 
 def _parse_family(params) -> ShiftFamily:
-    shifts = tuple(_parse_list(params["d"]))
     chars = tuple(character_from_id(c.strip()) for c in params["chars"].split(","))
-    return ShiftFamily(shifts, chars)
+    return ShiftFamily(tuple(_parse_list(params["d"], str)), chars)
 
 
 def _read_text(path: str) -> str:
@@ -176,10 +174,9 @@ def _write_artifacts(outdir, manifest, results, samples=None, plot=None):
 
 
 def _run_relations(params, seed, threads):
-    parse = Fraction if params["mode"] == "exact" else _finite_float
-    shifts = _parse_list(params["shifts"], parse)
     rel = find_rational_relations(
-        shifts, mode=params["mode"], tolerance=params["tolerance"], coeff_cap=params["coeff_cap"]
+        _parse_list(params["shifts"], str),
+        mode=params["mode"], tolerance=params["tolerance"], coeff_cap=params["coeff_cap"],
     )
     results = {
         "independent_indices": list(rel.independent_indices),
@@ -193,12 +190,8 @@ def _run_relations(params, seed, threads):
 
 
 def _make_target(params) -> KroneckerTarget:
-    return KroneckerTarget(
-        shifts=tuple(_parse_list(params["d"])),
-        denominator=params["a"],
-        delta=params["delta"],
-        prime_bound=params["primes_upto"],
-    )
+    shifts = tuple(_parse_list(params["d"], str))
+    return KroneckerTarget(shifts, params["a"], params["delta"], params["primes_upto"])
 
 
 def _run_kronecker(params, seed, threads):
@@ -304,7 +297,7 @@ def _run_selfcheck(params, seed, threads):
     checks["characters_mod_12"] = len(cs) == 4
     z2 = l_value(2.0 + 0j, character_from_id("1:0"))
     checks["zeta_2"] = abs(z2 - 1.6449340668482264) < 1e-10
-    rel = find_rational_relations([1, Fraction(1, 2)])
+    rel = find_rational_relations([1, "1/2"])
     checks["relation_half"] = rel.denominator == 2 and rel.coefficients == ((1,),)
     target = KroneckerTarget((1.0,), 1, 0.25, 2)
     density, _ = measure_kronecker_density(target, 1e4)

@@ -102,14 +102,16 @@ class EmpiricalDistribution:
         return float(out) if np.isscalar(x) else out
 
 
-def _validate_cap(T: float, scale: float, height: float):
-    """RangeError if T*scale + height, the largest |Im s| a horizon T reaches, exceeds IM_CAP."""
+def _validate_cap(T: float, scale: float, height: float, name: str = "K's largest |t|"):
+    """RangeError if T*scale + height, the largest |Im s| a horizon T reaches,
+    exceeds IM_CAP; a height that reaches IM_CAP alone is named as `name`."""
     need = T * scale + height
     if need > IM_CAP:
         usable = max(IM_CAP - height, 0.0) / max(scale, 1e-300)
         raise RangeError(
             f"T = {T:.6g} needs |Im s| up to {need:.6g} > cap {IM_CAP:.6g}; "
-            f"largest usable T at this cap is {usable:.6g}"
+            + (f"{name} = {height:.6g} alone reaches the cap, so no T > 0 works; " if height >= IM_CAP else "")
+            + f"largest usable T at this cap is {usable:.6g}"
         )
 
 

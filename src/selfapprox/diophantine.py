@@ -63,7 +63,12 @@ class LinearRelation:
     mode: str = "exact"
 
     def verify(self, d: Sequence, tol: float = 0.0) -> bool:
-        """Re-substitute each claimed relation into the shift values; a relation that meets a NaN fails."""
+        """Re-substitute each claimed relation into the shifts d, read by _read_shift as the
+        finder read them (exactly in exact mode); a shift the reader refuses, a NaN say, fails."""
+        try:
+            d = [_read_shift(k, x, exact=self.mode == "exact") for k, x in enumerate(d)]
+        except DomainError:
+            return False
         return all(
             abs(self.denominator * d[k] - sum(c * d[j] for c, j in zip(row, self.independent_indices))) <= tol
             for k, row in zip(self.dependent_indices, self.coefficients)

@@ -493,7 +493,7 @@ def _validate_partial_length(n_max: int, q: int, name: str = "n_max"):
         raise RangeError(f"{name} = {n_max:.6g} needs over {_N_MAX:.0e} terms per residue class mod {q}; {usable}")
 
 
-def l_partial_sum(s, chi: DirichletCharacter, n_max: int, shifts=None):
+def l_partial_sum(s, chi: DirichletCharacter, n_max: int, *, shifts=None):
     """Dirichlet partial sum L_N(s, chi) = sum_{n <= N} chi(n) n^{-s}, over
     chi mod q itself (not the primitive chi* that l_value sums), N <= q _N_MAX.
 

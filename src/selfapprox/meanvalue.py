@@ -82,7 +82,7 @@ def carlson_mean_value(
         raise DomainError("T must be positive and n_samples >= 2")
     if y < 1:
         raise DomainError(f"partial sum length y = {y!r} must be >= 1")
-    _validate_cap(T, abs(x), abs(s.imag))
+    _validate_cap(T, abs(x), abs(s.imag), "|Im s| at tau = 0")
     n_trunc = int(math.floor(y))
     _validate_partial_length(n_trunc, chi.modulus, "y")
     taus = uniform_samples(seed, n_samples, 0.0, T)

@@ -630,3 +630,69 @@ def test_library_defaults_equal_the_cli_defaults():
         assert library(fn, name) == command(cmd, key), (fn.__name__, name, cmd, key)
     grid = f"{library(selfapprox.StripRegion, 'grid_sigma')}x{library(selfapprox.StripRegion, 'grid_t')}"
     assert grid == command("scan-density", "grid")
+
+
+@pytest.mark.parametrize("argv, height", [
+    (["scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--eps", "1", "--T", "10",
+      "--t-range", "0,60000"], "K's largest |t| = 60000"),
+    (["b2", "--d", "1,2", "--chars", "4:1,4:1", "--t-range", "0,50000"], "K's largest |t| = 50000"),
+    (["mean-value", "--char", "4:1", "--t", "1e5"], "|Im s| at tau = 0 = 100000"),
+], ids=["scan-density", "b2", "mean-value"])
+def test_a_height_beyond_the_cap_is_named(argv, height, tmp_path, capsys):
+    # the message used to end in "largest usable T at this cap is 0" alone,
+    # though no T > 0 works at that height
+    assert main(argv + ["--samples", "4", "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{height} alone reaches the cap, so no T > 0 works" in json.loads(err)["error"]
+    assert not (tmp_path / "results.json").exists()
+
+
+def _artifacts(tmp_path, name, argv):
+    assert main(argv + ["--output-dir", str(tmp_path / name)]) == 0
+    return {f: (tmp_path / name / f).read_bytes()
+            for f in ("results.json", "samples.csv", "plotdata.csv") if (tmp_path / name / f).exists()}
+
+
+@pytest.mark.parametrize("argv, rational, decimal", [
+    (["scan-density", "--chars", "4:1,4:1", "--eps", "1", "--T", "100", "--samples", "8", "--d"],
+     "1,1/2", "1,0.5"),
+    (["kronecker", "--delta", "0.1", "--primes-upto", "3", "--T", "1e4", "--d"], "1/2", "0.5"),
+], ids=["scan-density", "kronecker"])
+def test_a_rational_shift_text_reads_as_its_decimal(argv, rational, decimal, tmp_path):
+    # the CLI used to refuse "1/2" with "could not convert string to float"
+    assert _artifacts(tmp_path, "rational", argv + [rational]) == _artifacts(tmp_path, "decimal", argv + [decimal])
+
+
+def test_float_relations_read_a_rational_shift_as_the_library_does(tmp_path):
+    assert main(["relations", "--mode", "float", "--shifts", "1,1/3", "--output-dir", str(tmp_path)]) == 0
+    rel = selfapprox.find_rational_relations([1, "1/3"], mode="float")
+    assert (rel.denominator, rel.coefficients, rel.dependent_indices) == (3, ((1,),), (1,))
+    res = _results(tmp_path)
+    assert (res["a"], res["coefficients"], res["dependent_indices"]) == (3, [[1]], [1])
+
+
+_SHIFT_COMMANDS = {
+    "scan-density": ["scan-density", "--chars", "4:1,4:1", "--eps", "1", "--T", "100", "--samples", "4"],
+    "dist-fn": ["dist-fn", "--chars", "4:1,4:1", "--T-ladder", "10,20", "--samples", "4"],
+    "b2": ["b2", "--chars", "4:1,4:1", "--T", "10", "--samples", "4"],
+    "kronecker": ["kronecker", "--delta", "0.1", "--primes-upto", "3", "--T", "100"],
+    "find-tau": ["find-tau", "--delta", "0.1", "--primes-upto", "3", "--bound", "100"],
+    "relations-exact": ["relations"],
+    "relations-float": ["relations", "--mode", "float"],
+}
+
+
+# exact relations read 1e400 as the finite rational it is
+@pytest.mark.parametrize("command, bad", [
+    (command, bad) for command in _SHIFT_COMMANDS for bad in ("abc", "nan", "inf", "1e400", "1/0")
+    if (command, bad) != ("relations-exact", "1e400")
+])
+def test_every_shift_taking_command_refuses_a_bad_shift_naming_it(command, bad, tmp_path, capsys):
+    flag = "--shifts" if command.startswith("relations") else "--d"
+    argv = _SHIFT_COMMANDS[command] + [flag, f"1,{bad}", "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith(f"shift d_1 = {bad!r}: shifts must be")
+    assert not (tmp_path / "results.json").exists()

@@ -50,7 +50,7 @@ def _or_junk(strategy):
     return _mostly(strategy, JUNK)
 
 
-SHIFTS = ["1", "2", "0.5", "-1", "0", "3", "1e-3"]
+SHIFTS = ["1", "2", "0.5", "-1", "0", "3", "1e-3", "1/3", "-1/2"]
 CHARS = ["4:1", "4:0", "3:1", "5:2", "1:0", "7:3", "4:9", "0:0", "x", "12:3"]
 _TARGET = {
     "d": _items(SHIFTS, 1, 3),

@@ -112,6 +112,21 @@ def test_verify_refuses_a_nan():
     assert not rel.verify([math.nan, 2.0])
 
 
+def test_verify_reads_the_shifts_the_finder_took():
+    # verify did arithmetic on the raw strings, a raw TypeError
+    assert find_rational_relations(["1", "1/2"]).verify(["1", "1/2"])
+    assert find_rational_relations(["1", "1/3"], mode="float").verify(["1", "1/3"], 1e-12)
+    assert not find_rational_relations(["1", "1/2"]).verify(["1", "abc"])
+
+
+def test_exact_verify_stays_exact_on_fractions():
+    rel = find_rational_relations([Fraction(1, 3), Fraction(1, 7)])
+    assert (rel.denominator, rel.coefficients) == (7, ((3,),))
+    assert rel.verify([Fraction(1, 3), Fraction(1, 7)])
+    # below the float spacing of 1/7, so only an exact reading sees it
+    assert not rel.verify([Fraction(1, 3), Fraction(1, 7) + Fraction(1, 10**30)])
+
+
 def test_relation_rejects_zero_shift():
     with pytest.raises(DomainError):
         find_rational_relations([1, 0])

@@ -409,6 +409,17 @@ def test_shifted_values_do_not_depend_on_the_other_grid_points():
         )
 
 
+@pytest.mark.parametrize("evaluator, args", [
+    (l_value, (0.8 + 0j, CHI4)),
+    (l_partial_sum, (0.8 + 0j, CHI4, 10)),
+], ids=["l_value", "l_partial_sum"])
+def test_shifts_are_keyword_only(evaluator, args):
+    # g_values' evaluator contract calls evaluator(grid, chi, shifts=h)
+    with pytest.raises(TypeError):
+        evaluator(*args, [1.0])
+    assert evaluator(*args, shifts=[1.0]).shape == (1,)
+
+
 def test_shifted_shapes_and_pole():
     vals = l_value(0.8 + 0j, CHI4, shifts=[1.0, 2.0])
     assert vals.shape == (2,)

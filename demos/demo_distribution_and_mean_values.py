@@ -5,16 +5,14 @@ partial sums.
 Run with:  python3 demos/demo_distribution_and_mean_values.py
 """
 
-import numpy as np
-
 from selfapprox import (
-    EmpiricalDistribution,
     ShiftFamily,
     StripRegion,
     b2_ladder,
     carlson_mean_value,
     character_from_id,
     convergence_diagnostic,
+    empirical_cdf,
     sample_g,
 )
 
@@ -29,10 +27,9 @@ family = ShiftFamily((1.0, 2.0), (chi, chi))
 
 _, g, _ = sample_g(family, region, 2000.0, 256, seed=42, refine=False,
                    threads=4)
-dist = EmpiricalDistribution(np.sort(g))
 print("F_2000 at selected x:")
 for x in (0.25, 0.5, 1.0, 2.0):
-    print(f"  F({x:4.2f}) = {dist.cdf(x):.3f}")
+    print(f"  F({x:4.2f}) = {empirical_cdf(g, x):.3f}")
 
 report = convergence_diagnostic(family, region, [1000.0, 2000.0, 4000.0],
                                 n_samples=256, seed=42, threads=4)

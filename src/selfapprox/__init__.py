@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 from .characters import DirichletCharacter, character_from_id, enumerate_characters
 from .density import (
     DensityEstimate,
-    EmpiricalDistribution,
     ShiftFamily,
     convergence_diagnostic,
     density_from_samples,
+    empirical_cdf,
     g_values,
     sample_g,
 )

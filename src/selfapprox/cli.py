@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -26,13 +27,7 @@ import numpy as np
 
 from . import __version__
 from .characters import character_from_id, enumerate_characters
-from .density import (
-    EmpiricalDistribution,
-    ShiftFamily,
-    convergence_diagnostic,
-    density_from_samples,
-    sample_g,
-)
+from .density import ShiftFamily, convergence_diagnostic, density_from_samples, empirical_cdf, sample_g
 from .diophantine import (
     KroneckerTarget,
     find_rational_relations,
@@ -244,9 +239,8 @@ def _run_scan_density(params, seed, threads):
         "region": asdict(region),
     }
     # density as a function of eps, F_T(x) from the same sample set
-    f_T = EmpiricalDistribution(np.sort(g))
-    xs = np.linspace(0, float(f_T.sample_values[-1]) * 1.05 + 1e-9, 101)
-    return results, (["tau", "g_value", "refine_delta"], [taus, g, deltas]), (xs, f_T.cdf(xs))
+    xs = np.linspace(0, float(g.max()) * 1.05 + 1e-9, 101)
+    return results, (["tau", "g_value", "refine_delta"], [taus, g, deltas]), (xs, empirical_cdf(g, xs))
 
 
 def _run_dist_fn(params, seed, threads):
@@ -384,7 +378,13 @@ def run(command: str, params: dict, seed: int, output_dir: str, threads: int = 1
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise DomainError, so that they
     get the one-line JSON error like every other bad input; subparsers
-    inherit the class."""
+    inherit the class.  An argument that starts with "-" and a digit, or "-."
+    and a digit, is a value, so `--d -1,2` reads as `--d=-1,2`; argparse's
+    own rule varies with the Python version and takes "-1,2" for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise DomainError(f"{self.prog}: {message}")

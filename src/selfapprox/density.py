@@ -5,9 +5,9 @@ the shifted values L(s + i d_j tau, chi_j).  Every estimate here starts from
 one seeded Monte Carlo draw: sample_g returns tau samples in [0, T] and their
 g values.  From those, density_from_samples reads the density of
 {tau in [0,T] : g(tau) < eps} with a Wilson interval at any eps, and
-EmpiricalDistribution(np.sort(g)) the distribution function F_T(x) of g;
-convergence_diagnostic compares F_T along a ladder of horizons, a test of
-its weak convergence as T grows.  g at a few given tau is
+empirical_cdf(g, x) the distribution function F_T(x) of g, both from one
+count of the samples strictly below; convergence_diagnostic compares F_T
+along a ladder of horizons, a test of its weak convergence as T grows.  g at a few given tau is
 g_values(taus, family, region, refine=False)[0].
 
 The sup over K is taken on the region's sample grid.  g_values and sample_g
@@ -33,10 +33,10 @@ from .sampling import ks_two_sample_threshold, map_blocks, uniform_samples, wils
 __all__ = [
     "ShiftFamily",
     "DensityEstimate",
-    "EmpiricalDistribution",
     "g_values",
     "sample_g",
     "density_from_samples",
+    "empirical_cdf",
     "convergence_diagnostic",
 ]
 
@@ -82,24 +82,6 @@ class DensityEstimate:
     density: float
     ci_lo: float
     ci_hi: float
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted g(tau) samples over [0, T]; F_T(x) uses the strict "< x" convention."""
-
-    sample_values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.sample_values, dtype=float)
-        if values.size == 0 or np.isnan(values).any() or np.any(values[1:] < values[:-1]):
-            raise DomainError("sample_values must be non-empty, sorted and free of NaN (pass np.sort(g))")
-
-    def cdf(self, x):
-        n = len(self.sample_values)
-        idx = np.searchsorted(self.sample_values, np.asarray(x, dtype=float), side="left")
-        out = idx / n
-        return float(out) if np.isscalar(x) else out
 
 
 def _validate_cap(T: float, scale: float, height: float, name: str = "K's largest |t|"):
@@ -151,11 +133,11 @@ def g_values(
         vals[ks] = evaluator(grid, chik, shifts=shifts).reshape(len(ks), len(taus), len(grid))
     # itertools, not np.triu_indices, whose first call pages in 0.13 MB of numpy
     j, k = np.array(list(itertools.combinations(range(family.m), 2))).T
-    diff = np.abs(vals[j] - vals[k])
-    g = diff.max(axis=(0, 2))
-    if not refine:
-        return g, np.zeros(len(taus))
-    g_base = diff[:, :, coarse_idx].max(axis=(0, 2))
+    # the max over pairs, per (tau, grid point); without refinement
+    # coarse_idx takes every point, so refine_delta is exactly zero
+    diff = np.abs(vals[j] - vals[k]).max(axis=0)
+    g = diff.max(axis=1)
+    g_base = diff[:, coarse_idx].max(axis=1)
     return g_base, (g - g_base) / np.maximum(g, 1e-300)
 
 
@@ -185,19 +167,32 @@ def sample_g(
     return taus, g, deltas
 
 
-def density_from_samples(g: np.ndarray, epsilon: float, T: float) -> DensityEstimate:
-    """Re-analyse stored g samples at a (possibly new) eps without re-evaluating L."""
+def _count_below(g, x):
+    """(number of samples of g strictly below x, number of samples), x a
+    scalar or an array; g is checked here, in any order."""
     g = np.asarray(g, dtype=float)
-    if not (0.0 < epsilon < math.inf and 0.0 < T < math.inf):
-        raise DomainError(f"epsilon and T must be finite and positive, got {epsilon!r} and {T!r}")
     if g.ndim != 1:
         raise DomainError(f"g must be a one-dimensional sample array, got shape {g.shape}")
-    n = len(g)
-    if n == 0 or np.isnan(g).any():
+    if len(g) == 0 or np.isnan(g).any():
         raise DomainError("g needs at least one sample and no NaN")
-    hits = int(np.count_nonzero(g < epsilon))
+    return np.searchsorted(np.sort(g), x, side="left"), len(g)
+
+
+def density_from_samples(g: np.ndarray, epsilon: float, T: float) -> DensityEstimate:
+    """Re-analyse stored g samples at a (possibly new) eps without re-evaluating L."""
+    if not (0.0 < epsilon < math.inf and 0.0 < T < math.inf):
+        raise DomainError(f"epsilon and T must be finite and positive, got {epsilon!r} and {T!r}")
+    below, n = _count_below(g, epsilon)
+    hits = int(below)
     lo, hi = wilson_interval(hits, n)
     return DensityEstimate(epsilon, T, n, hits, hits / n, lo, hi)
+
+
+def empirical_cdf(g, x):
+    """F_T(x), the share of the samples g (any order) strictly below x: a
+    float for a scalar x, an array for an array x."""
+    below, n = _count_below(g, x)
+    return float(below / n) if np.ndim(x) == 0 else below / n
 
 
 # 100 cells over the pooled 1%-99% range, about 1% of the mass each: the grid
@@ -248,15 +243,16 @@ def convergence_diagnostic(
         raise DomainError("T_ladder needs at least one horizon")
     if any(b <= a for a, b in zip(T_ladder, T_ladder[1:])):
         raise DomainError("T_ladder must be strictly increasing")
+    # the last horizon is the largest: refuse a ladder past the cap before any draw
+    _validate_cap(T_ladder[-1], family.max_abs_shift, region.t_abs_max)
     samples = []
     for i, T in enumerate(T_ladder):
         _, g, _ = sample_g(
             family, region, T, n_samples, seed=seed + 7919 * i, refine=False, threads=threads
         )
-        samples.append(np.sort(g))
-    pooled = np.sort(np.concatenate(samples))
-    xs, flagged = _continuity_safe_grid(pooled)
-    cdfs = [EmpiricalDistribution(s).cdf(xs) for s in samples]
+        samples.append(g)
+    xs, flagged = _continuity_safe_grid(np.concatenate(samples))
+    cdfs = [empirical_cdf(s, xs) for s in samples]
     distances = [
         float(np.max(np.abs(a - b))) if len(xs) else 0.0
         for a, b in zip(cdfs, cdfs[1:])

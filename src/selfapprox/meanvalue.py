@@ -45,6 +45,11 @@ def coprime_tail_sum(chi: DirichletCharacter, y: float, exponent: float) -> floa
     return total - head
 
 
+def _mean_stderr(sq) -> tuple:
+    """(mean, standard error of the mean) of the samples sq, as floats."""
+    return float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(len(sq)))
+
+
 @dataclass(frozen=True)
 class CarlsonResult:
     empirical: float
@@ -93,8 +98,7 @@ def carlson_mean_value(
         return (np.abs(diff) ** 2,)
 
     (sq,) = map_blocks(work, n_samples, threads)
-    empirical = float(np.mean(sq))
-    stderr = float(np.std(sq, ddof=1) / math.sqrt(n_samples))
+    empirical, stderr = _mean_stderr(sq)
     theoretical = coprime_tail_sum(chi, y, 2.0 * s.real)
     return CarlsonResult(empirical, theoretical, stderr)
 
@@ -133,7 +137,4 @@ def b2_ladder(
             out.append((f - f_n) ** 2)
         return out
 
-    return [
-        (float(np.mean(sq)), float(np.std(sq, ddof=1) / math.sqrt(len(sq))))
-        for sq in map_blocks(work, n_samples, threads)
-    ]
+    return [_mean_stderr(sq) for sq in map_blocks(work, n_samples, threads)]

@@ -696,3 +696,26 @@ def test_every_shift_taking_command_refuses_a_bad_shift_naming_it(command, bad, 
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"].startswith(f"shift d_1 = {bad!r}: shifts must be")
     assert not (tmp_path / "results.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_SHIFT_COMMANDS["scan-density"] + ["--d", "1,2"], "--t-range", "-0.5,0.5"),
+    (_SHIFT_COMMANDS["scan-density"], "--d", "-1,2"),
+    (_SHIFT_COMMANDS["scan-density"], "--d", "-.5,1"),
+    (_SHIFT_COMMANDS["dist-fn"], "--d", "-1/2,1"),
+    (_SHIFT_COMMANDS["relations-exact"], "--shifts", "-1,1/3"),
+], ids=["t-range", "d", "d-point", "d-rational", "shifts"])
+def test_a_negative_value_reads_alike_in_either_spelling(argv, flag, value, tmp_path):
+    # argparse took "-1,2" and "-0.5,0.5" for options, so `--d -1,2` ended in
+    # "expected one argument" where `--d=-1,2` ran
+    separate = _artifacts(tmp_path, "separate", argv + [flag, value])
+    assert separate == _artifacts(tmp_path, "joined", argv + [f"{flag}={value}"])
+    assert _read(tmp_path / "separate", "manifest.json") == _read(tmp_path / "joined", "manifest.json")
+
+
+def test_an_option_in_place_of_a_value_is_still_a_usage_error(tmp_path, capsys):
+    argv = ["scan-density", "--chars", "4:1,4:1", "--T", "100", "--d", "--eps", "1"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "selfapprox scan-density: argument --d: expected one argument"
+    assert not (tmp_path / "results.json").exists()

@@ -132,41 +132,71 @@ def _check(rc, err, outdir):
         assert not os.path.exists(os.path.join(outdir, "results.json"))
 
 
+def _key_sets(params):
+    """A subset of the drawn keys."""
+    return st.sets(st.sampled_from(sorted(params))) if params else st.just(set())
+
+
+def _flags(params, separate):
+    """argv for params: `--key value` for the keys in `separate`, `--key=value`
+    for the rest; both spellings read the same text."""
+    argv = []
+    for key, value in params.items():
+        flag = f"--{key.replace('_', '-')}"
+        argv += [flag, value] if key in separate else [f"{flag}={value}"]
+    return argv
+
+
+def _outcome(argv, outdir):
+    """(exit code, results.json bytes or None) of one checked CLI call."""
+    rc, err = _run(argv + [f"--output-dir={outdir}"])
+    _check(rc, err, outdir)
+    if rc != 0:
+        return rc, None
+    with open(os.path.join(outdir, "results.json"), "rb") as fh:
+        return rc, fh.read()
+
+
+def _same_either_spelling(argv, params, separate, tmp):
+    """Run argv plus params as `--key=value`, and again with the keys in
+    `separate` as `--key value`: both end alike, whatever a value starts with."""
+    joined = _outcome(argv + _flags(params, set()), os.path.join(tmp, "joined"))
+    if separate:
+        assert _outcome(argv + _flags(params, separate), os.path.join(tmp, "separate")) == joined
+
+
 @st.composite
 def _invocations(draw):
     command = draw(st.sampled_from(sorted(PARAMS)))
     params = draw(_params(command))
-    in_file = draw(st.sets(st.sampled_from(sorted(params))) if params else st.just(set()))
+    in_file = draw(_key_sets(params))
+    separate = draw(_key_sets(params))
     seed = draw(st.integers(0, 2**64))
     threads = draw(_mostly(st.integers(1, 2), st.sampled_from([0, -3])))
-    return command, params, in_file, seed, threads
+    return command, params, in_file, separate, seed, threads
 
 
 @FUZZ
 @given(_invocations())
 def test_argv_and_config_file_end_in_results_or_json_error(invocation):
-    command, params, in_file, seed, threads = invocation
+    command, params, in_file, separate, seed, threads = invocation
     with tempfile.TemporaryDirectory() as tmp:
-        outdir = os.path.join(tmp, "out")
-        argv = [command, f"--seed={seed}", f"--threads={threads}", f"--output-dir={outdir}"]
-        argv += [f"--{k.replace('_', '-')}={v}" for k, v in params.items() if k not in in_file]
+        argv = [command, f"--seed={seed}", f"--threads={threads}"]
         if in_file:
             path = os.path.join(tmp, "run.cfg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(f"{k} = {params[k]}\n" for k in sorted(in_file))
             argv.append(f"--config={path}")
-        _check(*_run(argv), outdir)
+        _same_either_spelling(argv, {k: v for k, v in params.items() if k not in in_file}, separate, tmp)
 
 
 @settings(FUZZ, max_examples=200)
-@given(_params("relations"))
-def test_relations_argv_ends_in_results_or_json_error(params):
+@given(_params("relations").flatmap(lambda params: st.tuples(st.just(params), _key_sets(params))))
+def test_relations_argv_ends_in_results_or_json_error(drawn):
     # the mixed-command fuzz above makes about five relations runs in its 40 draws
+    params, separate = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        outdir = os.path.join(tmp, "out")
-        argv = ["relations", f"--output-dir={outdir}"]
-        argv += [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
-        _check(*_run(argv), outdir)
+        _same_either_spelling(["relations"], params, separate, tmp)
 
 
 # JSON values that are not what the manifest field holds

@@ -14,10 +14,10 @@ from selfapprox.characters import character_from_id, enumerate_characters
 from selfapprox.cli import main
 from selfapprox.density import (
     DensityEstimate,
-    EmpiricalDistribution,
     ShiftFamily,
     convergence_diagnostic,
     density_from_samples,
+    empirical_cdf,
     g_values,
     sample_g,
 )
@@ -159,21 +159,25 @@ def test_indicator_strictness():
 def test_density_entry_points_refuse_bad_samples_and_settings():
     # a NaN eps used to give density 0 and a negative T to be recorded, an
     # empty g to end in wilson_interval's ValueError, a NaN in g to count as a
-    # miss, an empty sample set to give a NaN F_T and an unsorted one a wrong F_T
+    # miss, an empty sample set to give a NaN F_T; both read g through one check
     g = np.array([0.2, 0.5])
     for epsilon, T in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf)):
         with pytest.raises(DomainError, match="finite and positive"):
             density_from_samples(g, epsilon, T)
-    for bad in (np.array([]), np.array([0.2, math.nan])):
+    for bad in (np.array([]), np.array([0.2, math.nan]), np.array([math.nan, 0.2])):
         with pytest.raises(DomainError, match="NaN"):
             density_from_samples(bad, 0.5, 1.0)
+        with pytest.raises(DomainError, match="NaN"):
+            empirical_cdf(bad, 0.5)
     for bad in (0.5, [[0.2, 0.5]]):  # a scalar used to end in len()'s TypeError
         with pytest.raises(DomainError, match="one-dimensional"):
             density_from_samples(bad, 0.5, 1.0)
-    for bad in (np.array([]), np.array([0.2, math.nan]), np.array([math.nan, 0.2]), np.array([0.5, 0.2])):
-        with pytest.raises(DomainError):
-            EmpiricalDistribution(bad)
-    assert EmpiricalDistribution(np.array([0.2, 0.2, 0.5])).cdf(0.3) == 2 / 3
+        with pytest.raises(DomainError, match="one-dimensional"):
+            empirical_cdf(bad, 0.5)
+    assert empirical_cdf(np.array([0.2, 0.2, 0.5]), 0.3) == 2 / 3
+    # g in any order: an unsorted sample set used to be refused
+    assert empirical_cdf([0.5, 0.2, 0.2], 0.3) == 2 / 3
+    assert empirical_cdf([0.5, 0.2, 0.2], [0.2, 0.3, 0.6]).tolist() == [0.0, 2 / 3, 1.0]
 
 
 def test_density_from_samples_reads_a_list():
@@ -186,9 +190,8 @@ def test_density_monotone_in_eps_and_matches_cdf():
     d_small = density_from_samples(g, 0.4, 200.0)
     d_big = density_from_samples(g, 1.2, 200.0)
     assert d_small.density <= d_big.density
-    dist = EmpiricalDistribution(np.sort(g))
     for eps in (0.4, 0.8, 1.2):
-        assert density_from_samples(g, eps, 200.0).density == dist.cdf(eps)
+        assert density_from_samples(g, eps, 200.0).density == empirical_cdf(g, eps)
 
 
 def test_degenerate_density_is_one():
@@ -242,25 +245,20 @@ def test_threaded_sampling_deterministic():
 
 def test_empirical_distribution_degenerate_step():
     _, g, _ = sample_g(DEGENERATE, REGION, 50.0, 16, seed=1, refine=False)
-    dist = EmpiricalDistribution(np.sort(g))
-    assert dist.cdf(0.0) == 0.0  # strict "< x"
-    assert dist.cdf(1e-300) == 1.0
+    assert empirical_cdf(g, 0.0) == 0.0  # strict "< x"
+    assert empirical_cdf(g, 1e-300) == 1.0
 
 
 def test_empirical_distribution_strict_at_zero():
     _, g, _ = sample_g(FAMILY, REGION, 200.0, 48, seed=2, refine=False)
-    dist = EmpiricalDistribution(np.sort(g))
-    assert dist.cdf(0.0) == 0.0
-    assert np.median(dist.sample_values) > 0
+    assert empirical_cdf(g, 0.0) == 0.0
+    assert np.median(g) > 0
 
 
 def test_distribution_seed_consistency_ks():
-    d1, d2 = (
-        EmpiricalDistribution(np.sort(sample_g(FAMILY, POINT, 2000.0, 160, seed=seed, refine=False)[1]))
-        for seed in (21, 22)
-    )
-    xs = np.linspace(0, float(d1.sample_values[-1]), 200)
-    ks = float(np.max(np.abs(d1.cdf(xs) - d2.cdf(xs))))
+    g1, g2 = (sample_g(FAMILY, POINT, 2000.0, 160, seed=seed, refine=False)[1] for seed in (21, 22))
+    xs = np.linspace(0, float(g1.max()), 200)
+    ks = float(np.max(np.abs(empirical_cdf(g1, xs) - empirical_cdf(g2, xs))))
     assert ks < ks_two_sample_threshold(160, 160)
 
 
@@ -276,6 +274,17 @@ def test_convergence_diagnostic_validates_ladder():
         convergence_diagnostic(FAMILY, REGION, [100.0, 100.0], n_samples=8)
     with pytest.raises(DomainError):
         convergence_diagnostic(FAMILY, REGION, [], n_samples=8)
+
+
+def test_convergence_diagnostic_checks_the_whole_ladder_before_any_draw(monkeypatch):
+    # the cap used to be checked rung by rung, so a ladder whose last rung
+    # passed it drew and evaluated every rung below first
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a rung was drawn before the ladder was checked")
+
+    monkeypatch.setattr(density_module, "sample_g", no_draw)
+    with pytest.raises(RangeError, match="largest usable T at this cap is 24999.8"):
+        convergence_diagnostic(FAMILY, REGION, [1000.0, 2000.0, 4000.0, 1e5], n_samples=8)
 
 
 def test_kronecker_conditioned_enrichment_on_truncated():

@@ -290,25 +290,39 @@ def test_high_em_order_stays_finite(em_order, monkeypatch):
     assert abs(got - want) <= 1e-13
 
 
+def _one_term_more():
+    """The smallest |t| on a 0.1 grid at which lfunc._n_terms, at the settings
+    in force, gives one term more than the log sum: where the integral bound
+    parts from the sum depends on em_order and the target."""
+    cfg = lfunc.DEFAULT_CONFIG
+    for start in range(0, int(10 * lfunc.IM_CAP), 1000):
+        t = np.arange(start, start + 1000) / 10
+        more = np.flatnonzero(lfunc._n_terms(t) > johansson_sum_terms(t, cfg))
+        if more.size:
+            return float(t[more[0]])
+    raise AssertionError(f"the integral bound never parts from the log sum under {cfg}")
+
+
 def test_n_terms_and_em_tail_read_the_settings_when_called(monkeypatch):
     # neither takes a settings argument: both read lfunc.DEFAULT_CONFIG as it
     # is at call time, so replacing it moves N and the tail.  N follows the
-    # integral bound: at |t| = 255.3 (em_order 16), 1948.9 (target 1e-6) and
-    # 21176.5 (default, and shift_count 4000) it is one more than the log sum
-    # gives
+    # integral bound: at some |t| under each setting (em_order 16, target
+    # 1e-6, and shift_count 4000, where it must pass the floor) it is one
+    # more than the log sum gives
     t = np.array([0.0, 10.0, 5000.0, 4.9e4])
-    split = np.array([255.3, 1948.9, 21176.5])
     s = 0.7 + 1j * t
     default_n = lfunc._n_terms(t)
     counts, step, offsets, weights = _tail_inputs("4:1", s)
     default_tail = lfunc._em_tail(s, counts, step, offsets, weights)
-    assert lfunc._n_terms(split[-1]) == johansson_sum_terms(split[-1], DEFAULT_CONFIG) + 1
+    split = _one_term_more()
+    assert lfunc._n_terms(split) == johansson_sum_terms(split, DEFAULT_CONFIG) + 1
     for settings in ({"em_order": 16}, {"shift_count": 4000}, {"target_abs_error": 1e-6}):
         _use_settings(monkeypatch, **settings)
-        both, cfg = np.concatenate([t, split]), lfunc.DEFAULT_CONFIG
+        split, cfg = _one_term_more(), lfunc.DEFAULT_CONFIG
+        both = np.append(t, split)
         n = lfunc._n_terms(both)
         assert n.tolist() == [johansson_terms(x, cfg) for x in both], settings
-        assert np.any(n[len(t) :] > johansson_sum_terms(split, cfg)), settings
+        assert np.any(n[len(t) :] > johansson_sum_terms([split], cfg)), settings
         assert not np.array_equal(n[: len(t)], default_n), settings
     _use_settings(monkeypatch, em_order=2)
     tail = lfunc._em_tail(s, counts, step, offsets, weights)
@@ -602,12 +616,16 @@ def test_single_point_matches_the_same_point_in_a_large_call():
 
 
 def test_unshifted_memory_stays_bounded():
-    # 20 000 points over three chunks of terms.  The head is summed one
-    # _TERM_CHUNK-term chunk of _TILE // _TERM_CHUNK points at a time and the
-    # Euler-Maclaurin tail in tiles of _TILE values, so the peak (4.3 MB)
-    # does not grow with the number of terms.
-    pts = 0.7 + 1j * np.linspace(0.0, 1000.0, 20_000)
-    assert math.ceil(2 * lfunc._n_terms(1000.0) / lfunc._TERM_CHUNK) == 3
+    # 20 000 points over three chunks of terms: up to the largest whole |t|
+    # at which chi_4's two residue classes still fit in three, at the
+    # settings in force.  The head is summed one _TERM_CHUNK-term chunk of
+    # _TILE // _TERM_CHUNK points at a time and the Euler-Maclaurin tail in
+    # tiles of _TILE values, so the peak (4.3 MB) does not grow with the
+    # number of terms.
+    t = np.arange(float(lfunc.IM_CAP))
+    top = t[np.ceil(2 * lfunc._n_terms(t) / lfunc._TERM_CHUNK) <= 3].max()
+    pts = 0.7 + 1j * np.linspace(0.0, top, 20_000)
+    assert math.ceil(2 * lfunc._n_terms(top) / lfunc._TERM_CHUNK) == 3
     tracemalloc.start()
     try:
         l_value(pts, CHI4)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .diophantine import _read_shift
-from .errors import DomainError, RangeError
+from .errors import DomainError, _check_limit
 from .lfunc import IM_CAP, StripRegion, l_value
 from .sampling import ks_two_sample_threshold, map_blocks, uniform_samples, wilson_interval
 
@@ -82,19 +82,6 @@ class DensityEstimate:
     density: float
     ci_lo: float
     ci_hi: float
-
-
-def _validate_cap(T: float, scale: float, height: float, name: str = "K's largest |t|"):
-    """RangeError if T*scale + height, the largest |Im s| a horizon T reaches,
-    exceeds IM_CAP; a height that reaches IM_CAP alone is named as `name`."""
-    need = T * scale + height
-    if need > IM_CAP:
-        usable = max(IM_CAP - height, 0.0) / max(scale, 1e-300)
-        raise RangeError(
-            f"T = {T:.6g} needs |Im s| up to {need:.6g} > cap {IM_CAP:.6g}; "
-            + (f"{name} = {height:.6g} alone reaches the cap, so no T > 0 works; " if height >= IM_CAP else "")
-            + f"largest usable T at this cap is {usable:.6g}"
-        )
 
 
 def g_values(
@@ -155,9 +142,9 @@ def sample_g(
     Sampling and evaluation proceed in fixed blocks (deterministic regardless
     of thread count).
     """
-    if T <= 0 or n_samples < 1:
-        raise DomainError("T must be positive and n_samples >= 1")
-    _validate_cap(T, family.max_abs_shift, region.t_abs_max)
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
+    _check_limit("T", T, IM_CAP, "|Im s|", family.max_abs_shift, region.t_abs_max, "K's largest |t|")
     taus = uniform_samples(seed, n_samples, 0.0, T)
 
     def work(i0, i1):
@@ -243,8 +230,9 @@ def convergence_diagnostic(
         raise DomainError("T_ladder needs at least one horizon")
     if any(b <= a for a, b in zip(T_ladder, T_ladder[1:])):
         raise DomainError("T_ladder must be strictly increasing")
-    # the last horizon is the largest: refuse a ladder past the cap before any draw
-    _validate_cap(T_ladder[-1], family.max_abs_shift, region.t_abs_max)
+    # every rung, before any draw
+    for T in T_ladder:
+        _check_limit("T", T, IM_CAP, "|Im s|", family.max_abs_shift, region.t_abs_max, "K's largest |t|")
     samples = []
     for i, T in enumerate(T_ladder):
         _, g, _ = sample_g(

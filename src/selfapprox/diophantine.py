@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, _check_limit
 from .primes import primes_upto
 from .sampling import block_slices, uniform_samples  # noqa: F401  (perfbench/spans.py wraps these names)
 
@@ -228,17 +228,6 @@ _SWEEP_WINDOW = 1 << 14
 SWEEP_CAP = float(_SWEEP_WINDOW << 10)
 
 
-def _check_sweep_cap(target: KroneckerTarget, bound: float, name: str):
-    """RangeError, naming the largest usable bound, if [0, bound] spans more
-    than SWEEP_CAP periods of the fastest coordinate."""
-    fastest = float(np.max(np.abs(target.frequencies)))
-    if bound * fastest > SWEEP_CAP:
-        raise RangeError(
-            f"{name} = {bound:.6g} spans {bound * fastest:.6g} periods of the fastest coordinate "
-            f"> cap {SWEEP_CAP:.6g}; largest usable {name} at this cap is {SWEEP_CAP / fastest:.6g}"
-        )
-
-
 def _member_intervals(target: KroneckerTarget, search_bound: float):
     """Maximal open intervals (lo, hi) of the Kronecker set that meet [0, search_bound].
 
@@ -293,7 +282,7 @@ def measure_kronecker_density(target: KroneckerTarget, T):
     if horizons.ndim != 1 or not horizons.size or not np.all(np.diff(horizons, prepend=0.0) > 0):
         raise DomainError("T must be positive, or an increasing array of positive horizons")
     bound = float(horizons[-1])
-    _check_sweep_cap(target, bound, "T")
+    _check_limit("T", bound, SWEEP_CAP, "periods of the fastest coordinate", np.abs(target.frequencies).max())
     last = horizons.size - 1  # the horizon that math.fsum measures
     measure, count = np.empty(horizons.size), np.empty(horizons.size)
     sums, n, j = [], 0, 0  # each window's fsum, intervals so far, next horizon
@@ -340,11 +329,9 @@ def find_tau_in_set(
     past SWEEP_CAP periods of the fastest coordinate raises RangeError up
     front, naming the largest usable bound.
     """
-    if search_bound <= 0:
-        raise DomainError("search_bound must be positive")
+    _check_limit("bound", search_bound, SWEEP_CAP, "periods of the fastest coordinate", np.abs(target.frequencies).max())
     if max_results < 1:
         raise DomainError("max_results must be >= 1")
-    _check_sweep_cap(target, search_bound, "bound")
     hits = []
     for lo, hi in _member_intervals(target, search_bound):
         taus = np.clip(0.5 * (lo + hi), 0.0, search_bound)

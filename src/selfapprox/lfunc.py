@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import DirichletCharacter, _factorize
-from .errors import DomainError, PoleError, RangeError
+from .errors import DomainError, PoleError, RangeError, _check_limit
 from .primes import primes_upto
 
 __all__ = [
@@ -461,8 +461,9 @@ def l_value(s, chi: DirichletCharacter, *, shifts=None):
     if np.any(flat.real <= 0.5):
         raise DomainError("l_value supports only sigma > 1/2")
     t_abs = np.abs(full.imag)
-    if np.max(t_abs) > IM_CAP:
-        raise RangeError(f"|Im s| = {np.max(t_abs):.6g} exceeds evaluator cap {IM_CAP:.6g}")
+    top = float(np.max(t_abs))
+    if top > IM_CAP:  # the guard would refuse |Im s| = 0
+        _check_limit("|Im s|", top, IM_CAP)
     if chi.principal and bool((full == 1.0).any()):
         raise PoleError(f"L(s, chi_0 mod {chi.modulus}) has a pole at s = 1")
     d, r, weights, (primes, chi_p) = _residues(chi)
@@ -486,22 +487,16 @@ def l_truncated(s, chi: DirichletCharacter, v: float):
     return _shaped(1.0 / product, shape)
 
 
-def _validate_partial_length(n_max: int, q: int, name: str = "n_max"):
-    """RangeError, naming the largest usable n_max, if n_max terms mod q exceed _N_MAX per residue class."""
-    if n_max > q * _N_MAX:
-        usable = f"largest usable {name} at this cap is {q * _N_MAX}"
-        raise RangeError(f"{name} = {n_max:.6g} needs over {_N_MAX:.0e} terms per residue class mod {q}; {usable}")
-
-
 def l_partial_sum(s, chi: DirichletCharacter, n_max: int, *, shifts=None):
     """Dirichlet partial sum L_N(s, chi) = sum_{n <= N} chi(n) n^{-s}, over
-    chi mod q itself (not the primitive chi* that l_value sums), N <= q _N_MAX.
+    chi mod q itself (not the primitive chi* that l_value sums), N <= q _N_MAX,
+    at most _N_MAX terms per residue class.
 
     `shifts` works as in l_value: values at s + i h, shape shifts.shape + np.shape(s).
     """
     if n_max < 1:
         raise DomainError("partial sum length must be >= 1")
-    _validate_partial_length(n_max, chi.modulus)
+    _check_limit("n_max", n_max, chi.modulus * _N_MAX, f"terms mod {chi.modulus}")
     flat, shifts, shape = _call_points(s, shifts)
     q = chi.modulus
     r = _units(chi)

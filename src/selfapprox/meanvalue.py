@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import DirichletCharacter, character_from_id
-from .density import ShiftFamily, _validate_cap, g_values
-from .errors import DomainError
-from .lfunc import StripRegion, _units, _validate_partial_length, l_partial_sum, l_value
+from .density import ShiftFamily, g_values
+from .errors import DomainError, _check_limit
+from .lfunc import _N_MAX, IM_CAP, StripRegion, _units, l_partial_sum, l_value
 from .sampling import map_blocks, uniform_samples
 
 __all__ = [
@@ -81,15 +81,15 @@ def carlson_mean_value(
     s = complex(s)
     if not 0.5 < s.real < 1.0:
         raise DomainError("carlson_mean_value requires 1/2 < sigma < 1")
-    if x == 0:
-        raise DomainError("shift scale x must be nonzero")
-    if T <= 0 or n_samples < 2:
-        raise DomainError("T must be positive and n_samples >= 2")
+    if not 0.0 < abs(x) < math.inf:
+        raise DomainError(f"shift scale x = {x} must be finite and nonzero")
+    if n_samples < 2:
+        raise DomainError("n_samples must be >= 2")
     if y < 1:
         raise DomainError(f"partial sum length y = {y!r} must be >= 1")
-    _validate_cap(T, abs(x), abs(s.imag), "|Im s| at tau = 0")
+    _check_limit("T", T, IM_CAP, "|Im s|", abs(x), abs(s.imag), "|Im s| at tau = 0")
+    _check_limit("y", y, chi.modulus * _N_MAX, f"terms mod {chi.modulus}")
     n_trunc = int(math.floor(y))
-    _validate_partial_length(n_trunc, chi.modulus, "y")
     taus = uniform_samples(seed, n_samples, 0.0, T)
 
     def work(i0, i1):
@@ -121,10 +121,12 @@ def b2_ladder(
     is evaluated once per tau.
     """
     n_ladder = list(n_ladder)
-    if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2 or T <= 0:
-        raise DomainError("b2 needs a nonempty N ladder, every N >= 1, n_samples >= 2 and T > 0")
-    _validate_cap(T, family.max_abs_shift, region.t_abs_max)
-    _validate_partial_length(max(n_ladder), min(chi.modulus for chi in family.characters), "N")
+    if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2:
+        raise DomainError("b2 needs a nonempty N ladder, every N >= 1 and n_samples >= 2")
+    _check_limit("T", T, IM_CAP, "|Im s|", family.max_abs_shift, region.t_abs_max, "K's largest |t|")
+    q = min(chi.modulus for chi in family.characters)
+    for n in n_ladder:
+        _check_limit("N", n, q * _N_MAX, f"terms mod {q}")
     taus = uniform_samples(seed, n_samples, -T, T)
 
     def work(i0, i1):

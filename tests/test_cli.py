@@ -92,15 +92,16 @@ def test_kronecker_writes_the_exact_density_ladder(tmp_path):
 
 
 def test_kronecker_beyond_the_sweep_cap_names_the_largest_usable_T(tmp_path, capsys):
-    rc = main([
-        "kronecker", "--delta", "0.1", "--primes-upto", "2", "--T", "1e9",
-        "--output-dir", str(tmp_path),
-    ])
-    assert rc == 2
+    argv = ["kronecker", "--delta", "0.1", "--primes-upto", "2", "--output-dir", str(tmp_path)]
+    assert main(argv + ["--T", "1e9"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert "largest usable T at this cap is 1.52081e+08" in json.loads(err)["error"]
+    error = json.loads(err)["error"]
+    assert error.endswith("largest usable T at this cap is 152080000")
     assert not (tmp_path / "results.json").exists()
+    # the T named is run as printed; 1.52081e+08, rounded to nearest, was refused
+    assert main(argv + ["--T", error.rsplit(" ", 1)[1]]) == 0
+    assert _results(tmp_path)["density"] > 0.0
 
 
 def test_find_tau_writes_samples(tmp_path):

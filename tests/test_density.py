@@ -283,8 +283,11 @@ def test_convergence_diagnostic_checks_the_whole_ladder_before_any_draw(monkeypa
         raise AssertionError("a rung was drawn before the ladder was checked")
 
     monkeypatch.setattr(density_module, "sample_g", no_draw)
-    with pytest.raises(RangeError, match="largest usable T at this cap is 24999.8"):
+    with pytest.raises(RangeError, match=r"largest usable T at this cap is 24999\.7$"):
         convergence_diagnostic(FAMILY, REGION, [1000.0, 2000.0, 4000.0, 1e5], n_samples=8)
+    # a NaN rung is refused before the rungs below it are drawn too
+    with pytest.raises(DomainError, match="T = nan must be positive and finite"):
+        convergence_diagnostic(FAMILY, REGION, [1.0, float("nan"), 10.0], n_samples=8)
 
 
 def test_kronecker_conditioned_enrichment_on_truncated():

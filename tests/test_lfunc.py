@@ -823,7 +823,10 @@ def test_point_region_grids():
 def test_prime_tables():
     primes = primes_upto(10)
     assert primes.dtype == np.int64 and primes.tolist() == [2, 3, 5, 7]
-    assert primes_upto(1).tolist() == [] and primes_upto(-3).tolist() == []
+    assert primes_upto(1).tolist() == [] and primes_upto(1.9).tolist() == []
+    # a bound, like every horizon and length, is positive (tests/test_limits.py)
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        primes_upto(-3)
 
 
 def test_prime_sieve_at_the_cap_stays_small():
@@ -855,7 +858,7 @@ def test_prime_sieve_is_capped_before_it_allocates():
     # uncapped, this bound sieves a 100 MB mask for about 7 s
     tracemalloc.start()
     try:
-        with pytest.raises(RangeError, match="largest usable bound is 10000000"):
+        with pytest.raises(RangeError, match="largest usable bound at this cap is 10000000$"):
             primes_upto(10**8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

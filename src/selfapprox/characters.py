@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 __all__ = [
     "DirichletCharacter",
@@ -41,20 +41,19 @@ class DirichletCharacter:
     index: int
 
     def __post_init__(self):
-        q = self.modulus
-        if q < 1:
-            raise DomainError(f"modulus must be positive, got {q}")
-        phi = math.prod(m for _, m, _ in _component_generators(q))
-        if not 0 <= self.index < phi:
-            raise DomainError(f"character index {self.index} out of range for modulus {q} (phi={phi})")
+        for name, least in (("modulus", 1), ("index", 0)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
+        phi = math.prod(m for _, m, _ in _component_generators(self.modulus))
+        if self.index >= phi:
+            raise DomainError(f"character index {self.index} out of range for modulus {self.modulus} (phi={phi})")
 
     @classmethod
     def _enumerate(cls, q: int) -> tuple:
-        """The phi(q) characters mod q, in index order.  The first checks q;
-        every further index below phi is in range, so the rest get their
-        fields as __init__ sets them, without running __post_init__'s check."""
+        """The phi(q) characters mod q, in index order.  The first reads q; every
+        further index below phi is in range, so the rest get the int q it read
+        and their index as __init__ sets them, without __post_init__'s check."""
         chars = [cls(q, 0)]
-        new, set_field = object.__new__, object.__setattr__
+        new, set_field, q = object.__new__, object.__setattr__, chars[0].modulus
         for index in range(1, math.prod(m for _, m, _ in _component_generators(q))):
             chi = new(cls)
             set_field(chi, "modulus", q)
@@ -202,7 +201,7 @@ def _component_generators(q: int) -> tuple:
     return tuple(gens)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: True is refused, not served the tuple cached for 1
 def enumerate_characters(q: int) -> tuple:
     """All phi(q) Dirichlet characters mod q, in lexicographic generator-image
     order (so the ordering, and hence the "q:index" labels, is reproducible)."""

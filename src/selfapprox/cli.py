@@ -34,7 +34,7 @@ from .diophantine import (
     find_tau_in_set,
     measure_kronecker_density,
 )
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .lfunc import StripRegion, l_value
 from .meanvalue import b2_ladder, carlson_mean_value
 
@@ -47,12 +47,11 @@ def _finite_float(raw) -> float:
 
 
 def _sample_count(raw) -> float:
-    """A sample count: a finite whole number n with 1 <= n < 2^63, kept as the
-    float that the manifest records."""
-    value = _finite_float(raw)
-    if not (value.is_integer() and 1 <= value < 2.0**63):
-        raise DomainError(f"samples must be a whole number in [1, 2^63), got {raw!r}")
-    return value
+    """A sample count: a whole number n with 1 <= n < 2^63, kept as the float
+    that the manifest records."""
+    if _check_count("samples", float(raw)) >= 2**63:  # np.empty's ValueError would go uncaught
+        raise DomainError(f"samples must be below 2^63, got {raw!r}")
+    return float(raw)
 
 
 # Key groups shared by several commands, spliced into the schemas of
@@ -223,12 +222,12 @@ def _run_find_tau(params, seed, threads):
 
 
 def _run_scan_density(params, seed, threads):
-    if params["eps"] <= 0:
-        raise DomainError("epsilon must be positive")
+    if params["eps"] <= 0 or params["refine"] not in (0, 1):
+        raise DomainError(f"epsilon must be positive and refine 0 or 1, got {params['eps']} and {params['refine']}")
     family = _parse_family(params)
     region = _parse_region(params)
     taus, g, deltas = sample_g(
-        family, region, params["T"], int(params["samples"]), seed,
+        family, region, params["T"], params["samples"], seed,
         refine=bool(params["refine"]), threads=threads,
     )
     est = density_from_samples(g, params["eps"], params["T"])
@@ -248,7 +247,7 @@ def _run_dist_fn(params, seed, threads):
     region = _parse_region(params)
     ladder = _parse_list(params["T_ladder"])
     report = convergence_diagnostic(
-        family, region, ladder, int(params["samples"]), seed, threads=threads
+        family, region, ladder, params["samples"], seed, threads=threads
     )
     # plot data: consecutive sup-distance against the larger horizon
     return report, None, (report["T_ladder"][1:], report["distances"])
@@ -262,7 +261,7 @@ def _run_mean_value(params, seed, threads):
         params["y"],
         params["x"],
         params["T"],
-        int(params["samples"]),
+        params["samples"],
         seed,
         threads=threads,
     )
@@ -275,7 +274,7 @@ def _run_b2(params, seed, threads):
     ladder = _parse_list(params["N_ladder"], int)
     out = b2_ladder(
         family, ladder, params["T"], region,
-        n_samples=int(params["samples"]), seed=seed, threads=threads,
+        n_samples=params["samples"], seed=seed, threads=threads,
     )
     results = {
         "N_ladder": ladder,
@@ -360,9 +359,7 @@ _COMMANDS = {
 
 def run(command: str, params: dict, seed: int, output_dir: str, threads: int = 1) -> int:
     """Execute one resolved command and write its artifacts."""
-    for name, value, least in (("seed", seed, 0), ("threads", threads, 1)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    seed, threads = _check_count("seed", seed, 0), _check_count("threads", threads)
     manifest = {
         "command": command,
         "seed": seed,

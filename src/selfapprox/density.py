@@ -26,7 +26,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .diophantine import _read_shift
-from .errors import DomainError, _check_limit
+from .errors import DomainError, _check_count, _check_limit
 from .lfunc import IM_CAP, StripRegion, l_value
 from .sampling import ks_two_sample_threshold, map_blocks, uniform_samples, wilson_interval
 
@@ -142,8 +142,7 @@ def sample_g(
     Sampling and evaluation proceed in fixed blocks (deterministic regardless
     of thread count).
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    n_samples = _check_count("n_samples", n_samples)
     _check_limit("T", T, IM_CAP, "|Im s|", family.max_abs_shift, region.t_abs_max, "K's largest |t|")
     taus = uniform_samples(seed, n_samples, 0.0, T)
 
@@ -156,12 +155,12 @@ def sample_g(
 
 def _count_below(g, x):
     """(number of samples of g strictly below x, number of samples), x a
-    scalar or an array; g is checked here, in any order."""
+    scalar or an array; g and x are checked here, g in any order."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         raise DomainError(f"g must be a one-dimensional sample array, got shape {g.shape}")
-    if len(g) == 0 or np.isnan(g).any():
-        raise DomainError("g needs at least one sample and no NaN")
+    if len(g) == 0 or np.isnan(g).any() or np.isnan(x).any():
+        raise DomainError("g needs at least one sample and no NaN, and x must not be NaN")
     return np.searchsorted(np.sort(g), x, side="left"), len(g)
 
 
@@ -230,6 +229,7 @@ def convergence_diagnostic(
         raise DomainError("T_ladder needs at least one horizon")
     if any(b <= a for a, b in zip(T_ladder, T_ladder[1:])):
         raise DomainError("T_ladder must be strictly increasing")
+    n_samples, seed = _check_count("n_samples", n_samples), _check_count("seed", seed, 0)
     # every rung, before any draw
     for T in T_ladder:
         _check_limit("T", T, IM_CAP, "|Im s|", family.max_abs_shift, region.t_abs_max, "K's largest |t|")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, _check_limit
+from .errors import DomainError, _check_count, _check_limit
 from .primes import primes_upto
 from .sampling import block_slices, uniform_samples  # noqa: F401  (perfbench/spans.py wraps these names)
 
@@ -118,8 +118,7 @@ def find_rational_relations(
     else:
         if not 0.0 < tolerance < math.inf:
             raise DomainError("float mode needs a positive finite tolerance")
-        if coeff_cap < 1:
-            raise DomainError("float mode needs coeff_cap >= 1")
+        coeff_cap = _check_count("coeff_cap", coeff_cap)
         for k, x in enumerate(vals):
             if abs(x) < tolerance:
                 raise DomainError(f"shift d_{k} = {x!r} must have |d_{k}| >= tolerance {tolerance!r}")
@@ -178,8 +177,9 @@ class KroneckerTarget:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise DomainError("delta must lie in (0, 1/2)")
-        if self.denominator == 0:
-            raise DomainError("denominator must be nonzero")
+        a = self.denominator  # a negative a cuts out the same set as |a|
+        negative = isinstance(a, (int, float, np.integer)) and a < 0
+        object.__setattr__(self, "denominator", -_check_count("|a|", -a) if negative else _check_count("|a|", a))
         object.__setattr__(self, "shifts", tuple(_read_shift(k, x) for k, x in enumerate(self.shifts)))
         if not self.shifts or 0 in self.shifts:
             raise DomainError("independent shifts must be nonzero")
@@ -330,8 +330,7 @@ def find_tau_in_set(
     front, naming the largest usable bound.
     """
     _check_limit("bound", search_bound, SWEEP_CAP, "periods of the fastest coordinate", np.abs(target.frequencies).max())
-    if max_results < 1:
-        raise DomainError("max_results must be >= 1")
+    max_results = _check_count("max_results", max_results)
     hits = []
     for lo, hi in _member_intervals(target, search_bound):
         taus = np.clip(0.5 * (lo + hi), 0.0, search_bound)

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one guard of its
-operating limits."""
+"""Exception types shared across the package, the one guard of its
+operating limits and the one reader of its counts."""
 
 import math
+import numbers
 from decimal import ROUND_FLOOR, Context, Decimal
 
 
@@ -42,3 +43,12 @@ def _check_limit(name, value, cap, what=None, rate=1.0, base=0.0, base_name=None
             + (f"{base_name} = {base:.6g} alone reaches the cap, so no {name} > 0 works; " if base >= cap else "")
             + f"largest usable {name} at this cap is {usable:.15g}"
         )
+
+
+def _check_count(name, value, least=1) -> int:
+    """The reader of every count: an int, a numpy integer or a whole float, at least
+    `least`, as an int.  Anything else (a bool, 2.5, NaN, inf, "3", None) gets DomainError."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole or value < least:
+        raise DomainError(f"{name} = {value!r} must be a whole number >= {least}")
+    return int(value)

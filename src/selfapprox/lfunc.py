@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import DirichletCharacter, _factorize
-from .errors import DomainError, PoleError, RangeError, _check_limit
+from .errors import DomainError, PoleError, RangeError, _check_count, _check_limit
 from .primes import primes_upto
 
 __all__ = [
@@ -122,8 +122,8 @@ class StripRegion:
                 "enclosing rectangle U must stay inside 1/2 < sigma < 1; "
                 f"got K sigma-range [{self.sigma_lo}, {self.sigma_hi}] with margin {self.margin}"
             )
-        if self.grid_sigma < 1 or self.grid_t < 1:
-            raise DomainError("grid resolutions must be >= 1")
+        for name in ("grid_sigma", "grid_t"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
 
     @property
     def t_abs_max(self) -> float:
@@ -494,8 +494,7 @@ def l_partial_sum(s, chi: DirichletCharacter, n_max: int, *, shifts=None):
 
     `shifts` works as in l_value: values at s + i h, shape shifts.shape + np.shape(s).
     """
-    if n_max < 1:
-        raise DomainError("partial sum length must be >= 1")
+    n_max = _check_count("n_max", n_max)
     _check_limit("n_max", n_max, chi.modulus * _N_MAX, f"terms mod {chi.modulus}")
     flat, shifts, shape = _call_points(s, shifts)
     q = chi.modulus

@@ -15,7 +15,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, character_from_id
 from .density import ShiftFamily, g_values
-from .errors import DomainError, _check_limit
+from .errors import DomainError, _check_count, _check_limit
 from .lfunc import _N_MAX, IM_CAP, StripRegion, _units, l_partial_sum, l_value
 from .sampling import map_blocks, uniform_samples
 
@@ -28,7 +28,7 @@ __all__ = [
 
 
 def coprime_tail_sum(chi: DirichletCharacter, y: float, exponent: float) -> float:
-    """sum_{n > y} |chi(n)| / n^exponent, requires exponent > 1.
+    """sum_{n > y} |chi(n)| / n^exponent, for exponent > 1 and finite y <= q _N_MAX.
 
     Computed as L(exponent, chi_0 mod q) minus the head, the head summed
     exactly rounded (math.fsum): the tail is a small difference of two O(1)
@@ -39,6 +39,8 @@ def coprime_tail_sum(chi: DirichletCharacter, y: float, exponent: float) -> floa
     if exponent <= 1.0:
         raise DomainError("tail sum needs exponent > 1")
     q = chi.modulus
+    if not -math.inf < y <= 0:  # y <= 0 takes every n; the guard refuses NaN and infinities
+        _check_limit("y", y, q * _N_MAX, f"terms mod {q}")
     total = l_value(complex(exponent), character_from_id(f"{q}:0")).real
     top = int(math.floor(y))
     head = math.fsum(n ** (-exponent) for r in _units(chi).tolist() for n in range(r, top + 1, q))
@@ -83,8 +85,7 @@ def carlson_mean_value(
         raise DomainError("carlson_mean_value requires 1/2 < sigma < 1")
     if not 0.0 < abs(x) < math.inf:
         raise DomainError(f"shift scale x = {x} must be finite and nonzero")
-    if n_samples < 2:
-        raise DomainError("n_samples must be >= 2")
+    n_samples = _check_count("n_samples", n_samples, 2)
     if y < 1:
         raise DomainError(f"partial sum length y = {y!r} must be >= 1")
     _check_limit("T", T, IM_CAP, "|Im s|", abs(x), abs(s.imag), "|Im s| at tau = 0")
@@ -120,9 +121,9 @@ def b2_ladder(
     almost-periodicity distance is.  All rungs share one tau sample set, and f
     is evaluated once per tau.
     """
-    n_ladder = list(n_ladder)
-    if not n_ladder or any(n < 1 for n in n_ladder) or n_samples < 2:
-        raise DomainError("b2 needs a nonempty N ladder, every N >= 1 and n_samples >= 2")
+    n_ladder, n_samples = [_check_count("N", n) for n in n_ladder], _check_count("n_samples", n_samples, 2)
+    if not n_ladder:
+        raise DomainError("b2 needs a nonempty N ladder")
     _check_limit("T", T, IM_CAP, "|Im s|", family.max_abs_shift, region.t_abs_max, "K's largest |t|")
     q = min(chi.modulus for chi in family.characters)
     for n in n_ladder:

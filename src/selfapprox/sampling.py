@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import _check_count
+
 BLOCK_SIZE = 4096
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile, for the Wilson intervals
@@ -27,6 +29,7 @@ def block_slices(n: int):
 
 def uniform_samples(seed: int, n: int, low: float, high: float) -> np.ndarray:
     """n iid U(low, high) samples, assembled block by block."""
+    seed = _check_count("seed", seed, 0)
     out = np.empty(n)
     for b, (i0, i1) in enumerate(block_slices(n)):
         out[i0:i1] = block_rng(seed, b).uniform(low, high, i1 - i0)
@@ -36,6 +39,7 @@ def uniform_samples(seed: int, n: int, low: float, high: float) -> np.ndarray:
 def map_blocks(fn, n: int, threads: int = 1) -> tuple:
     """Call fn(i0, i1), which returns a sequence of arrays, on each block of
     range(n); returns each of its arrays concatenated in block order."""
+    threads = _check_count("threads", threads)
     slices = block_slices(n)
     if threads <= 1 or len(slices) <= 1:
         parts = [fn(i0, i1) for i0, i1 in slices]
@@ -51,8 +55,7 @@ def map_blocks(fn, n: int, threads: int = 1) -> tuple:
 def wilson_interval(hits: int, n: int):
     """95% Wilson score interval for a binomial proportion."""
     z = Z95
-    if n < 1:
-        raise ValueError("need at least one sample")
+    n = _check_count("n", n)
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

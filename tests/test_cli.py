@@ -379,7 +379,7 @@ def _write_bytes(path, data):
     "kronecker_beyond_sweep_cap", "find_tau_beyond_sweep_cap",
     "eps_zero", "mean_value_y_below_one", "sieve_beyond_cap",
     "float_shift_underflows", "float_shift_below_tolerance", "float_coeff_cap_zero",
-    "float_coeff_cap_negative",
+    "float_coeff_cap_negative", "refine_seven", "refine_negative",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
@@ -444,6 +444,9 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
                                  "--coeff-cap", "0"] + out,
         "float_coeff_cap_negative": ["relations", "--mode", "float", "--shifts", "1,2,0.5",
                                      "--coeff-cap=-5"] + out,
+        # bool() read any integer as on, and the manifest recorded 7
+        "refine_seven": scan + ["--eps", "1", "--refine", "7"] + out,
+        "refine_negative": scan + ["--eps", "1", "--refine=-1"] + out,
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

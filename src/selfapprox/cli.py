@@ -15,11 +15,9 @@ any --threads setting.  Artifacts go to --output-dir; rerun writes next to
 its manifest unless --output-dir is given.
 """
 
-import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict
 
@@ -47,11 +45,8 @@ def _finite_float(raw) -> float:
 
 
 def _sample_count(raw) -> float:
-    """A sample count: a whole number n with 1 <= n < 2^63, kept as the float
-    that the manifest records."""
-    if _check_count("samples", float(raw)) >= 2**63:  # np.empty's ValueError would go uncaught
-        raise DomainError(f"samples must be below 2^63, got {raw!r}")
-    return float(raw)
+    """A whole number n >= 1, kept as the float that the manifest records."""
+    return float(_check_count("samples", float(raw)))
 
 
 # Key groups shared by several commands, spliced into the schemas of
@@ -125,7 +120,7 @@ def _resolve_params(command: str, file_params: dict, overrides: dict) -> dict:
         raise DomainError(f"unknown config keys for {command}: {sorted(unknown)}")
     params = {}
     for name, (parse, default) in schema.items():
-        if name in overrides and overrides[name] is not None:
+        if overrides.get(name) is not None:
             raw = overrides[name]
         elif name in file_params:
             raw = file_params[name]
@@ -133,6 +128,8 @@ def _resolve_params(command: str, file_params: dict, overrides: dict) -> dict:
             raw = default
         else:
             raise DomainError(f"missing required parameter {name!r} for {command}")
+        if isinstance(raw, bool):  # int(True) and float(True) would read it as 1
+            raise DomainError(f"parameter {name!r}: {json.dumps(raw)} is a bool, not a number or text")
         try:
             params[name] = parse(raw)
         except (TypeError, ValueError) as exc:
@@ -372,80 +369,81 @@ def run(command: str, params: dict, seed: int, output_dir: str, threads: int = 1
     return 0
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise DomainError, so that they
-    get the one-line JSON error like every other bad input; subparsers
-    inherit the class.  An argument that starts with "-" and a digit, or "-."
-    and a digit, is a value, so `--d -1,2` reads as `--d=-1,2`; argparse's
-    own rule varies with the Python version and takes "-1,2" for an option."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):
-        raise DomainError(f"{self.prog}: {message}")
-
-
 def _fail(message: str, code: int = 2) -> int:
     sys.stderr.write(json.dumps({"error": message}) + "\n")
     return code
 
 
-def _parser(command=None) -> _ArgumentParser:
-    """The argument parser with every subcommand, or with `command`'s alone."""
-    parser = _ArgumentParser(
-        prog="selfapprox",
-        description="Numerical experiments on self-approximation of Dirichlet L-functions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value config file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--output-dir", default="runs/out")
-    common.add_argument("--threads", type=int, default=1)
-    for name, (_, schema) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, parents=[common])
-            for key in schema:
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-    if command in (None, "rerun"):
-        rerun = sub.add_parser("rerun")
-        rerun.add_argument("manifest")
-        rerun.add_argument("--output-dir", default=None)
-        rerun.add_argument("--threads", type=int, default=None)
-    return parser
+# the flags of every command besides its schema's keys; rerun takes the last two
+_COMMON = {"config": None, "seed": 0, "output_dir": "runs/out", "threads": 1}
+
+
+def _usage(command=None) -> str:
+    """The usage of `command`, or of the command line, from _COMMANDS."""
+    if command in _COMMANDS:
+        rows = {key: "required" if default is None else default for key, (_, default) in _COMMANDS[command][1].items()}
+        rows.update(_COMMON, config="none (a key = value file, overridden by flags)")
+        return f"usage: selfapprox {command} [--key value ...]\n" + "".join(
+            f"\n  --{key.replace('_', '-'):<14}{default}" for key, default in rows.items())
+    return {None: f"usage: selfapprox {{{','.join([*_COMMANDS, 'rerun'])}}} ...  (COMMAND --help lists its flags)",
+            "rerun": "usage: selfapprox rerun MANIFEST [--output-dir DIR] [--threads N]  (default: the manifest's)"}[command]
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether arg starts with "-", but not with "-" or "-." and a digit."""
+    return arg.startswith("-") and not (arg[2:] if arg.startswith("-.") else arg[1:])[:1].isdecimal()
 
 
 def _parse_args(argv):
-    """Parsed argv.  Only the invoked subcommand's parser is built, whose help
-    and usage errors read as the full parser's; an unknown command goes to the
-    full parser, which lists every command."""
-    command = argv[0] if argv else None
-    return _parser(command if command in (*_COMMANDS, "rerun") else None).parse_args(argv)
+    """(command, {key: value}) read from argv against _COMMANDS: --key value or --key=value by
+    the full name, the last repeat winning; -h or --help prints the usage and exits 0."""
+    command = argv[0] if argv[:1] and argv[0] in (*_COMMANDS, "rerun") else None
+    if {"-h", "--help"} & set(argv if command else argv[:1]):
+        print(_usage(command))
+        raise SystemExit(0)
+    if command is None:
+        raise DomainError(f"selfapprox: the command must be one of {', '.join([*_COMMANDS, 'rerun'])}")
+    rerun, prog = command == "rerun", f"selfapprox {command}"
+    values = {"output_dir": None, "threads": None} if rerun else {**dict.fromkeys(_COMMANDS[command][1]), **_COMMON}
+    flags, positional, rest = {"--" + key.replace("_", "-"): key for key in values}, [], argv[:0:-1]
+    while rest:  # argv reversed, so that pop() takes the next argument
+        arg = rest.pop()
+        flag, has_value, value = arg.partition("=")
+        if not _is_flag(arg):
+            positional.append(arg)
+        elif flag not in flags:
+            raise DomainError(f"{prog}: unrecognized argument {flag}")
+        elif not has_value and (not rest or _is_flag(rest[-1])):
+            raise DomainError(f"{prog}: argument {flag}: expected one argument")
+        else:
+            values[flags[flag]] = value if has_value else rest.pop()
+    if len(positional) != rerun:
+        raise DomainError(f"{prog}: expected {'one MANIFEST' if rerun else 'flags only'}, got {positional}")
+    for key in ("seed", "threads"):  # read with int(), as the manifests record them
+        try:
+            values[key] = None if values.get(key) is None else int(values[key])
+        except ValueError:
+            raise DomainError(f"{prog}: argument --{key}: invalid int value: {values[key]!r}") from None
+    return command, {**values, "manifest": positional[0] if rerun else None}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
-        if args.command == "rerun":
-            manifest = json.loads(_read_text(args.manifest))
-            if not (
-                isinstance(manifest, dict)
-                and manifest.get("command") in _COMMANDS
-                and isinstance(manifest.get("params"), dict)
-            ):
-                raise DomainError(f"{args.manifest}: needs a known command and a params object")
-            command, file_params, overrides = manifest["command"], manifest["params"], {}
-            seed = manifest.get("seed")
-            outdir = args.output_dir or os.path.dirname(os.path.abspath(args.manifest))
-            threads = args.threads if args.threads is not None else manifest.get("threads", 1)
+        command, args = _parse_args(argv)
+        if command == "rerun":
+            manifest = json.loads(_read_text(args["manifest"]))
+            if not (isinstance(manifest, dict) and manifest.get("command") in _COMMANDS
+                    and isinstance(manifest.get("params"), dict)):
+                raise DomainError(f"{args['manifest']}: needs a known command and a params object")
+            command, file_params, seed = manifest["command"], manifest["params"], manifest.get("seed")
+            outdir = args["output_dir"] or os.path.dirname(os.path.abspath(args["manifest"]))
+            threads = args["threads"] if args["threads"] is not None else manifest.get("threads", 1)
         else:
-            command, overrides = args.command, vars(args)
-            file_params = _read_config_file(args.config) if args.config else {}
-            seed, outdir, threads = args.seed, args.output_dir, args.threads
-        params = _resolve_params(command, file_params, overrides)
+            file_params = _read_config_file(args["config"]) if args["config"] else {}
+            seed, outdir, threads = args["seed"], args["output_dir"], args["threads"]
+        # rerun's args hold no schema key, so that only the manifest's params count
+        params = _resolve_params(command, file_params, args)
         return run(command, params, seed, outdir, threads)
     except DomainError as exc:
         return _fail(str(exc))

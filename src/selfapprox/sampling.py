@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import _check_count
+from .errors import _check_count, _check_limit
 
 BLOCK_SIZE = 4096
 
@@ -30,6 +30,7 @@ def block_slices(n: int):
 def uniform_samples(seed: int, n: int, low: float, high: float) -> np.ndarray:
     """n iid U(low, high) samples, assembled block by block."""
     seed = _check_count("seed", seed, 0)
+    _check_limit("n_samples", n, 2**63 - 1, "bytes", rate=8)  # past it np.empty raises ValueError
     out = np.empty(n)
     for b, (i0, i1) in enumerate(block_slices(n)):
         out[i0:i1] = block_rng(seed, b).uniform(low, high, i1 - i0)

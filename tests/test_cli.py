@@ -368,6 +368,22 @@ def _write_bytes(path, data):
     return str(path)
 
 
+FIND_TAU_MANIFEST = {"command": "find-tau", "seed": 0, "params": {
+    "d": "1", "delta": 0.05, "primes_upto": 7.0, "bound": 1e3, "max_results": 10}}
+SCAN_MANIFEST = {"command": "scan-density", "seed": 0, "params": {
+    "d": "1,2", "chars": "4:1,4:1", "eps": 1.0, "T": 10.0, "samples": 4.0}}
+
+
+@pytest.mark.parametrize("manifest, key", [
+    (FIND_TAU_MANIFEST, "max_results"), (SCAN_MANIFEST, "samples"), (FIND_TAU_MANIFEST, "bound"),
+])
+def test_rerun_refuses_a_bool_parameter_naming_it(manifest, key, tmp_path, capsys):
+    assert main(["rerun", _write_manifest(tmp_path / "ok.json", manifest)]) == 0
+    bad = {**manifest, "params": {**manifest["params"], key: True}}
+    assert main(["rerun", _write_manifest(tmp_path / "bad.json", bad), "--output-dir", str(tmp_path / "bad")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == f"parameter {key!r}: true is a bool, not a number or text"
+
+
 @pytest.mark.parametrize("case", [
     "eps_nan", "grid_no_x", "T_not_a_number", "zero_tolerance",
     "manifest_without_params", "manifest_unknown_command", "manifest_threads_not_int",
@@ -380,12 +396,18 @@ def _write_bytes(path, data):
     "eps_zero", "mean_value_y_below_one", "sieve_beyond_cap",
     "float_shift_underflows", "float_shift_below_tolerance", "float_coeff_cap_zero",
     "float_coeff_cap_negative", "refine_seven", "refine_negative",
+    "manifest_max_results_bool", "manifest_samples_bool", "manifest_bound_bool",
 ])
 def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     out = ["--output-dir", str(tmp_path / "out")]
     scan = ["scan-density", "--d", "1,2", "--chars", "4:1,4:1", "--T", "100", "--samples", "4"]
     find_tau = ["find-tau", "--d", "1", "--delta", "0.05", "--primes-upto", "7", "--bound", "1e5"]
     selfcheck = {"command": "selfcheck", "seed": 0, "params": {}}
+    # a JSON true in a manifest's params, one for each kind of parser
+    bools = {"max_results": FIND_TAU_MANIFEST, "samples": SCAN_MANIFEST, "bound": FIND_TAU_MANIFEST}
+    for key, manifest in bools.items():
+        bad = {**manifest, "params": {**manifest["params"], key: True}}
+        bools[key] = ["rerun", _write_manifest(tmp_path / f"{key}_bool.json", bad)] + out
     # each case writes its own file: the dict below builds every argv
     argv = {
         "eps_nan": scan + ["--eps", "nan"] + out,
@@ -424,7 +446,7 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
             tmp_path / "threads_bool.json", {**selfcheck, "threads": True})] + out,
         "mean_value_beyond_cap": ["mean-value", "--char", "4:1", "--T", "1e5",
                                   "--samples", "4"] + out,
-        # argparse's own usage errors
+        # usage errors of the command-line reader
         "seed_not_int": ["relations", "--shifts", "1,2", "--seed", "abc"] + out,
         "unknown_flag": ["relations", "--shifts", "1,2", "--bogus", "1"] + out,
         "no_subcommand": [],
@@ -447,6 +469,10 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
         # bool() read any integer as on, and the manifest recorded 7
         "refine_seven": scan + ["--eps", "1", "--refine", "7"] + out,
         "refine_negative": scan + ["--eps", "1", "--refine=-1"] + out,
+        # int(True) read it as 1, and the rerun recorded 1
+        "manifest_max_results_bool": bools["max_results"],
+        "manifest_samples_bool": bools["samples"],
+        "manifest_bound_bool": bools["bound"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -455,29 +481,38 @@ def test_bad_input_gives_one_line_json_error(case, tmp_path, capsys):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
-def test_the_invoked_subcommand_parses_as_in_the_full_parser():
-    # main builds only the invoked subcommand's parser
-    for argv in (
-        ["scan-density", "--d=1,2", "--chars", "4:1,4:1", "--eps", "1", "--T", "10", "--threads", "2"],
-        ["kronecker", "--delta", "0.1", "--primes-upto", "5", "--T", "1e5", "--seed", "7", "--out", "x"],
-        ["rerun", "manifest.json", "--threads", "2"],
-        ["selfcheck"],
-    ):
-        assert cli._parse_args(argv) == cli._parser().parse_args(argv)
+def _given(argv):
+    """The command and the values _parse_args reads from argv, without the
+    keys left unset."""
+    command, values = cli._parse_args(argv)
+    return command, {key: value for key, value in values.items() if value is not None}
 
 
-def _parse_outcome(parse, argv, capsys):
-    """(parsed namespace, or the usage error or exit code) and the output of parse(argv)."""
-    try:
-        outcome = parse(argv)
-    except DomainError as exc:
-        outcome = ("usage error", str(exc))
-    except SystemExit as exc:
-        outcome = ("exit", exc.code)
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
+def test_argv_reads_to_its_command_and_values(tmp_path, capsys):
+    common = {"seed": 0, "output_dir": "runs/out", "threads": 1}
+    assert _given(["scan-density", "--d=1,2", "--chars", "4:1,4:1", "--eps", "1", "--T", "10", "--threads", "2"]) == (
+        "scan-density", {**common, "threads": 2, "d": "1,2", "chars": "4:1,4:1", "eps": "1", "T": "10"})
+    kronecker = ["kronecker", "--delta", "0.1", "--primes-upto", "5", "--T", "1e5", "--seed", "7"]
+    assert _given(kronecker + ["--output-dir", "x"]) == (
+        "kronecker", {**common, "seed": 7, "output_dir": "x", "delta": "0.1", "primes_upto": "5", "T": "1e5"})
+    assert _given(["rerun", "manifest.json", "--threads", "2"]) == ("rerun", {"manifest": "manifest.json", "threads": 2})
+    assert _given(["selfcheck"]) == ("selfcheck", common)
+    # the last repeat of a flag wins
+    assert _given(["selfcheck", "--seed", "1", "--seed=2"]) == ("selfcheck", {**common, "seed": 2})
+    # a flag is read by its full name only: argparse read --out as --output-dir
+    for flag in ("--out", "--output_dir"):
+        assert main(kronecker + [flag, str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == f"selfapprox kronecker: unrecognized argument {flag}"
+    assert not (tmp_path / "results.json").exists()
+    # a missing or unknown command gets the list of every command
+    for argv in ([], ["bogus"]):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"].endswith(", ".join([*cli._COMMANDS, "rerun"]))
 
 
+# each argv ends as it did when the CLI read argv with argparse's parser of
+# every command: help exits 0 with the usage on stdout, `rerun manifest.json`
+# reads, and every other argv is the one-line JSON usage error with exit 2
 @pytest.mark.parametrize("argv", [
     ["--help"], ["-h"], ["scan-density", "--help"], ["b2", "-h"], ["rerun", "--help"],
     ["bogus"], [], ["relations", "--shifts", "1,2", "--bogus", "1"],
@@ -485,10 +520,44 @@ def _parse_outcome(parse, argv, capsys):
     ["scan-density", "--d"], ["mean-value", "--char"], ["find-tau", "--seed"],
     ["selfcheck", "extra"], ["rerun"], ["rerun", "manifest.json"], ["rerun", "a.json", "b.json"],
 ])
-def test_help_and_usage_errors_read_as_in_the_full_parser(argv, capsys):
-    # help, an unknown command and usage errors: the same output, usage error
-    # message and exit code whether main builds one subcommand's parser or all
-    assert _parse_outcome(cli._parse_args, argv, capsys) == _parse_outcome(cli._parser().parse_args, argv, capsys)
+def test_help_and_usage_errors_read_as_in_the_full_parser(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if {"-h", "--help"} & set(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: selfapprox ")
+    elif argv == ["rerun", "manifest.json"]:
+        assert _given(argv) == ("rerun", {"manifest": "manifest.json"})
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("selfapprox")
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [*cli._COMMANDS, "rerun"])
+def test_every_key_reads_in_either_spelling_and_is_listed_in_help(command, capsys):
+    with pytest.raises(SystemExit):
+        cli._parse_args([command, "--help"])
+    usage = capsys.readouterr().out.splitlines()
+    if command == "rerun":
+        head, defaults = ["rerun", "manifest.json"], dict.fromkeys(["output_dir", "threads"], "the manifest's")
+    else:
+        head = [command]
+        defaults = {key: "required" if default is None else str(default)
+                    for key, (_, default) in cli._COMMANDS[command][1].items()}
+        defaults.update(config="none", seed="0", output_dir="runs/out", threads="1")
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        read = cli._parse_args(head + [flag, "7"])
+        assert read == cli._parse_args(head + [f"{flag}=7"])
+        assert read[1][key] == (7 if key in ("seed", "threads") else "7")
+        # rerun's one usage line names its flags; every other command lists a
+        # line per flag with its default
+        lines = [line for line in usage if f"{flag} " in line]
+        assert len(lines) == 1 and default in lines[0]
 
 
 @pytest.mark.parametrize("command", [

@@ -210,3 +210,18 @@ def test_a_count_is_stored_as_the_int_read():
             KroneckerTarget((1.0,), bad, 0.25, 2)
     region = StripRegion(0.65, 0.75, -0.5, 0.5, grid_sigma=np.int64(2), grid_t=3.0)
     assert type(region.grid_sigma) is type(region.grid_t) is int
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: sample_g(FAMILY, REGION, 10.0, n, seed=0),
+    lambda n: convergence_diagnostic(FAMILY, REGION, [10.0], n),
+    lambda n: carlson_mean_value(CHI4, 0.75, 20, T=10.0, n_samples=n),
+    lambda n: b2_ladder(FAMILY, [10], 10.0, REGION, n_samples=n),
+], ids=["sample_g", "convergence_diagnostic", "carlson_mean_value", "b2_ladder"])
+@pytest.mark.parametrize("n", [2**60, 2**63, 1e19], ids=["2^60", "2^63", "1e19"])
+def test_sample_counts_whose_draw_exceeds_2_63_bytes_are_refused(call, n):
+    # each ended in numpy's ValueError, "array is too big" or "Maximum allowed
+    # dimension exceeded"; the largest usable count named fails in np.empty
+    # with MemoryError, as every count too large for memory does
+    with pytest.raises(RangeError, match="^n_samples = .* largest usable n_samples at this cap is 1.15292e[+]18$"):
+        call(n)
